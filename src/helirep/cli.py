@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__
 from .gelfand_yaglom import dirac_system, system_from_config
 from .halfint import HalfInt
-from .hyperspherical import z_factorized, z_grid, z_series, z_series_grid
+from .hyperspherical import z_grid, z_series_grid
 from .radial import assemble_rfs, bessel_probe, integrate, residual
 from .suites import DEFAULT_TOLERANCES, SUITES, run_suite
 
@@ -47,17 +48,29 @@ def _half(text, what):
         raise UsageError(f"cannot parse {what}={text!r} as a spin label: {exc}")
 
 
+def _finite(text, what, positive=False):
+    """A finite float (and > 0 if ``positive``), or a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"{what}={text!r} is not a number")
+    if not math.isfinite(value) or (positive and not value > 0):
+        kind = "finite positive" if positive else "finite"
+        raise UsageError(f"{what}={text!r} is not a {kind} number")
+    return value
+
+
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be START:STOP:N, got {text!r}")
     try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        count = int(parts[2])
     except ValueError:
-        raise UsageError(f"grid must be START:STOP:N with numeric fields, got {text!r}")
+        raise UsageError(f"grid must be START:STOP:N with an integer N, got {text!r}")
     if count < 1:
         raise UsageError("grid needs at least one point")
-    return start, stop, count
+    return _finite(parts[0], "grid START"), _finite(parts[1], "grid STOP"), count
 
 
 def _parse_init(text, dim):
@@ -103,9 +116,18 @@ def _report(command, inputs, results, residuals):
     }
 
 
+def _dumps(payload):
+    """Sorted compact JSON; a non-finite number is refused, not printed."""
+    try:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError:
+        raise UsageError("a result is not a finite number (overflow)")
+
+
 def _emit(args, report, csv_header, csv_rows):
     if args.format == "json":
-        text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+        text = _dumps(report)
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -123,30 +145,30 @@ def cmd_zfun(args):
     l = _half(args.l, "--l")
     m = _half(args.m if args.m is not None else args.l, "--m")
     n = _half(args.n if args.n is not None else args.l, "--n")
-    if abs(m.twice) > l.twice or abs(n.twice) > l.twice:
-        raise UsageError("projections must satisfy |m|, |n| <= l")
+    theta = _finite(args.theta, "--theta")
+    tau = _finite(args.tau, "--tau")
     if args.grid:
-        start, stop, count = _parse_grid(args.grid)
-        thetas = np.linspace(start, stop, count)
-        series = z_series_grid(l, m, n, thetas, [args.tau])[:, 0]
-        factorized = z_grid(l, m, n, thetas, [args.tau])[:, 0]
+        thetas = np.linspace(*_parse_grid(args.grid))
     else:
-        thetas = np.array([args.theta])
-        series = np.array([z_series(l, m, n, args.theta, args.tau)])
-        factorized = np.array([z_factorized(l, m, n, args.theta, args.tau)])
+        thetas = np.array([theta])
+    try:
+        series = z_series_grid(l, m, n, thetas, [tau])[:, 0]
+        factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows = []
-    for theta, s, f in zip(thetas, series, factorized):
+    for th, s, f in zip(thetas, series, factorized):
         rows.append({
             "l": str(l), "m": str(m), "n": str(n),
-            "theta": float(theta), "tau": float(args.tau),
+            "theta": float(th), "tau": tau,
             "series": _pair(s), "factorized": _pair(f),
             "discrepancy": float(abs(s - f)),
         })
     worst = max(row["discrepancy"] for row in rows)
     report = _report(
         "zfun",
-        {"l": str(l), "m": str(m), "n": str(n), "theta": args.theta,
-         "tau": args.tau, "grid": args.grid, "format": args.format},
+        {"l": str(l), "m": str(m), "n": str(n), "theta": theta,
+         "tau": tau, "grid": args.grid, "format": args.format},
         {"rows": rows},
         {"max_discrepancy": worst},
     )
@@ -171,14 +193,11 @@ def cmd_verify(args):
         raise UsageError("positional suite and --suite disagree")
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
-    tol = args.tol
-    if tol is None:
-        env = os.environ.get(TOL_ENV)
-        if env is not None:
-            try:
-                tol = float(env)
-            except ValueError:
-                raise UsageError(f"{TOL_ENV}={env!r} is not a number")
+    tol = None
+    if args.tol is not None:
+        tol = _finite(args.tol, "--tol", positive=True)
+    elif TOL_ENV in os.environ:
+        tol = _finite(os.environ[TOL_ENV], TOL_ENV, positive=True)
     system = None
     if suite in ("gy", "radial") and args.chain:
         system = _load_system(args.chain)
@@ -219,9 +238,9 @@ def cmd_gy_build(args):
             "matrix": [[_pair(entry) for entry in row] for row in mat.data],
         }
         path = os.path.join(out_dir, f"{field}.json")
+        text = _dumps(payload)
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+            handle.write(text)
         written.append(f"{field}.json")
     dim = system.chain.dim
     report = _report(
@@ -282,7 +301,7 @@ def cmd_radial(args):
     for r, row in zip(sol.grid, sol.values):
         line = [repr(float(r))]
         for z in row:
-            line.extend([repr(z.real + 0.0), repr(z.imag + 0.0)])
+            line.extend([repr(float(z.real) + 0.0), repr(float(z.imag) + 0.0)])
         table.append(line)
     _emit(args, report, header, table)
     return 0
@@ -299,15 +318,15 @@ def _build_parser():
     zfun.add_argument("--l", required=True, help='spin label, e.g. "3/2"')
     zfun.add_argument("--m", help="row projection (default: l)")
     zfun.add_argument("--n", help="column projection (default: l)")
-    zfun.add_argument("--theta", type=float, default=0.0)
-    zfun.add_argument("--tau", type=float, default=0.0)
+    zfun.add_argument("--theta", default=0.0)
+    zfun.add_argument("--tau", default=0.0)
     zfun.add_argument("--grid", help="theta sweep START:STOP:N")
     zfun.set_defaults(handler=cmd_zfun)
 
     verify = sub.add_parser("verify", help="run one verification suite")
     verify.add_argument("suite", nargs="?", choices=sorted(SUITES))
     verify.add_argument("--suite", dest="suite_flag", choices=sorted(SUITES))
-    verify.add_argument("--tol", type=float,
+    verify.add_argument("--tol",
                         help=f"override tolerance (also via ${TOL_ENV})")
     verify.add_argument("--chain",
                         help='chain config file or "dirac" (gy/radial suites)')

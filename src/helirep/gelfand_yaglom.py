@@ -171,11 +171,10 @@ def _tower_weight(lp, l, m):
     return math.sqrt((lt + 2) ** 2 - mt * mt) / 2.0
 
 
-def _assemble_one(chain, table, sector):
-    basis = chain.basis()
-    entries = {}
+def _check_table(chain, table, sector):
+    """Reject a coefficient whose reps or towers the chain cannot carry."""
     nreps = len(chain.reps)
-    for (kp, k, lp, l), value in table.items():
+    for kp, k, lp, l in table:
         if not (0 <= kp < nreps and 0 <= k < nreps):
             raise ValueError(f"{sector} coefficient names rep {max(kp, k)}, "
                              f"chain has {nreps}")
@@ -188,6 +187,13 @@ def _assemble_one(chain, table, sector):
                 f"{sector} coefficient targets tower ({lp}, {l}) "
                 f"absent from reps ({kp}, {k})"
             )
+
+
+def _assemble_one(chain, table, sector):
+    _check_table(chain, table, sector)
+    basis = chain.basis()
+    entries = {}
+    for (kp, k, lp, l), value in table.items():
         ms = mrange(lp) if lp.twice < l.twice else mrange(l)
         for m in ms:
             entries[(ChainIndex(kp, lp, m), ChainIndex(k, l, m))] = (

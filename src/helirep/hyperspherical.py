@@ -1,88 +1,159 @@
 """Representation matrix elements mixing a rotation and a boost angle.
 
-Two independent scalar routes are kept deliberately separate: a direct
-double sum over the internal index, and a product of the rotation/boost
-factor functions.  On top of those sit the phase-dressed matrix
-elements, the 2x2 closed form with its six-factor product twin, and a
-vectorized grid tabulator for bulk evaluation.
+Z^l_mn(theta, tau) is a sum over an internal label k of a rotation
+factor times a boost factor.  Two routes evaluate it, and they share no
+coefficient, normalization or reflection code, so each checks the other:
+
+- the series route sums the direct double series, with log-factorial
+  prefactors and a float coefficient recurrence (``z_series_grid``);
+- the factorized route sums the exact-norm factor functions of ``su2``
+  (``z_grid`` over their array tabulators, ``z_factorized`` over
+  ``sph_p`` and ``jac_p``).
+
+Each route has one evaluator; ``z_series`` is the one-point view of the
+series table.  On top sit the phase-dressed matrix elements,
+the representation matrices, and the 2x2 closed form with its
+six-factor product.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, mrange
-from .kernels import fact, hyp2f1_term, ipow, ln_factorial
-from .su2 import jac_p, sph_p
+from .kernels import _horner, ipow, ln_factorial
+from .su2 import _jac_vec, _sph_vec, _weights, jac_p, sph_p
+
+_MEMO = 4096  # entries per memoized table, keyed by twice-int labels
 
 
-def _ln_pref(l, a, b):
-    """log of sqrt((l+a)!(l-b)!/((l-a)!(l+b)!)) / (a-b)! for a >= b."""
+@functools.lru_cache(maxsize=_MEMO)
+def _ln_pref(tl, ta, tb):
+    """log of sqrt((l+a)!(l-b)!/((l-a)!(l+b)!)) / (a-b)! for a >= b (twice-ints)."""
     return 0.5 * (
-        ln_factorial(l + a)
-        + ln_factorial(l - b)
-        - ln_factorial(l - a)
-        - ln_factorial(l + b)
-    ) - ln_factorial((a - b).as_int())
+        ln_factorial((tl + ta) // 2)
+        + ln_factorial((tl - tb) // 2)
+        - ln_factorial((tl - ta) // 2)
+        - ln_factorial((tl + tb) // 2)
+    ) - ln_factorial((ta - tb) // 2)
+
+
+@functools.lru_cache(maxsize=_MEMO)
+def _gauss_float_coeffs(tl, ta, tb):
+    """Ascending float coefficients of 2F1(a-l, -l-b; a-b+1; .), a >= b.
+
+    The series stops at degree min(l-a, l+b), where a numerator
+    parameter reaches zero.
+    """
+    fa, fb = (ta - tl) / 2, (-tl - tb) / 2
+    d = (ta - tb) // 2
+    out = [1.0]
+    for t in range(min(tl - ta, tl + tb) // 2):
+        out.append(out[-1] * (fa + t) * (fb + t) / ((d + 1 + t) * (t + 1)))
+    out = np.array(out)
+    out.flags.writeable = False
+    return out
+
+
+def _series_table(tl, tm, tn, thetas, taus):
+    """Z^l_mn on a theta x tau table by the direct sum (twice-int labels).
+
+    Each internal label k adds the outer product of a rotation and a
+    boost factor, each a log-factorial prefactor times a terminating
+    Gauss series.  The rotation factor is cos^(2l-d) sin^d (theta/2)
+    times the series in -tan^2(theta/2) while |tan(theta/2)| <= 1, and
+    past that the reversed series in -cot^2(theta/2) with the powers
+    traded accordingly, so every power stays bounded up to theta = pi.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    inner = np.abs(st) <= np.abs(ct)
+    big, small = np.where(inner, ct, st), np.where(inner, st, ct)
+    y = -((small / big) ** 2)
+    ch, th = np.cosh(0.5 * taus), np.tanh(0.5 * taus)
+    out = np.zeros((thetas.size, taus.size), dtype=complex)
+    for tk in range(tl, -tl - 1, -2):
+        ta, tb = max(tm, tk), min(tm, tk)
+        d = (ta - tb) // 2
+        coeffs = _gauss_float_coeffs(tl, ta, tb)
+        top = coeffs.size - 1
+        poly = _horner(np.where(inner, coeffs[:, None], coeffs[::-1, None]), y)
+        power = np.where(
+            inner,
+            big ** (tl - d) * small**d,
+            (-1) ** top * small ** (tl - d - 2 * top) * big ** (d + 2 * top),
+        )
+        rot = ipow(d) * math.exp(_ln_pref(tl, ta, tb)) * power * poly
+        ta, tb = max(tk, tn), min(tk, tn)
+        d = (ta - tb) // 2
+        poly = _horner(_gauss_float_coeffs(tl, ta, tb), th * th)
+        boost = math.exp(_ln_pref(tl, ta, tb)) * ch**tl * th**d * poly
+        out += np.outer(rot, boost)
+    return out
 
 
 def z_series(l, m, n, theta, tau):
     """Direct double-sum evaluation of Z^l_mn(theta, tau).
 
     Sums over the internal label k with one rotation and one boost
-    factor per term, each a prefactor times a terminating Gauss series.
-    Most accurate for theta in [0, pi/2]; the factorized route reflects
-    automatically and is preferred near theta = pi.
+    factor per term, each a prefactor times a terminating Gauss series;
+    the one-point view of ``z_series_grid``.
     """
-    l = HalfInt(l)
-    m, n = HalfInt(m), HalfInt(n)
-    ct, st = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    ch, sh = math.cosh(0.5 * tau), math.sinh(0.5 * tau)
-    tt = st / ct
-    th = sh / ch
-    total = 0.0 + 0.0j
-    for k in mrange(l):
-        a, b = (m, k) if m >= k else (k, m)
-        d1 = (a - b).as_int()
-        rot = (
-            ipow(d1)
-            * math.exp(_ln_pref(l, a, b))
-            * ct ** (2 * l).as_int()
-            * tt**d1
-            * hyp2f1_term(a - l, -l - b, HalfInt(d1 + 1), -tt * tt)
-        )
-        c, e = (k, n) if k >= n else (n, k)
-        d2 = (c - e).as_int()
-        boost = (
-            math.exp(_ln_pref(l, c, e))
-            * ch ** (2 * l).as_int()
-            * th**d2
-            * hyp2f1_term(c - l, -l - e, HalfInt(d2 + 1), th * th)
-        )
-        total += rot * boost
-    return total
+    l, m, n = _weights(l, m, n)
+    return complex(_series_table(l.twice, m.twice, n.twice, [theta], [tau])[0, 0])
+
+
+def z_series_grid(l, m, n, thetas, taus):
+    """Z^l_mn tabulated on a theta x tau grid by the direct double sum.
+
+    Returns an array of shape (len(thetas), len(taus)); each internal
+    label contributes an outer product, so grid cost stays linear in the
+    edges.
+    """
+    l, m, n = _weights(l, m, n)
+    return _series_table(l.twice, m.twice, n.twice, thetas, taus)
 
 
 def z_factorized(l, m, n, theta, tau):
     """Z^l_mn as sum over k of sph_p(l,m,k) * jac_p(l,k,n)."""
     l = HalfInt(l)
-    m, n = HalfInt(m), HalfInt(n)
     return sum(
         sph_p(l, m, k, theta) * jac_p(l, k, n, tau) for k in mrange(l)
     )
 
 
+def z_grid(l, m, n, thetas, taus):
+    """Z^l_mn tabulated on a theta x tau grid by the factorized route.
+
+    Returns an array of shape (len(thetas), len(taus)); each internal
+    label contributes an outer product of one rotation-axis and one
+    boost-axis tabulation, so the cost is linear in the grid edges.
+    """
+    l, m, n = _weights(l, m, n)
+    tl, tm, tn = l.twice, m.twice, n.twice
+    return sum(
+        np.outer(_sph_vec(tl, tm, tk, thetas), _jac_vec(tl, tk, tn, taus))
+        for tk in range(tl, -tl - 1, -2)
+    )
+
+
 def z_matrix(l, theta, tau):
-    """The full [Z^l_mn] matrix, rows/columns labeled m descending."""
+    """The full [Z^l_mn] matrix, rows/columns labeled m descending.
+
+    The product of the rotation matrix [sph_p(l, m, k)] and the boost
+    matrix [jac_p(l, k, n)].
+    """
     l = HalfInt(l)
     ms = mrange(l)
-    data = [[z_factorized(l, m, n, theta, tau) for n in ms] for m in ms]
-    return CMatrix(data, ms, ms)
+    rot = np.array([[sph_p(l, m, k, theta) for k in ms] for m in ms])
+    boost = np.array([[jac_p(l, k, n, tau) for n in ms] for k in ms])
+    return CMatrix(rot @ boost, ms, ms)
 
 
 def m_function(l, m, n, g: GroupPoint):
@@ -174,133 +245,3 @@ def rep_matrix(l, ldot, g: GroupPoint):
     )
     want = enumerate_basis(l, ldot)
     return combined.reindexed(want, want)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized grid evaluation
-
-
-def _series_coeffs(l, a, b):
-    """Ascending coefficients of the terminating Gauss series for (a, b)."""
-    d = (a - b).as_int()
-    tmax = (l - a).as_int()
-    out = [Fraction(1)]
-    for t in range(tmax):
-        num = (a - l + t).as_fraction() * (-l - b + t).as_fraction()
-        out.append(out[-1] * num / ((d + 1 + t) * (t + 1)))
-    return out
-
-
-def _pair_norm_float(l, a, b):
-    d = (a - b).as_int()
-    ratio = Fraction(fact(l + a) * fact(l - b), fact(l - a) * fact(l + b))
-    return math.sqrt(ratio) / fact(d)
-
-
-def _horner(coeffs, y):
-    acc = np.zeros_like(y) + float(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * y + float(c)
-    return acc
-
-
-def _sph_direct_vec(l, m, n, thetas):
-    a, b = (m, n) if m >= n else (n, m)
-    d = (a - b).as_int()
-    c = np.cos(0.5 * thetas)
-    t = np.tan(0.5 * thetas)
-    poly = _horner(_series_coeffs(l, a, b), -t * t)
-    return (
-        ipow(d)
-        * _pair_norm_float(l, a, b)
-        * c ** (2 * l).as_int()
-        * t**d
-        * poly
-    )
-
-
-def _sph_vec(l, m, n, thetas):
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.empty(thetas.shape, dtype=complex)
-    direct = np.cos(thetas) >= 0.0
-    if direct.any():
-        out[direct] = _sph_direct_vec(l, m, n, thetas[direct])
-    rest = ~direct
-    if rest.any():
-        refl = ipow(2 * (l - m).as_int() - (2 * n).as_int())
-        out[rest] = refl * _sph_vec(l, m, -n, math.pi - thetas[rest])
-    return out
-
-
-def _jac_vec(l, m, n, taus):
-    taus = np.asarray(taus, dtype=float)
-    a, b = (m, n) if m >= n else (n, m)
-    d = (a - b).as_int()
-    ch = np.cosh(0.5 * taus)
-    th = np.tanh(0.5 * taus)
-    poly = _horner(_series_coeffs(l, a, b), th * th)
-    return _pair_norm_float(l, a, b) * ch ** (2 * l).as_int() * th**d * poly
-
-
-def z_grid(l, m, n, thetas, taus):
-    """Z^l_mn tabulated on a theta x tau grid.
-
-    Returns an array of shape (len(thetas), len(taus)); each internal
-    label contributes an outer product of one rotation-axis and one
-    boost-axis tabulation, so the cost is linear in the grid edges.
-    """
-    l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
-    thetas = np.asarray(thetas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    out = np.zeros((thetas.size, taus.size), dtype=complex)
-    for k in mrange(l):
-        out += np.outer(_sph_vec(l, m, k, thetas), _jac_vec(l, k, n, taus))
-    return out
-
-
-def _gauss_float_coeffs(a, b, l, d):
-    """Ascending float coefficients of 2F1(a-l, -l-b; d+1; .)."""
-    fa, fb = float(a - l), float(-l - b)
-    out = [1.0]
-    for t in range((l - a).as_int()):
-        out.append(out[-1] * (fa + t) * (fb + t) / ((d + 1 + t) * (t + 1)))
-    return out
-
-
-def z_series_grid(l, m, n, thetas, taus):
-    """Direct-sum-route twin of ``z_grid``.
-
-    Follows the ``z_series`` recipe (log-factorial prefactors, float
-    coefficient recurrence) with each internal label contributing an
-    outer product, so grid cost stays linear in the edges while the
-    arithmetic stays independent of the factor-function tabulators.
-    """
-    l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
-    thetas = np.asarray(thetas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    tt = st / ct
-    ch = np.cosh(0.5 * taus)
-    th = np.tanh(0.5 * taus)
-    two_l = (2 * l).as_int()
-    out = np.zeros((thetas.size, taus.size), dtype=complex)
-    for k in mrange(l):
-        a, b = (m, k) if m >= k else (k, m)
-        d1 = (a - b).as_int()
-        rot = (
-            ipow(d1)
-            * math.exp(_ln_pref(l, a, b))
-            * ct**two_l
-            * tt**d1
-            * _horner(_gauss_float_coeffs(a, b, l, d1), -tt * tt)
-        )
-        c, e = (k, n) if k >= n else (n, k)
-        d2 = (c - e).as_int()
-        boost = (
-            math.exp(_ln_pref(l, c, e))
-            * ch ** ((2 * l).as_int())
-            * th**d2
-            * _horner(_gauss_float_coeffs(c, e, l, d2), th * th)
-        )
-        out += np.outer(rot, boost)
-    return out

@@ -11,6 +11,8 @@ import math
 import numbers
 from fractions import Fraction
 
+import numpy as np
+
 from .halfint import HalfInt
 
 
@@ -143,9 +145,16 @@ def terminating_series(num_params, den_params, x):
     return total
 
 
-def hyp2f1_term(a, b, c, x):
-    """Terminating Gauss series 2F1(a, b; c; x)."""
-    return terminating_series((a, b), (c,), x)
+def _horner(coeffs, y):
+    """Sum of coeffs[j] * y**j (ascending coefficients) by Horner's rule.
+
+    ``y`` is an array; a coefficient may itself be an array that
+    broadcasts against it.
+    """
+    acc = np.zeros_like(y) + coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * y + c
+    return acc
 
 
 def hyp3f2_unit(a1, a2, a3, b1, b2):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .gelfand_yaglom import GYSystem, RepChain, is_interlocking
+from .gelfand_yaglom import GYSystem, RepChain, _check_table
 from .halfint import HalfInt, mrange
 
 _VARIANTS = ("printed", "alt")
@@ -96,21 +96,8 @@ def _assemble_block(chain, table, kappa, spec_l, spec_m, variant, sector):
     inv_r = np.zeros((dim, dim), dtype=complex)
     down, up = _spectator_weights(spec_l, spec_m)
     flip = -1.0 if variant == "alt" else 1.0
-    nreps = len(chain.reps)
+    _check_table(chain, table, sector)
     for (kr, ks, lr, ls), value in table.items():
-        if not (0 <= kr < nreps and 0 <= ks < nreps):
-            raise ValueError(
-                f"{sector} coefficient names rep {max(kr, ks)}, chain has {nreps}"
-            )
-        if kr != ks and not is_interlocking(chain.reps[kr], chain.reps[ks]):
-            raise ValueError(
-                f"{sector} coefficient on non-interlocking pair ({kr}, {ks})"
-            )
-        if lr not in chain.tower_spins(kr) or ls not in chain.tower_spins(ks):
-            raise ValueError(
-                f"{sector} coefficient targets tower ({lr}, {ls}) "
-                f"absent from reps ({kr}, {ks})"
-            )
         lt = lr.twice
         for m in mrange(lr):
             mt = m.twice
@@ -199,6 +186,8 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
     """Adaptive 4th/5th-order integration on a uniform output grid."""
     block = system.block(sector)
     r0, r1 = float(r0), float(r1)
+    if not (math.isfinite(r0) and math.isfinite(r1)):
+        raise ValueError(f"radii must be finite, got r0 = {r0}, r1 = {r1}")
     if r0 <= 0:
         raise ValueError("the radial origin is singular; need r0 > 0")
     if r1 <= r0:

@@ -3,88 +3,116 @@ Clebsch-Gordan coefficients in two independent forms."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .halfint import HalfInt
-from .kernels import fact, gamma_ratio_int, hyp2f1_term, hyp3f2_unit, ipow
+from .kernels import _horner, fact, gamma_ratio_int, hyp3f2_unit, ipow
 
 
 def _weights(l, *projections):
     """Coerce and validate (l, m, ...) spin labels."""
     l = HalfInt(l)
-    if l < 0:
+    if l.twice < 0:
         raise ValueError(f"spin label {l} must be non-negative")
     out = [l]
     for m in projections:
         m = HalfInt(m)
-        if abs(m) > l or not (l - m).is_integer:
+        if abs(m.twice) > l.twice or (l.twice - m.twice) % 2:
             raise ValueError(f"projection {m} invalid for spin {l}")
         out.append(m)
     return out
 
 
-def _pair_norm(l, a, b):
-    """1/(a-b)! * sqrt((l+a)!(l-b)! / ((l-a)!(l+b)!)) for a >= b."""
-    d = (a - b).as_int()
-    ratio = Fraction(fact(l + a) * fact(l - b), fact(l - a) * fact(l + b))
-    return math.sqrt(ratio) / fact(d)
+_MEMO = 4096  # entries per memoized table, keyed by twice-int labels
 
 
-def _theta_structure(l, a, b, theta):
-    """Real rotation structure factor, ordered labels a >= b.
+@functools.lru_cache(maxsize=_MEMO)
+def _series_coeffs(tl, ta, tb):
+    """Coefficients of 2F1(a-l, -l-b; a-b+1; x), ascending, for a >= b.
 
-    cos^{2l}(θ/2) tan^{a-b}(θ/2) times a terminating Gauss series in
-    -tan²(θ/2); accurate while |tan(θ/2)| <= 1 (callers reflect first).
+    Labels come as twice-ints.  The recurrence runs in exact rationals;
+    each coefficient is rounded to a float once.
     """
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    t = s / c
-    d = (a - b).as_int()
-    series = hyp2f1_term(a - l, -l - b, HalfInt(d + 1), -t * t)
-    return _pair_norm(l, a, b) * c ** (2 * l).as_int() * t**d * series
+    d = (ta - tb) // 2
+    out = [Fraction(1)]
+    for t in range((tl - ta) // 2):
+        num = Fraction(ta - tl + 2 * t, 2) * Fraction(-tl - tb + 2 * t, 2)
+        out.append(out[-1] * num / ((d + 1 + t) * (t + 1)))
+    return tuple(float(c) for c in out)
 
 
-def _tau_structure(l, a, b, tau):
-    """Real boost structure factor, ordered labels a >= b.
+@functools.lru_cache(maxsize=_MEMO)
+def _pair_norm(tl, ta, tb):
+    """1/(a-b)! * sqrt((l+a)!(l-b)! / ((l-a)!(l+b)!)) for a >= b (twice-ints)."""
+    ratio = Fraction(
+        fact((tl + ta) // 2) * fact((tl - tb) // 2),
+        fact((tl - ta) // 2) * fact((tl + tb) // 2),
+    )
+    return math.sqrt(ratio) / fact((ta - tb) // 2)
 
-    Same shape as the rotation factor with cosh/tanh and a positive
-    series argument; every term is positive, so it is stable for all tau.
+
+def _structure(tl, tm, tn, c, t, sign):
+    """c^{2l} t^{a-b} 2F1(a-l, -l-b; a-b+1; sign t^2), a >= b ordering (m, n)."""
+    ta, tb = max(tm, tn), min(tm, tn)
+    poly = _horner(_series_coeffs(tl, ta, tb), sign * t * t)
+    return _pair_norm(tl, ta, tb) * c**tl * t ** ((ta - tb) // 2) * poly
+
+
+def _sph_vec(tl, tm, tn, thetas):
+    """The rotation factor on an array of angles (labels as twice-ints).
+
+    Past the equator (cos theta < 0) it reflects theta -> pi - theta
+    through an exact index identity, keeping the series argument
+    -tan^2(theta/2) inside the unit disk.
     """
-    ch = math.cosh(0.5 * tau)
-    th = math.tanh(0.5 * tau)
-    d = (a - b).as_int()
-    series = hyp2f1_term(a - l, -l - b, HalfInt(d + 1), th * th)
-    return _pair_norm(l, a, b) * ch ** (2 * l).as_int() * th**d * series
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty(thetas.shape, dtype=complex)
+    direct = np.cos(thetas) >= 0.0
+    if direct.any():
+        half = 0.5 * thetas[direct]
+        phase = ipow(abs(tm - tn) // 2)
+        out[direct] = phase * _structure(tl, tm, tn, np.cos(half), np.tan(half), -1.0)
+    rest = ~direct
+    if rest.any():
+        refl = ipow(tl - tm - tn)
+        out[rest] = refl * _sph_vec(tl, tm, -tn, math.pi - thetas[rest])
+    return out
+
+
+def _jac_vec(tl, tm, tn, taus):
+    """The boost factor on an array of rapidities (labels as twice-ints).
+
+    Every series term is positive, so it is stable for all tau.
+    """
+    half = 0.5 * np.asarray(taus, dtype=float)
+    return _structure(tl, tm, tn, np.cosh(half), np.tanh(half), 1.0)
 
 
 def sph_p(l, m, n, theta):
     """Rotation matrix element carrying the helicity phase i^{m-n}.
 
-    Symmetric under m <-> n (phase included).  For angles past the
-    equator the evaluation reflects theta -> pi - theta through an exact
-    index identity, keeping the series argument inside the unit disk.
+    Symmetric under m <-> n (phase included); the one-point view of the
+    rotation tabulator, which reflects angles past the equator.
     """
     l, m, n = _weights(l, m, n)
-    if math.cos(theta) < 0.0:
-        refl = ipow(2 * (l - m).as_int() - (2 * n).as_int())
-        return refl * sph_p(l, m, -n, math.pi - theta)
-    a, b = (m, n) if m >= n else (n, m)
-    return ipow((a - b).as_int()) * _theta_structure(l, a, b, theta)
+    return complex(_sph_vec(l.twice, m.twice, n.twice, [theta])[0])
 
 
 def jac_p(l, m, n, tau):
     """Boost matrix element; real, and symmetric under m <-> n."""
     l, m, n = _weights(l, m, n)
-    a, b = (m, n) if m >= n else (n, m)
-    return _tau_structure(l, a, b, tau)
+    return float(_jac_vec(l.twice, m.twice, n.twice, [tau])[0])
 
 
 def wigner_d(l, m, n, theta):
     """Standard real rotation element d^l_{mn}; no phase conventions to pick."""
     l, m, n = _weights(l, m, n)
-    value = ipow((m - n).as_int()) * sph_p(l, m, n, theta)
-    return value.real
+    value = ipow((m - n).as_int()) * _sph_vec(l.twice, m.twice, n.twice, [theta])[0]
+    return float(value.real)
 
 
 def cg_su2(l1, l2, l, m1, m2, m):

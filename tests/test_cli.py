@@ -90,6 +90,45 @@ class TestZfun:
         assert main(["zfun", "--l", "1", "--grid", "0:1"]) == 2
         assert main(["zfun", "--l", "1", "--grid", "0:1:0"]) == 2
 
+    def test_high_spin_sweep_to_pi_is_finite(self, capsys):
+        code = main([
+            "zfun", "--l", "40", "--m=1", "--n=-1", "--tau", "0.4",
+            "--grid", "0:3.14159:200",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        rep = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        rows = rep["results"]["rows"]
+        assert len(rows) == 200
+        for row in rows:
+            assert all(math.isfinite(v) for v in row["series"] + row["factorized"])
+        # Accuracy at this spin away from the poles is a separate matter.
+        assert math.isfinite(rep["residuals"]["max_discrepancy"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["zfun", "--l", "1/2", "--theta", "nan"],
+    ["zfun", "--l", "1/2", "--tau", "inf"],
+    ["zfun", "--l", "1/2", "--grid", "0:nan:5"],
+    ["zfun", "--l", "1", "--m", "1/2"],
+    ["verify", "cg", "--tol", "nan"],
+    ["verify", "cg", "--tol", "-1"],
+    ["verify", "cg", "--tol", "0"],
+    ["radial", "--chain", "dirac", "--grid", "0.5:nan:500"],
+    ["radial", "--chain", "dirac", "--grid", "0.5:inf:500"],
+])
+def test_non_finite_or_invalid_numbers_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("helirep: ")
+
+
+def test_non_finite_env_tolerance_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("HELIREP_TOL", "nan")
+    assert main(["verify", "cg"]) == 2
+    assert capsys.readouterr().out == ""
+
 
 class TestVerify:
     def test_cg_suite_passes(self, capsys):
@@ -210,6 +249,9 @@ class TestRadial:
         lines = out.splitlines()
         assert len(lines) == 202
         assert lines[0].startswith("r,")
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)
 
     def test_json_report(self, capsys):
         code, rep = run_json(

@@ -170,6 +170,8 @@ class TestRepMatrix:
 
 
 class TestGridEvaluation:
+    """The factorized grid against the series route, point by point."""
+
     def test_matches_scalar_route(self):
         thetas = np.linspace(0.02, 1.55, 7)
         taus = np.linspace(-1.5, 1.5, 6)
@@ -182,7 +184,7 @@ class TestGridEvaluation:
                     for i, th in enumerate(thetas):
                         for j, ta in enumerate(taus):
                             assert grid[i, j] == pytest.approx(
-                                z_factorized(l, m, n, th, ta), abs=1e-11
+                                z_series(l, m, n, th, ta), abs=1e-11
                             )
 
     def test_obtuse_angles_included(self):
@@ -192,12 +194,12 @@ class TestGridEvaluation:
         for i, th in enumerate(thetas):
             for j, ta in enumerate(taus):
                 assert grid[i, j] == pytest.approx(
-                    z_factorized(half(3), half(1), half(-1), th, ta), abs=1e-11
+                    z_series(half(3), half(1), half(-1), th, ta), abs=1e-11
                 )
 
 
 class TestSeriesGridEvaluation:
-    """The vectorized series route against its two independent peers."""
+    """The series grid against the factorized route, scalar and grid."""
 
     def test_matches_scalar_series(self):
         thetas = np.linspace(0.0, 1.5, 6)
@@ -211,7 +213,7 @@ class TestSeriesGridEvaluation:
                     for i, th in enumerate(thetas):
                         for j, ta in enumerate(taus):
                             assert grid[i, j] == pytest.approx(
-                                z_series(l, m, n, th, ta), abs=1e-11
+                                z_factorized(l, m, n, th, ta), abs=1e-11
                             )
 
     def test_matches_factorized_grid(self):
@@ -224,3 +226,100 @@ class TestSeriesGridEvaluation:
             series = z_series_grid(l, m, n, thetas, taus)
             factorized = z_grid(l, m, n, thetas, taus)
             assert np.max(np.abs(series - factorized)) <= 1e-10
+
+
+def _z_mpmath(tl, tm, tn, theta, tau):
+    """Z^l_mn from the Wigner closed form at the complex angle theta - i tau.
+
+    Labels are twice-ints; the sum runs in mpmath at 50 digits, apart
+    from either library route.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    f = math.factorial
+    d = (tm - tn) // 2
+    with mpmath.workdps(50):
+        w = (mpmath.mpf(theta) - 1j * mpmath.mpf(tau)) / 2
+        c, s = mpmath.cos(w), mpmath.sin(w)
+        total = mpmath.mpc(0)
+        for k in range(tl + 1):
+            e = ((tl + tn) // 2 - k, k, d + k, (tl - tm) // 2 - k)
+            if min(e) >= 0:
+                total += (-1) ** k * c ** (tl - d - 2 * k) * s ** (d + 2 * k) / (
+                    f(e[0]) * f(e[1]) * f(e[2]) * f(e[3])
+                )
+        norm = mpmath.sqrt(
+            f((tl + tm) // 2) * f((tl - tm) // 2)
+            * f((tl + tn) // 2) * f((tl - tn) // 2)
+        )
+        return complex(norm * total * mpmath.mpc(0, 1) ** d)
+
+
+class TestSeriesNearPi:
+    """The series route stays finite and accurate up to theta = pi."""
+
+    @pytest.mark.parametrize("l, theta", [(40, 3.14159), (60, 3.14), (80, 3.13)])
+    def test_high_spin_against_mpmath(self, l, theta):
+        tau = 0.4
+        want = _z_mpmath(2 * l, 2, -2, theta, tau)
+        scale = math.exp(l * abs(tau))
+        got = z_series(l, 1, -1, theta, tau)
+        assert abs(got - want) <= 1e-12 * scale
+        grid = z_series_grid(l, 1, -1, [theta], [tau])[0, 0]
+        assert abs(grid - want) <= 1e-12 * scale
+
+    def test_extreme_projections_at_pi(self):
+        # m = l, n = -l: the whole value sits in the highest power of sin.
+        tau = 0.4
+        got = z_series(40, 40, -40, math.pi, tau)
+        want = _z_mpmath(80, 80, -80, math.pi, tau)
+        assert abs(got - want) <= 1e-12 * math.exp(40 * tau)
+
+
+class TestRouteIndependence:
+    """Each route still evaluates with the other route's helpers broken."""
+
+    ARGS = (half(5), half(3), half(-1))
+
+    @staticmethod
+    def _broken(*args, **kwargs):
+        raise AssertionError("evaluated through the other route")
+
+    def test_series_route_without_factor_tabulators(self, monkeypatch):
+        import helirep.hyperspherical as hs
+        import helirep.su2 as su2
+
+        for module in (su2, hs):
+            monkeypatch.setattr(module, "_sph_vec", self._broken)
+            monkeypatch.setattr(module, "_jac_vec", self._broken)
+        thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
+        want = _z_mpmath(5, 3, -1, 2.8, 0.7)
+        assert z_series(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
+        grid = z_series_grid(*self.ARGS, thetas, taus)
+        assert grid[1, 1] == pytest.approx(want, abs=1e-12)
+        # The patch does reach the factorized route.
+        with pytest.raises(AssertionError, match="other route"):
+            z_factorized(*self.ARGS, 2.8, 0.7)
+        with pytest.raises(AssertionError, match="other route"):
+            z_grid(*self.ARGS, thetas, taus)
+
+    def test_factorized_route_without_series_helpers(self, monkeypatch):
+        import helirep.hyperspherical as hs
+        from helirep.su2 import jac_p, sph_p
+
+        monkeypatch.setattr(hs, "_gauss_float_coeffs", self._broken)
+        monkeypatch.setattr(hs, "_ln_pref", self._broken)
+        thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
+        want = _z_mpmath(5, 3, -1, 2.8, 0.7)
+        assert z_factorized(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
+        grid = z_grid(*self.ARGS, thetas, taus)
+        assert grid[1, 1] == pytest.approx(want, abs=1e-12)
+        assert sph_p(half(5), half(3), half(-1), 2.8) == pytest.approx(
+            _z_mpmath(5, 3, -1, 2.8, 0.0), abs=1e-12
+        )
+        assert jac_p(half(5), half(3), half(-1), 0.7) == pytest.approx(
+            _z_mpmath(5, 3, -1, 0.0, 0.7).real, abs=1e-12
+        )
+        with pytest.raises(AssertionError, match="other route"):
+            z_series(*self.ARGS, 2.8, 0.7)
+        with pytest.raises(AssertionError, match="other route"):
+            z_series_grid(*self.ARGS, thetas, taus)

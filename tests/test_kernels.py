@@ -11,7 +11,6 @@ from helirep.kernels import (
     PoleError,
     fact,
     gamma_ratio_int,
-    hyp2f1_term,
     hyp3f2_unit,
     ipow,
     ln_factorial,
@@ -40,18 +39,18 @@ class TestSmallHelpers:
 class TestTerminatingSeries:
     def test_binomial_identity_exact(self):
         # 2F1(-2, b; b; x) = (1 - x)^2 for any shared parameter b.
-        val = hyp2f1_term(-2, 3, 3, Fraction(1, 4))
+        val = terminating_series((-2, 3), (3,), Fraction(1, 4))
         assert val == Fraction(9, 16)
         assert isinstance(val, Fraction)
 
     def test_float_path(self):
-        val = hyp2f1_term(-2, 3.0, 3, 0.25)
+        val = terminating_series((-2, 3.0), (3,), 0.25)
         assert val == pytest.approx(0.5625, abs=1e-15)
         assert isinstance(val, float)
 
     def test_halfint_parameters_accepted(self):
         # 2F1(-1, b; c; x) = 1 - b x / c.
-        val = hyp2f1_term(-1, half(3), half(1), Fraction(2))
+        val = terminating_series((-1, half(3)), (half(1),), Fraction(2))
         assert val == Fraction(-5)
 
     def test_no_truncation_raises(self):
@@ -62,11 +61,11 @@ class TestTerminatingSeries:
         # c = -1 vanishes at the k = 2 denominator while the series
         # wants to run to k = 3.
         with pytest.raises(PoleError):
-            hyp2f1_term(-3, 1, -1, Fraction(1))
+            terminating_series((-3, 1), (-1,), Fraction(1))
 
     def test_pole_after_termination_is_fine(self):
         # Termination at k = 1 precedes the k = 2 pole of c = -1.
-        assert hyp2f1_term(-1, 2, -1, Fraction(1)) == Fraction(3)
+        assert terminating_series((-1, 2), (-1,), Fraction(1)) == Fraction(3)
 
     def test_three_two_at_unit(self):
         # 3F2(-1, a2, a3; b1, b2; 1) = 1 - a2 a3 / (b1 b2).

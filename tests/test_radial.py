@@ -1,5 +1,7 @@
 """Tests for the separated radial systems and their diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -134,6 +136,15 @@ class TestAssembly:
         with pytest.raises(ValueError, match="absent"):
             assemble_rfs(build_system(chain, bad), "3/2", "3/2")
 
+    def test_radial_assembly_checks_the_table(self):
+        # A built system whose table is swapped afterwards reaches the
+        # radial assembly without passing the generator assembly.
+        bad = CoeffTable({}, {(0, 1, "3/2", "1/2"): 1.0})
+        system = dataclasses.replace(dirac_system(), coeffs=bad)
+        with pytest.raises(ValueError, match="conjugate coefficient targets "
+                                             "tower .* absent"):
+            assemble_rfs(system, "3/2", "3/2")
+
 
 class TestIntegrate:
     def test_zero_initial_data_stays_zero(self):
@@ -188,6 +199,9 @@ class TestIntegrate:
             integrate(rs, 0.0, 1.0, DIRAC_INIT, 100)
         with pytest.raises(ValueError, match="r1 > r0"):
             integrate(rs, 2.0, 1.0, DIRAC_INIT, 100)
+        for r0, r1 in ((0.5, float("nan")), (float("nan"), 1.0), (0.5, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(rs, r0, r1, DIRAC_INIT, 100)
         with pytest.raises(ValueError, match="100 steps"):
             integrate(rs, 0.5, 1.0, DIRAC_INIT, 50)
         with pytest.raises(ValueError, match="components"):
