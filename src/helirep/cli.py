@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -360,9 +361,25 @@ def _build_parser():
     return parser
 
 
+_NEGATIVE_LABEL = re.compile(r"-\d+(/\d+)?")
+
+
+def _attach_negative_projections(argv):
+    """``--m -1/2`` as ``--m=-1/2``: argparse takes a value that starts
+    with '-' and is not a plain negative number for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--m", "--n") and _NEGATIVE_LABEL.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_negative_projections(argv))
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -5,8 +5,13 @@ Even rank n = 2m gives the classic tensor-product basis of sigma
 matrices on a 2^m-dimensional space; odd rank appends the sigma_3 chain
 and doubles into two inequivalent summands.  All generator entries are
 Gaussian integers, so every algebra check here is exact — no tolerance.
-The transposition matrices mix two adjacent generators with sqrt
-weights and get verified against their expected scalar relations.
+Every subset product of the generators is monomial: one nonzero per
+row, a phase in {1, i, -1, -i}.  The products are kept in that normal
+form (a column per row and a phase exponent mod 4), and the dimension
+of their span is an exact rank over the Gaussian integers, taken group
+by group over products that share positions.  The transposition
+matrices mix two adjacent generators with sqrt weights and get verified
+against their expected scalar relations.
 """
 
 from __future__ import annotations
@@ -101,24 +106,152 @@ def _anticommutation_failures(gens):
     return failures
 
 
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _normal_form(mat):
+    """(cols, phase) with mat[i, cols[i]] = 1j**phase[i] the only nonzero
+    of row i, or None when mat is not monomial over {1, i, -1, -i}."""
+    rows, cols = np.nonzero(mat)
+    if not np.array_equal(rows, np.arange(mat.shape[0])):
+        return None
+    hits = mat[rows, cols][:, None] == _PHASES
+    if not hits.any(axis=1).all():
+        return None
+    return cols, np.argmax(hits, axis=1).astype(np.int8)
+
+
+@dataclass(frozen=True)
+class _SubsetProducts:
+    """The 2^n subset products in monomial normal form.
+
+    Product k has the entry 1j**phase[k, i] at (i, cols[k, i]) and zeros
+    elsewhere in row i.  Indexing gives the dense matrix.
+    """
+
+    cols: np.ndarray
+    phase: np.ndarray
+
+    def __len__(self):
+        return len(self.cols)
+
+    def __getitem__(self, k):
+        dim = self.cols.shape[1]
+        out = np.zeros((dim, dim), dtype=complex)
+        out[np.arange(dim), self.cols[k]] = _PHASES[self.phase[k]]
+        return out
+
+
 def _subset_products(gens):
     """All 2^n ordered subset products E_{i1}..E_{ik} with i1 < .. < ik.
 
-    Built by stripping the highest generator index, so each product
-    costs a single matrix multiply.
+    Product ``mask`` is product ``mask`` without its highest bit times
+    that generator, composed in the normal form: (P E)[i] sits in column
+    E.cols[P.cols[i]] with phase P.phase[i] + E.phase[P.cols[i]] (mod 4),
+    O(dim) index work per product.  Raises ValueError when a generator is
+    not monomial over {1, i, -1, -i}.
     """
     dim = gens[0].shape[0]
-    products = [np.eye(dim, dtype=complex)]
-    for mask in range(1, 2 ** len(gens)):
-        high = mask.bit_length() - 1
-        products.append(products[mask ^ (1 << high)] @ gens[high])
-    return products
+    cols = np.arange(dim)[None, :]
+    phase = np.zeros((1, dim), dtype=np.int8)
+    for g in gens:
+        form = _normal_form(g)
+        if form is None:
+            raise ValueError("generator is not monomial over {1, i, -1, -i}")
+        g_cols, g_phase = form
+        cols, phase = (
+            np.concatenate([cols, g_cols[cols]]),
+            np.concatenate([phase, (phase + g_phase[cols]) % 4]),
+        )
+    return _SubsetProducts(cols, phase)
 
 
-def _subset_span_dim(gens):
-    """Rank of the span of all subset products (exhaustive)."""
-    vecs = [p.reshape(-1) for p in _subset_products(gens)]
-    return int(np.linalg.matrix_rank(np.array(vecs), tol=1e-9))
+def _subset_span_dim(products):
+    """Exact dimension of the span of the subset products.
+
+    A product occupies the positions (i, cols[i]), so products with
+    different column maps are orthogonal in the trace inner product
+    unless their maps agree on some row; groups that share a position
+    are merged.  The span dimension is the sum over merged groups of
+    the rank of their phase vectors.  An integer Gram matrix equal to
+    dim times the identity proves a group's rank full (the Brauer-Weyl
+    case); any other Gram falls back to fraction-free elimination over
+    the Gaussian integers.  No floating point, no tolerance.
+    """
+    maps, group = np.unique(products.cols, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    root = list(range(len(maps)))
+
+    def find(g):
+        while root[g] != g:
+            g = root[g]
+        return g
+
+    for column in maps.T.tolist():
+        first = {}
+        for g, j in enumerate(column):
+            if j in first:
+                root[find(g)] = find(first[j])
+            else:
+                first[j] = g
+    component = np.array([find(g) for g in range(len(maps))])[group]
+
+    dim = products.cols.shape[1]
+    entries = _PHASES[products.phase]
+    re_part = entries.real.astype(np.int64)
+    im_part = entries.imag.astype(np.int64)
+    flat = np.arange(dim) * dim + products.cols
+    span = 0
+    for c in np.unique(component):
+        members = np.flatnonzero(component == c)
+        positions, where = np.unique(flat[members], return_inverse=True)
+        where = where.reshape(len(members), dim)
+        rows = np.arange(len(members))[:, None]
+        a = np.zeros((len(members), len(positions)), dtype=np.int64)
+        b = np.zeros_like(a)
+        a[rows, where] = re_part[members]
+        b[rows, where] = im_part[members]
+        # Gram matrix minus dim times the identity, real and imaginary part.
+        off_re = a @ a.T + b @ b.T - dim * np.eye(len(members), dtype=np.int64)
+        off_im = b @ a.T - a @ b.T
+        if not off_re.any() and not off_im.any():
+            span += len(members)
+        else:
+            span += _gaussian_rank(a.tolist(), b.tolist())
+    return span
+
+
+def _gaussian_rank(re_rows, im_rows):
+    """Rank of the matrix re_rows + i im_rows of Gaussian integers.
+
+    Fraction-free (Bareiss) elimination in Python ints: every entry
+    after a step is a minor of the original, so the division by the
+    previous pivot is exact in Z[i].
+    """
+    rows = [list(zip(r, i)) for r, i in zip(re_rows, im_rows)]
+    width = len(rows[0])
+    rank, (qr, qi) = 0, (1, 0)
+    for col in range(width):
+        pivot = next(
+            (r for r in range(rank, len(rows)) if rows[r][col] != (0, 0)), None
+        )
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr, pi = rows[rank][col]
+        norm = qr * qr + qi * qi
+        for row in rows[rank + 1:]:
+            ar, ai = row[col]
+            for c in range(col, width):
+                br, bi = row[c]
+                cr, ci = rows[rank][c]
+                # (p b - a c) / q, exact
+                xr = pr * br - pi * bi - ar * cr + ai * ci
+                xi = pr * bi + pi * br - ar * ci - ai * cr
+                row[c] = ((xr * qr + xi * qi) // norm, (xi * qr - xr * qi) // norm)
+        qr, qi = pr, pi
+        rank += 1
+    return rank
 
 
 def verify_clifford(basis: CliffordBasis):
@@ -127,12 +260,18 @@ def verify_clifford(basis: CliffordBasis):
     Even rank up to the enumeration cap: subset products must span the
     full matrix algebra (dimension 4^m).  Odd rank: both summands are
     checked separately and the combined span must be twice a summand's.
+    The span dimension is exact, from the subset products' monomial
+    normal form; generators that are not monomial over {1, i, -1, -i}
+    get span_dim None and fail span_ok.
     """
     report = {"n": basis.n, "failures": _anticommutation_failures(basis.generators)}
     report["anticommutation_ok"] = not report["failures"]
     report["span_dim"] = None
     if basis.n <= _SPAN_CAP:
-        report["span_dim"] = _subset_span_dim(basis.generators)
+        try:
+            report["span_dim"] = _subset_span_dim(_subset_products(basis.generators))
+        except ValueError:
+            pass  # not monomial: no exact span, so span_ok is False
         m = basis.n // 2
         if basis.is_odd:
             half_dim = basis.dim // 2
@@ -162,6 +301,7 @@ def odd_direct_sum(m):
     if not 1 <= m <= 5:
         raise ValueError(f"direct-sum report capped at m = 5, got {m}")
     basis = brauer_weyl(2 * m + 1)
+    products = _subset_products(basis.generators)
     half_dim = basis.dim // 2
     blocks_a = [g[:half_dim, :half_dim] for g in basis.generators]
     blocks_b = [g[half_dim:, half_dim:] for g in basis.generators]
@@ -171,7 +311,7 @@ def odd_direct_sum(m):
             _anticommutation_failures(blocks_a),
             _anticommutation_failures(blocks_b),
         ),
-        "span_dim": _subset_span_dim(basis.generators),
+        "span_dim": _subset_span_dim(products),
         "span_full": None,
     }
     report["span_full"] = report["span_dim"] == 2 * 4 ** m
@@ -197,7 +337,6 @@ def odd_direct_sum(m):
     report["volume_scalars"] = (complex(scal_a), complex(scal_b)) if scalar_ok else None
 
     rng = np.random.default_rng(2 * m + 1)
-    products = _subset_products(basis.generators)
     worst = 0.0
     for _ in range(100):
         x = _random_element(products, rng)
@@ -219,9 +358,12 @@ def odd_direct_sum(m):
 def _random_element(products, rng, terms=48):
     """Random algebra element: a combination of sampled subset products."""
     picks = rng.choice(len(products), size=min(terms, len(products)), replace=False)
-    out = np.zeros_like(products[0])
+    dim = products.cols.shape[1]
+    rows = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
     for idx in picks:
-        out += (rng.normal() + 1j * rng.normal()) * products[idx]
+        coeff = rng.normal() + 1j * rng.normal()
+        out[rows, products.cols[idx]] += coeff * _PHASES[products.phase[idx]]
     return out
 
 

@@ -47,12 +47,19 @@ def _series_coeffs(tl, ta, tb):
 
 @functools.lru_cache(maxsize=_MEMO)
 def _pair_norm(tl, ta, tb):
-    """1/(a-b)! * sqrt((l+a)!(l-b)! / ((l-a)!(l+b)!)) for a >= b (twice-ints)."""
-    ratio = Fraction(
-        fact((tl + ta) // 2) * fact((tl - tb) // 2),
-        fact((tl - ta) // 2) * fact((tl + tb) // 2),
-    )
-    return math.sqrt(ratio) / fact((ta - tb) // 2)
+    """1/(a-b)! * sqrt((l+a)!(l-b)! / ((l-a)!(l+b)!)) for a >= b (twice-ints).
+
+    A ratio or divisor past 2^1000 is scaled into float range by an exact
+    power of 4 (ratio) or 2 (divisor), undone by ldexp; powers of two
+    scale exactly, so a result that fits a float unscaled is unchanged.
+    """
+    num = fact((tl + ta) // 2) * fact((tl - tb) // 2)
+    den = fact((tl - ta) // 2) * fact((tl + tb) // 2)
+    div = fact((ta - tb) // 2)
+    s = (max(0, num.bit_length() - den.bit_length() - 1000) + 1) // 2
+    t = max(0, div.bit_length() - 1000)
+    root = math.sqrt(Fraction(num, den << 2 * s))
+    return math.ldexp(root / (div / (1 << t)), s - t)
 
 
 def _structure(tl, tm, tn, c, t, sign):

@@ -105,6 +105,27 @@ class TestZfun:
         # Accuracy at this spin away from the poles is a separate matter.
         assert math.isfinite(rep["residuals"]["max_discrepancy"])
 
+    def test_spin_200_norms_do_not_overflow(self, capsys):
+        # The factorized route's exact norms pass the float range from
+        # l ~ 86; the point value itself is finite.
+        code = main(["zfun", "--l", "200", "--theta", "1", "--tau", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rep = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        row = rep["results"]["rows"][0]
+        assert all(math.isfinite(v) for v in row["series"] + row["factorized"])
+
+    def test_negative_projection_as_separate_argument(self, capsys):
+        assert main(["zfun", "--l", "3/2", "--m", "1/2", "--n", "-1/2"]) == 0
+        separate = capsys.readouterr().out
+        assert main(["zfun", "--l", "3/2", "--m", "1/2", "--n=-1/2"]) == 0
+        assert separate == capsys.readouterr().out
+        assert main(["zfun", "--l", "3/2", "--m", "-3/2", "--n", "-1/2"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["m"] == "-3/2"
+        with pytest.raises(SystemExit) as exc:
+            main(["zfun", "--l", "3/2", "--n"])
+        assert exc.value.code == 2
+
 
 @pytest.mark.parametrize("argv", [
     ["zfun", "--l", "1/2", "--theta", "nan"],
@@ -372,3 +393,16 @@ class TestEntryPoints:
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "demo",
+    sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr

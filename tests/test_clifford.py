@@ -3,6 +3,7 @@ import pytest
 
 from helirep.clifford import (
     CliffordBasis,
+    _subset_products,
     SchurCoverGens,
     brauer_weyl,
     odd_direct_sum,
@@ -83,6 +84,63 @@ class TestVerifyClifford:
         report = verify_clifford(CliffordBasis(4, tuple(gens)))
         assert not report["ok"]
         assert report["failures"] == [(1, 3), (2, 3), (3, 3), (3, 4)]
+
+
+class TestExactSpan:
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_equivalent_summands_span_one_block(self, m):
+        # Same-sign sigma_3 chain in both blocks: every product is X + X,
+        # so the span is one block's 4^m, not 2 * 4^m.
+        gens = list(brauer_weyl(2 * m + 1).generators)
+        half = 2 ** m
+        gens[-1] = gens[-1].copy()
+        gens[-1][half:, half:] *= -1
+        report = verify_clifford(CliffordBasis(2 * m + 1, tuple(gens)))
+        assert report["anticommutation_ok"]
+        assert report["span_dim"] == 4 ** m
+        assert not report["span_ok"]
+        assert not report["ok"]
+
+    def test_repeated_generator_spans_less(self):
+        gens = brauer_weyl(4).generators
+        report = verify_clifford(CliffordBasis(4, gens[:3] + gens[:1]))
+        # Subset products of E1, E2, E3, E1 are those of E1, E2, E3 up to sign.
+        assert report["span_dim"] == 8
+        assert not report["span_ok"]
+        assert (1, 4) in report["failures"]
+
+    def test_products_sharing_positions_are_merged(self):
+        # Products I, A, B, AB have four different column maps, pairwise
+        # sharing positions, and I - A + B - AB = 0.
+        a = np.array([[1, 0], [1, 0]], dtype=complex)
+        b = np.array([[0, 1], [1, 0]], dtype=complex)
+        assert verify_clifford(CliffordBasis(2, (a, b)))["span_dim"] == 3
+
+    def test_non_monomial_generators_have_no_span(self):
+        # A similarity keeps the relations exact but not the monomial form.
+        s = np.array([[1, 1], [0, 1]], dtype=complex)
+        s_inv = np.array([[1, -1], [0, 1]], dtype=complex)
+        gens = tuple(s @ g @ s_inv for g in brauer_weyl(2).generators)
+        report = verify_clifford(CliffordBasis(2, gens))
+        assert report["anticommutation_ok"]
+        assert report["span_dim"] is None
+        assert not report["span_ok"]
+        assert not report["ok"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_normal_form_matches_dense_products(self, n):
+        gens = brauer_weyl(n).generators
+        products = _subset_products(gens)
+        assert len(products) == 2 ** n
+        for mask in range(2 ** n):
+            factors = [g for i, g in enumerate(gens) if mask >> i & 1]
+            if not factors:
+                dense = np.eye(gens[0].shape[0], dtype=complex)
+            elif len(factors) == 1:
+                dense = factors[0]
+            else:
+                dense = np.linalg.multi_dot(factors)
+            assert np.array_equal(products[mask], dense)
 
 
 class TestOddDirectSum:
