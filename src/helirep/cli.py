@@ -260,11 +260,7 @@ def cmd_gy_build(args):
 
 def cmd_radial(args):
     system = _load_system(args.chain)
-    spins = [
-        l for k in range(len(system.chain.reps))
-        for l in system.chain.tower_spins(k)
-    ]
-    top = max(spins, key=lambda s: s.twice)
+    top = system.chain.top_spin
     l0 = _half(args.l0, "--l0") if args.l0 else top
     l0_dot = _half(args.l0_dot, "--l0-dot") if args.l0_dot else top
     try:
@@ -361,15 +357,29 @@ def _build_parser():
     return parser
 
 
-_NEGATIVE_LABEL = re.compile(r"-\d+(/\d+)?")
+_NEGATIVE_VALUE = re.compile(r"-[\d.]")
 
 
-def _attach_negative_projections(argv):
-    """``--m -1/2`` as ``--m=-1/2``: argparse takes a value that starts
-    with '-' and is not a plain negative number for an option."""
+def _value_options(parser):
+    """Option strings, over every subcommand, that take one value."""
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _value_options(sub)
+        elif action.nargs is None:
+            out.update(action.option_strings)
+    return out
+
+
+def _attach_negative_values(argv, parser):
+    """``--theta -1e-3`` as ``--theta=-1e-3`` for every option that takes a
+    value; argparse reads such a value as an option (unless it is a plain
+    negative number)."""
+    takes_value = _value_options(parser)
     out = []
     for token in argv:
-        if out and out[-1] in ("--m", "--n") and _NEGATIVE_LABEL.fullmatch(token):
+        if out and out[-1] in takes_value and _NEGATIVE_VALUE.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -379,7 +389,7 @@ def _attach_negative_projections(argv):
 def main(argv=None):
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_projections(argv))
+    args = parser.parse_args(_attach_negative_values(argv, parser))
     try:
         return args.handler(args)
     except UsageError as exc:

@@ -75,6 +75,11 @@ class RepChain:
         low = HalfInt.from_twice(abs(rep.l1.twice - rep.l2.twice))
         return lrange(low, rep.l1 + rep.l2)
 
+    @property
+    def top_spin(self):
+        """The largest tower spin over the chain."""
+        return max(l for k in range(len(self.reps)) for l in self.tower_spins(k))
+
     def basis(self):
         """Chain carrier: rep-major, towers ascending, m descending."""
         out = []

@@ -6,13 +6,12 @@ coefficient, normalization or reflection code, so each checks the other:
 
 - the series route sums the direct double series, with log-factorial
   prefactors and a float coefficient recurrence (``z_series_grid``);
-- the factorized route sums the exact-norm factor functions of ``su2``
-  (``z_grid`` over their array tabulators, ``z_factorized`` over
-  ``sph_p`` and ``jac_p``).
+- the factorized route sums outer products of the exact-norm rotation
+  and boost tabulators of ``su2`` (``z_grid``).
 
-Each route has one evaluator; ``z_series`` is the one-point view of the
-series table.  On top sit the phase-dressed matrix elements,
-the representation matrices, and the 2x2 closed form with its
+Each route has one evaluator; ``z_series`` and ``z_factorized`` are the
+one-point views of the two tables.  On top sit the phase-dressed matrix
+elements, the representation matrices, and the 2x2 closed form with its
 six-factor product.
 """
 
@@ -99,12 +98,8 @@ def _series_table(tl, tm, tn, thetas, taus):
 
 
 def z_series(l, m, n, theta, tau):
-    """Direct double-sum evaluation of Z^l_mn(theta, tau).
-
-    Sums over the internal label k with one rotation and one boost
-    factor per term, each a prefactor times a terminating Gauss series;
-    the one-point view of ``z_series_grid``.
-    """
+    """Z^l_mn at one point by the series route: the one-point view of
+    ``z_series_grid``."""
     l, m, n = _weights(l, m, n)
     return complex(_series_table(l.twice, m.twice, n.twice, [theta], [tau])[0, 0])
 
@@ -121,11 +116,9 @@ def z_series_grid(l, m, n, thetas, taus):
 
 
 def z_factorized(l, m, n, theta, tau):
-    """Z^l_mn as sum over k of sph_p(l,m,k) * jac_p(l,k,n)."""
-    l = HalfInt(l)
-    return sum(
-        sph_p(l, m, k, theta) * jac_p(l, k, n, tau) for k in mrange(l)
-    )
+    """Z^l_mn at one point by the factorized route: the one-point view of
+    ``z_grid``, which validates the labels."""
+    return complex(z_grid(l, m, n, [theta], [tau])[0, 0])
 
 
 def z_grid(l, m, n, thetas, taus):

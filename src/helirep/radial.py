@@ -26,6 +26,7 @@ from scipy.integrate import solve_ivp
 
 from .gelfand_yaglom import GYSystem, RepChain, _check_table
 from .halfint import HalfInt, mrange
+from .su2 import _weights
 
 _VARIANTS = ("printed", "alt")
 
@@ -142,19 +143,13 @@ def assemble_rfs(system: GYSystem, l0, l0_dot, variant="printed", mdot=None, m=N
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    l0, l0_dot = HalfInt(l0), HalfInt(l0_dot)
-    top = max(
-        (l.twice for k in range(len(system.chain.reps))
-         for l in system.chain.tower_spins(k)),
-    )
-    if l0.twice < top or l0_dot.twice < top:
+    l0, m = _weights(l0, l0 if m is None else m)
+    l0_dot, mdot = _weights(l0_dot, l0_dot if mdot is None else mdot)
+    top = system.chain.top_spin
+    if l0 < top or l0_dot < top:
         raise ValueError(
             "ansatz weights must dominate every tower spin of the chain"
         )
-    mdot = l0_dot if mdot is None else HalfInt(mdot)
-    m = l0 if m is None else HalfInt(m)
-    if abs(mdot.twice) > l0_dot.twice or abs(m.twice) > l0.twice:
-        raise ValueError("spectator projection out of range")
     plain = _assemble_block(
         system.chain, system.coeffs.undotted, system.kappa, l0_dot, mdot,
         variant, "plain",
@@ -181,9 +176,9 @@ def _real_split(mat):
     return np.block([[mat.real, -mat.imag], [mat.imag, mat.real]])
 
 
-def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
-              rtol=1e-10, atol=1e-12):
-    """Adaptive 4th/5th-order integration on a uniform output grid."""
+def _prepare(system, r0, r1, init, sector):
+    """The checked set-up of both integrators: the sector's block, float
+    radii, and the real-split initial vector and normal-form right side."""
     block = system.block(sector)
     r0, r1 = float(r0), float(r1)
     if not (math.isfinite(r0) and math.isfinite(r1)):
@@ -192,24 +187,29 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
         raise ValueError("the radial origin is singular; need r0 > 0")
     if r1 <= r0:
         raise ValueError("need r1 > r0")
-    steps = int(steps)
-    if steps < 100:
-        raise ValueError("need at least 100 steps")
     init = np.asarray(init, dtype=complex)
     if init.shape != (block.dim,):
         raise ValueError(f"initial vector must have {block.dim} components")
-    over_r, constant = _normal_form(block)
-    over_r_s = _real_split(over_r)
-    constant_s = _real_split(constant)
+    over_r_s, constant_s = map(_real_split, _normal_form(block))
 
     def rhs(r, z):
         return (over_r_s / r + constant_s) @ z
 
+    return block, r0, r1, np.concatenate([init.real, init.imag]), rhs
+
+
+def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
+              rtol=1e-10, atol=1e-12):
+    """Adaptive 4th/5th-order integration on a uniform output grid."""
+    block, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
+    steps = int(steps)
+    if steps < 100:
+        raise ValueError("need at least 100 steps")
     grid = np.linspace(r0, r1, steps + 1)
     result = solve_ivp(
         rhs,
         (r0, r1),
-        np.concatenate([init.real, init.imag]),
+        start,
         method="RK45",
         t_eval=grid,
         rtol=rtol,
@@ -249,18 +249,14 @@ def residual(system: RadialSystem, solution: RadialSolution):
 def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
     """Richardson order estimate from step-capped fixed-step runs."""
-    block = system.block(sector)
-    init = np.asarray(init, dtype=complex)
-    over_r, constant = _normal_form(block)
-    over_r_s = _real_split(over_r)
-    constant_s = _real_split(constant)
+    _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
 
     def endpoint(n):
         h = (r1 - r0) / n
         result = solve_ivp(
-            lambda r, z: (over_r_s / r + constant_s) @ z,
-            (float(r0), float(r1)),
-            np.concatenate([init.real, init.imag]),
+            rhs,
+            (r0, r1),
+            start,
             method="RK45",
             first_step=h,
             max_step=h,

@@ -122,6 +122,24 @@ def wigner_d(l, m, n, theta):
     return float(value.real)
 
 
+def _cg_labels(l1, l2, l, m1, m2, m):
+    """The gate of both CG routes: the six labels, or None where a selection
+    rule (m = m1+m2, triangle, integer l1+l2+l, projection range and parity)
+    zeroes the coefficient.  A negative spin label raises ValueError."""
+    labels = tuple(HalfInt(x) for x in (l1, l2, l, m1, m2, m))
+    tl1, tl2, tl, tm1, tm2, tm = (x.twice for x in labels)
+    if min(tl1, tl2, tl) < 0:
+        raise ValueError("spin labels must be non-negative")
+    pairs = ((tl1, tm1), (tl2, tm2), (tl, tm))
+    zero = (
+        tm != tm1 + tm2
+        or not abs(tl1 - tl2) <= tl <= tl1 + tl2
+        or (tl1 + tl2 + tl) % 2
+        or any(abs(tp) > ts or (ts - tp) % 2 for ts, tp in pairs)
+    )
+    return None if zero else labels
+
+
 def cg_su2(l1, l2, l, m1, m2, m):
     """Clebsch-Gordan coefficient <l1 m1; l2 m2 | l m>, Condon-Shortley.
 
@@ -130,18 +148,10 @@ def cg_su2(l1, l2, l, m1, m2, m):
     (m != m1+m2, triangle failures, out-of-range projections) return
     exactly 0.
     """
-    l1, l2, l = HalfInt(l1), HalfInt(l2), HalfInt(l)
-    m1, m2, m = HalfInt(m1), HalfInt(m2), HalfInt(m)
-    if min(l1, l2, l) < 0:
-        raise ValueError("spin labels must be non-negative")
-    if not (l1 + l2 + l).is_integer:
+    labels = _cg_labels(l1, l2, l, m1, m2, m)
+    if labels is None:
         return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m) > l:
-        return 0.0
-    if not ((l1 - m1).is_integer and (l2 - m2).is_integer and (l - m).is_integer):
-        return 0.0
-    if m != m1 + m2 or l < abs(l1 - l2) or l > l1 + l2:
-        return 0.0
+    l1, l2, l, m1, m2, m = labels
 
     norm2 = Fraction(
         (2 * l).as_int() + 1
@@ -177,18 +187,12 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
     each (l1, l2, l) triple; comparing the two routes pins that factor
     down.  Raises PoleError on keys where the series hits a denominator
     zero before terminating (such keys are skipped and counted by the
-    verification suite).
+    verification suite).  Selection rules and label checks as ``cg_su2``.
     """
-    l1, l2, l = HalfInt(l1), HalfInt(l2), HalfInt(l)
-    m1, m2, m = HalfInt(m1), HalfInt(m2), HalfInt(m)
-    if m != m1 + m2 or l < abs(l1 - l2) or l > l1 + l2:
+    labels = _cg_labels(l1, l2, l, m1, m2, m)
+    if labels is None:
         return 0.0
-    if abs(m1) > l1 or abs(m2) > l2 or abs(m) > l:
-        return 0.0
-    if not (l1 + l2 + l).is_integer or not (l1 - m1).is_integer:
-        return 0.0
-    if not (l2 - m2).is_integer or not (l - m).is_integer:
-        return 0.0
+    l1, l2, l, m1, m2, m = labels
 
     sign = -1.0 if (l1 - m1).as_int() % 2 else 1.0
     ratio = gamma_ratio_int(

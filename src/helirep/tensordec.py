@@ -18,7 +18,7 @@ import numpy as np
 from .core import CMatrix, enumerate_basis
 from .generators import waerden_op
 from .halfint import HalfInt, half, lrange, mrange
-from .su2 import cg_su2
+from .su2 import _weights, cg_su2
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,12 @@ def coupled_vector(a: RepLabel, b: RepLabel, l, lp, m, mp):
     Amplitudes factorize into a first-slot coupling of (u.m, v.m) to m
     and a second-slot coupling of (u.mdot, v.mdot) to mp.
     """
-    l, lp, m, mp = HalfInt(l), HalfInt(lp), HalfInt(m), HalfInt(mp)
+    l, m = _weights(l, m)
+    lp, mp = _weights(lp, mp)
     if RepLabel(l, lp) not in cg_series(a, b):
         raise ValueError(
             f"target ({l},{lp}) does not appear in the product series"
         )
-    if abs(m) > l or not (l - m).is_integer:
-        raise ValueError(f"invalid projection {m} for spin {l}")
-    if abs(mp) > lp or not (lp - mp).is_integer:
-        raise ValueError(f"invalid projection {mp} for spin {lp}")
     amps = {}
     for u, v in product_basis(a, b):
         if u.m + v.m != m or u.mdot + v.mdot != mp:

@@ -50,8 +50,10 @@ from helirep.hyperspherical import (
     fundamental_matrix,
     m_matrix,
     z_factorized,
+    z_grid,
     z_matrix,
     z_series,
+    z_series_grid,
 )
 from helirep.kernels import PoleError
 from helirep.radial import (
@@ -121,15 +123,16 @@ def test_criterion_2_dual_route_agreement():
     thetas = np.linspace(0.0, 1.4, 5)
     taus = np.linspace(-1.2, 1.2, 5)
     worst = 0.0
-    for l in lrange("0", 4):
-        for m in mrange(l):
-            for n in mrange(l):
-                for theta in thetas:
-                    for tau in taus:
-                        worst = max(worst, abs(
-                            z_series(l, m, n, theta, tau)
-                            - z_factorized(l, m, n, theta, tau)
-                        ))
+    keys = [(l, m, n) for l in lrange("0", 4) for m in mrange(l) for n in mrange(l)]
+    for count, (l, m, n) in enumerate(keys):
+        series = z_series_grid(l, m, n, thetas, taus)
+        factorized = z_grid(l, m, n, thetas, taus)
+        worst = max(worst, float(np.max(np.abs(series - factorized))))
+        # The one-point views reproduce their tables; the spot cell cycles
+        # through the grid from key to key.
+        i, j = divmod(count % thetas.size**2, thetas.size)
+        assert z_series(l, m, n, thetas[i], taus[j]) == series[i, j]
+        assert z_factorized(l, m, n, thetas[i], taus[j]) == factorized[i, j]
     print(f"[criterion 2] dual-route worst {worst:.3e} over l<=4 (tol 1e-10)")
     assert worst <= 1e-10
 

@@ -127,6 +127,29 @@ class TestZfun:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("separate, attached", [
+    (["zfun", "--l", "1/2", "--theta", "-1e-3"],
+     ["zfun", "--l", "1/2", "--theta=-1e-3"]),
+    (["zfun", "--l", "1/2", "--tau", "-2.5e-1", "--grid", "-1:1:3"],
+     ["zfun", "--l", "1/2", "--tau=-2.5e-1", "--grid=-1:1:3"]),
+    (["zfun", "--l", "3/2", "--m", "-3/2", "--format", "csv"],
+     ["zfun", "--l", "3/2", "--m=-3/2", "--format", "csv"]),
+    (["radial", "--chain", "dirac", "--init", "-1,0,0,0", "--grid", "0.5:2:100"],
+     ["radial", "--chain", "dirac", "--init=-1,0,0,0", "--grid", "0.5:2:100"]),
+], ids=["theta", "tau-grid", "m", "init"])
+def test_negative_value_as_separate_argument(capsys, separate, attached):
+    # Every option that takes a value accepts one that starts with '-'.
+    assert main(separate) == 0
+    out = capsys.readouterr().out
+    assert main(attached) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_negative_tolerance_as_separate_argument(capsys):
+    assert main(["verify", "cg", "--tol", "-1e-3"]) == 2
+    assert "finite positive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["zfun", "--l", "1/2", "--theta", "nan"],
     ["zfun", "--l", "1/2", "--tau", "inf"],

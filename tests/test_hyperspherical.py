@@ -32,15 +32,21 @@ class TestDualRoute:
     def test_series_equals_factorized_on_grid(self):
         thetas = np.linspace(0.05, 1.5, 5)
         taus = np.linspace(-1.2, 1.2, 5)
-        for twice_l in range(1, 9):
-            l = half(twice_l)
-            for m in mrange(l):
-                for n in mrange(l):
-                    for th in thetas:
-                        for ta in taus:
-                            a = z_series(l, m, n, th, ta)
-                            b = z_factorized(l, m, n, th, ta)
-                            assert a == pytest.approx(b, abs=1e-10)
+        keys = [
+            (half(twice_l), m, n)
+            for twice_l in range(1, 9)
+            for m in mrange(half(twice_l))
+            for n in mrange(half(twice_l))
+        ]
+        for count, (l, m, n) in enumerate(keys):
+            series = z_series_grid(l, m, n, thetas, taus)
+            factorized = z_grid(l, m, n, thetas, taus)
+            assert np.max(np.abs(series - factorized)) <= 1e-10
+            # The one-point views reproduce their tables; the spot cell
+            # cycles through the grid from key to key.
+            i, j = divmod(count % thetas.size**2, thetas.size)
+            assert z_series(l, m, n, thetas[i], taus[j]) == series[i, j]
+            assert z_factorized(l, m, n, thetas[i], taus[j]) == factorized[i, j]
 
     def test_frozen_values(self):
         assert z_factorized(half(2), half(2), half(0), 0.9, -0.6) == pytest.approx(

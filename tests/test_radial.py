@@ -126,6 +126,14 @@ class TestAssembly:
         with pytest.raises(ValueError, match="projection"):
             assemble_rfs(dirac_system(), "1/2", "1/2", mdot="3/2")
 
+    def test_spectator_projection_parity(self):
+        # A projection of the wrong parity for its ansatz weight has no
+        # ladder factors to speak of.
+        with pytest.raises(ValueError, match="projection"):
+            assemble_rfs(dirac_system(), 1, 1, mdot="1/2")
+        with pytest.raises(ValueError, match="projection"):
+            assemble_rfs(dirac_system(), 1, 1, m="-1/2")
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
             assemble_rfs(dirac_system(), "1/2", "1/2", variant="mixed")
@@ -241,6 +249,20 @@ class TestConvergenceOrder:
         assert report["order"] >= 4.0
         assert report["order"] < 7.0
         assert report["fine_diff"] < report["coarse_diff"]
+
+    def test_input_validation(self):
+        # The same radius and initial-vector checks as ``integrate``; a
+        # NaN or infinite radius used to run without end.
+        rs = dirac_radial()
+        with pytest.raises(ValueError, match="r0 > 0"):
+            convergence_order(rs, -1.0, 2.0, DIRAC_INIT)
+        with pytest.raises(ValueError, match="r1 > r0"):
+            convergence_order(rs, 0.5, 0.4, DIRAC_INIT)
+        for r0, r1 in ((0.5, float("nan")), (float("nan"), 1.0), (0.5, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                convergence_order(rs, r0, r1, DIRAC_INIT)
+        with pytest.raises(ValueError, match="components"):
+            convergence_order(rs, 0.5, 1.0, np.ones(3))
 
 
 class TestBesselProbe:

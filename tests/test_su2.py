@@ -144,6 +144,28 @@ class TestCouplingCoefficients:
         # l outside the triangle.
         assert cg_su2(half(1), half(1), half(6), half(1), half(1), half(2)) == 0.0
 
+    @pytest.mark.parametrize("route", [cg_su2, cg_su2_hyp])
+    @pytest.mark.parametrize("key", [
+        (1, 1, 2, 1, -1, 2),   # m != m1 + m2
+        (1, 1, 6, 1, 1, 2),    # l above l1 + l2
+        (4, 1, 1, 1, 0, 1),    # l below |l1 - l2|
+        (1, 1, 1, 1, 0, 1),    # l1 + l2 + l not an integer
+        (2, 2, 2, 4, -2, 2),   # |m1| > l1
+        (2, 1, 1, 1, 0, 1),    # m1, m2 of the wrong parity for l1, l2
+    ], ids=["sum", "above", "below", "half-odd", "range", "parity"])
+    def test_both_routes_share_the_selection_rules(self, route, key):
+        assert route(*(half(t) for t in key)) == 0.0
+
+    @pytest.mark.parametrize("route", [cg_su2, cg_su2_hyp])
+    @pytest.mark.parametrize("key", [
+        (-2, 2, 0, 0, 0, 0),
+        (2, 2, -2, 0, 0, 0),
+        (0, -1, 1, 0, 1, 1),
+    ], ids=["l1", "l", "l2"])
+    def test_both_routes_reject_negative_labels(self, route, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            route(*(half(t) for t in key))
+
     def test_orthogonality_small_sweep(self):
         for tl1 in range(0, 5):
             for tl2 in range(0, 5):

@@ -124,6 +124,13 @@ class TestCoupledVector:
         with pytest.raises(ValueError):
             coupled_vector(a, b, half(2), 0, half(6), 0)
 
+    def test_projection_of_wrong_parity_rejected(self):
+        a = b = RepLabel(half(1), half(1))
+        with pytest.raises(ValueError, match="projection"):
+            coupled_vector(a, b, half(2), 0, half(1), 0)
+        with pytest.raises(ValueError, match="projection"):
+            coupled_vector(a, b, half(2), half(2), 0, half(-1))
+
 
 class TestBilinearForm:
     def test_rank_one_pair_is_skew(self):
