@@ -106,6 +106,16 @@ def _anticommutation_failures(gens):
     return failures
 
 
+def _summand_failures(basis):
+    """Anticommutation failures of the two diagonal blocks of an odd-rank
+    basis, upper block first."""
+    h = basis.dim // 2
+    return tuple(
+        _anticommutation_failures([g[rows, rows] for g in basis.generators])
+        for rows in (slice(None, h), slice(h, None))
+    )
+
+
 _PHASES = np.array([1, 1j, -1, -1j])
 
 
@@ -274,13 +284,7 @@ def verify_clifford(basis: CliffordBasis):
             pass  # not monomial: no exact span, so span_ok is False
         m = basis.n // 2
         if basis.is_odd:
-            half_dim = basis.dim // 2
-            blocks_a = [g[:half_dim, :half_dim] for g in basis.generators]
-            blocks_b = [g[half_dim:, half_dim:] for g in basis.generators]
-            report["summand_failures"] = (
-                _anticommutation_failures(blocks_a),
-                _anticommutation_failures(blocks_b),
-            )
+            report["summand_failures"] = _summand_failures(basis)
             report["span_ok"] = report["span_dim"] == 2 * 4 ** m
         else:
             report["span_ok"] = report["span_dim"] == 4 ** m
@@ -303,14 +307,9 @@ def odd_direct_sum(m):
     basis = brauer_weyl(2 * m + 1)
     products = _subset_products(basis.generators)
     half_dim = basis.dim // 2
-    blocks_a = [g[:half_dim, :half_dim] for g in basis.generators]
-    blocks_b = [g[half_dim:, half_dim:] for g in basis.generators]
     report = {
         "m": m,
-        "summand_failures": (
-            _anticommutation_failures(blocks_a),
-            _anticommutation_failures(blocks_b),
-        ),
+        "summand_failures": _summand_failures(basis),
         "span_dim": _subset_span_dim(products),
         "span_full": None,
     }

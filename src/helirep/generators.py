@@ -18,8 +18,8 @@ from .halfint import HalfInt, lrange, mrange
 
 
 def _alpha(l, m):
-    """Ladder weight sqrt((l+m)(l-m+1))."""
-    return math.sqrt((l + m).as_int() * (l - m + 1).as_int())
+    """Ladder weight sqrt((l+m)(l-m+1)), from twice the labels."""
+    return math.sqrt((l.twice + m.twice) * (l.twice - m.twice + 2)) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,7 @@ def waerden_op(kind, l, ldot):
         elif kind == "X+":
             if b.mdot < ldot:
                 tgt = b._replace(mdot=b.mdot + 1)
-                entries[(tgt, b)] = math.sqrt(
-                    (ldot - b.mdot).as_int() * (ldot + b.mdot + 1).as_int()
-                )
+                entries[(tgt, b)] = _alpha(ldot, b.mdot + 1)
         elif kind == "Y-":
             if b.m > -l:
                 tgt = b._replace(m=b.m - 1)
@@ -59,9 +57,7 @@ def waerden_op(kind, l, ldot):
         elif kind == "Y+":
             if b.m < l:
                 tgt = b._replace(m=b.m + 1)
-                entries[(tgt, b)] = math.sqrt(
-                    (l - b.m).as_int() * (l + b.m + 1).as_int()
-                )
+                entries[(tgt, b)] = _alpha(l, b.m + 1)
         else:
             raise ValueError(f"unknown ladder operator kind {kind!r}")
     return CMatrix.from_entries(basis, basis, entries)
@@ -183,9 +179,7 @@ def gn_op(kind, rep: GNRepLabel):
             entries[((l, m), (l, m))] = float(m)
         elif kind == "H+":
             if m < l:
-                entries[((l, m + 1), (l, m))] = math.sqrt(
-                    (l + m + 1).as_int() * (l - m).as_int()
-                )
+                entries[((l, m + 1), (l, m))] = _alpha(l, m + 1)
         elif kind == "H-":
             if m > -l:
                 entries[((l, m - 1), (l, m))] = _alpha(l, m)
@@ -208,7 +202,7 @@ def gn_op(kind, rep: GNRepLabel):
             if l > 0 and m < l:
                 entries[((l, m + 1), (l, m))] = -_gn_diag_coef(
                     rep, l
-                ) * math.sqrt((l - m).as_int() * (l + m + 1).as_int())
+                ) * _alpha(l, m + 1)
             if l + 1 <= lmax:
                 entries[((l + 1, m + 1), (l, m))] = _gn_link_coef(
                     rep, l + 1

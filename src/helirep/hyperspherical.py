@@ -26,7 +26,7 @@ import numpy as np
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, mrange
 from .kernels import _horner, ipow, ln_factorial
-from .su2 import _jac_vec, _sph_vec, _weights, jac_p, sph_p
+from .su2 import _jac_vec, _sph_vec, _weights
 
 _MEMO = 4096  # entries per memoized table, keyed by twice-int labels
 
@@ -140,12 +140,14 @@ def z_matrix(l, theta, tau):
     """The full [Z^l_mn] matrix, rows/columns labeled m descending.
 
     The product of the rotation matrix [sph_p(l, m, k)] and the boost
-    matrix [jac_p(l, k, n)].
+    matrix [jac_p(l, k, n)], filled from the tabulators on twice-int
+    labels once ``l`` is validated.
     """
-    l = HalfInt(l)
+    (l,) = _weights(l)
     ms = mrange(l)
-    rot = np.array([[sph_p(l, m, k, theta) for k in ms] for m in ms])
-    boost = np.array([[jac_p(l, k, n, tau) for n in ms] for k in ms])
+    tl, ts = l.twice, [m.twice for m in ms]
+    rot = np.array([[_sph_vec(tl, tm, tk, [theta])[0] for tk in ts] for tm in ts])
+    boost = np.array([[_jac_vec(tl, tk, tn, [tau])[0] for tn in ts] for tk in ts])
     return CMatrix(rot @ boost, ms, ms)
 
 

@@ -8,12 +8,9 @@ needed term, raise instead of guessing.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
 import numpy as np
-
-from .halfint import HalfInt
 
 
 class NonTerminatingError(ValueError):
@@ -25,17 +22,12 @@ class PoleError(ArithmeticError):
 
 
 def ipow(k):
-    """The imaginary unit to an exact integer power (int or HalfInt)."""
-    if isinstance(k, HalfInt):
-        k = k.as_int()
-    return (1 + 0j, 1j, -1 + 0j, -1j)[int(k) % 4]
+    """The imaginary unit to an exact integer power."""
+    return (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
 
 
 def fact(n):
-    """Exact factorial of an integer-valued argument (int or HalfInt)."""
-    if isinstance(n, HalfInt):
-        n = n.as_int()
-    n = int(n)
+    """Exact factorial of a non-negative int."""
     if n < 0:
         raise ValueError(f"factorial of negative value {n}")
     return math.factorial(n)
@@ -43,105 +35,42 @@ def fact(n):
 
 def ln_factorial(n):
     """log(n!) via lgamma; exact enough for ratio work at any size."""
-    if isinstance(n, HalfInt):
-        n = n.as_int()
-    n = int(n)
     if n < 0:
         raise ValueError(f"factorial of negative value {n}")
     return math.lgamma(n + 1)
 
 
-def _exact_value(v):
-    """Return v as int/Fraction when exactly representable, else None."""
-    if isinstance(v, HalfInt):
-        return v.as_fraction()
-    if isinstance(v, numbers.Integral):
-        return int(v)
-    if isinstance(v, Fraction):
-        return v
-    return None
-
-
-def _is_nonpositive_int(v):
-    if isinstance(v, numbers.Integral):
-        return v <= 0
-    if isinstance(v, Fraction):
-        return v.denominator == 1 and v <= 0
-    if isinstance(v, float):
-        return v <= 0 and v == round(v)
-    return False
-
-
 def terminating_series(num_params, den_params, x):
-    """Sum of a generalized hypergeometric series that must terminate.
+    """Exact sum of a generalized hypergeometric series that must terminate.
 
-    Terms follow t_{k+1} = t_k * prod(a+k) / (prod(b+k) * (k+1)) * x with
-    t_0 = 1.  At least one numerator parameter must be a non-positive
-    integer; a vanishing denominator factor before the final term raises
-    PoleError.  With exact parameters and an exact x the sum is returned
-    as a Fraction, otherwise as a float/complex Kahan-compensated sum.
+    Parameters are ints or Fractions and x is exact.  Terms follow
+    t_{k+1} = t_k * prod(a+k) / (prod(b+k) * (k+1)) * x with t_0 = 1.
+    At least one numerator parameter must be a non-positive integer; a
+    vanishing denominator factor before the final term raises PoleError.
+    The sum is returned as a Fraction.
     """
-    def norm(v):
-        e = _exact_value(v)
-        return v if e is None else e
-
-    nums = [norm(a) for a in num_params]
-    dens = [norm(b) for b in den_params]
-    stops = [-int(round(float(a))) for a in nums if _is_nonpositive_int(a)]
+    stops = [-int(a) for a in num_params if a <= 0 and a == int(a)]
     if not stops:
         raise NonTerminatingError(
-            f"no non-positive integer among numerator parameters {nums}"
+            f"no non-positive integer among numerator parameters {list(num_params)}"
         )
     last = min(stops)
-
-    exact_x = _exact_value(x)
-    all_exact = all(isinstance(v, (int, Fraction)) for v in nums + dens)
-    if exact_x is not None and all_exact:
-        nums_e, dens_e = nums, dens
-        term = Fraction(1)
-        total = Fraction(1)
-        for t in range(last):
-            den = Fraction(t + 1)
-            for b in dens_e:
-                den *= b + t
-            if den == 0:
-                raise PoleError(
-                    f"denominator parameter hits zero at term {t + 1} "
-                    f"before termination at {last}"
-                )
-            num = Fraction(1)
-            for a in nums_e:
-                num *= a + t
-            term = term * num / den * Fraction(exact_x)
-            total += term
-        return total
-
-    nums_f = [complex(v).real if complex(v).imag == 0 else complex(v) for v in nums]
-    dens_f = [complex(v).real if complex(v).imag == 0 else complex(v) for v in dens]
-    term = 1.0 if not isinstance(x, complex) else (1.0 + 0.0j)
-    total = term
-    comp = 0.0  # Kahan compensation (real path)
-    use_kahan = not isinstance(x, complex)
+    term = Fraction(1)
+    total = Fraction(1)
     for t in range(last):
-        den = t + 1.0
-        for b in dens_f:
+        den = Fraction(t + 1)
+        for b in den_params:
             den *= b + t
         if den == 0:
             raise PoleError(
                 f"denominator parameter hits zero at term {t + 1} "
                 f"before termination at {last}"
             )
-        num = 1.0
-        for a in nums_f:
+        num = Fraction(1)
+        for a in num_params:
             num *= a + t
         term = term * num / den * x
-        if use_kahan:
-            y = term - comp
-            s = total + y
-            comp = (s - total) - y
-            total = s
-        else:
-            total += term
+        total += term
     return total
 
 

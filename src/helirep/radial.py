@@ -19,12 +19,14 @@ wavelength).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .gelfand_yaglom import GYSystem, RepChain, _check_table
+from .generators import _alpha
 from .halfint import HalfInt, mrange
 from .su2 import _weights
 
@@ -83,10 +85,7 @@ def _sqrt_pairs(a, b):
 
 def _spectator_weights(spec_l, spec_m):
     """Lowering/raising ladder factors of the spectator projection."""
-    lt, mt = spec_l.twice, spec_m.twice
-    down = _sqrt_pairs(lt + mt, lt - mt + 2) / 2.0
-    up = _sqrt_pairs(lt + mt + 2, lt - mt) / 2.0
-    return down, up
+    return _alpha(spec_l, spec_m), _alpha(spec_l, spec_m + 1)
 
 
 def _assemble_block(chain, table, kappa, spec_l, spec_m, variant, sector):
@@ -249,6 +248,8 @@ def residual(system: RadialSystem, solution: RadialSolution):
 def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
     """Richardson order estimate from step-capped fixed-step runs."""
+    if not isinstance(base_steps, numbers.Integral) or base_steps < 1:
+        raise ValueError(f"base_steps must be an integer >= 1, got {base_steps!r}")
     _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
 
     def endpoint(n):

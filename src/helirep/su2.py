@@ -117,17 +117,19 @@ def jac_p(l, m, n, tau):
 
 def wigner_d(l, m, n, theta):
     """Standard real rotation element d^l_{mn}; no phase conventions to pick."""
-    l, m, n = _weights(l, m, n)
-    value = ipow((m - n).as_int()) * _sph_vec(l.twice, m.twice, n.twice, [theta])[0]
+    tl, tm, tn = (x.twice for x in _weights(l, m, n))
+    value = ipow((tm - tn) // 2) * _sph_vec(tl, tm, tn, [theta])[0]
     return float(value.real)
 
 
 def _cg_labels(l1, l2, l, m1, m2, m):
-    """The gate of both CG routes: the six labels, or None where a selection
-    rule (m = m1+m2, triangle, integer l1+l2+l, projection range and parity)
-    zeroes the coefficient.  A negative spin label raises ValueError."""
-    labels = tuple(HalfInt(x) for x in (l1, l2, l, m1, m2, m))
-    tl1, tl2, tl, tm1, tm2, tm = (x.twice for x in labels)
+    """The gate of both CG routes: the six labels as twice-ints, or None
+    where a selection rule (m = m1+m2, triangle, integer l1+l2+l,
+    projection range and parity) zeroes the coefficient.  A negative spin
+    label raises ValueError.  Past the gate every label combination the
+    routes halve is even."""
+    labels = tuple(HalfInt(x).twice for x in (l1, l2, l, m1, m2, m))
+    tl1, tl2, tl, tm1, tm2, tm = labels
     if min(tl1, tl2, tl) < 0:
         raise ValueError("spin labels must be non-negative")
     pairs = ((tl1, tm1), (tl2, tm2), (tl, tm))
@@ -151,29 +153,24 @@ def cg_su2(l1, l2, l, m1, m2, m):
     labels = _cg_labels(l1, l2, l, m1, m2, m)
     if labels is None:
         return 0.0
-    l1, l2, l, m1, m2, m = labels
+    t1, t2, t, u1, u2, u = labels
 
-    norm2 = Fraction(
-        (2 * l).as_int() + 1
+    norm2 = Fraction(t + 1) * Fraction(
+        fact((t1 + t2 - t) // 2) * fact((t1 - t2 + t) // 2)
+        * fact((t2 - t1 + t) // 2),
+        fact((t1 + t2 + t) // 2 + 1),
     ) * Fraction(
-        fact(l1 + l2 - l) * fact(l1 - l2 + l) * fact(l2 - l1 + l),
-        fact(l1 + l2 + l + 1),
-    ) * Fraction(
-        fact(l1 + m1) * fact(l1 - m1) * fact(l2 + m2)
-        * fact(l2 - m2) * fact(l + m) * fact(l - m)
+        fact((t1 + u1) // 2) * fact((t1 - u1) // 2) * fact((t2 + u2) // 2)
+        * fact((t2 - u2) // 2) * fact((t + u) // 2) * fact((t - u) // 2)
     )
 
-    zmin = max(0, -(l - l2 + m1).as_int(), -(l - l1 - m2).as_int())
-    zmax = min((l1 + l2 - l).as_int(), (l1 - m1).as_int(), (l2 + m2).as_int())
+    a, b, c = (t1 + t2 - t) // 2, (t1 - u1) // 2, (t2 + u2) // 2
+    d, e = (t - t2 + u1) // 2, (t - t1 - u2) // 2
     total = Fraction(0)
-    for z in range(zmin, zmax + 1):
+    for z in range(max(0, -d, -e), min(a, b, c) + 1):
         den = (
-            fact(z)
-            * fact((l1 + l2 - l).as_int() - z)
-            * fact((l1 - m1).as_int() - z)
-            * fact((l2 + m2).as_int() - z)
-            * fact((l - l2 + m1).as_int() + z)
-            * fact((l - l1 - m2).as_int() + z)
+            fact(z) * fact(a - z) * fact(b - z) * fact(c - z)
+            * fact(d + z) * fact(e + z)
         )
         total += Fraction(-1 if z % 2 else 1, den)
     return float(total) * math.sqrt(norm2)
@@ -192,23 +189,21 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
     labels = _cg_labels(l1, l2, l, m1, m2, m)
     if labels is None:
         return 0.0
-    l1, l2, l, m1, m2, m = labels
+    t1, t2, t, u1, u2, u = labels
 
-    sign = -1.0 if (l1 - m1).as_int() % 2 else 1.0
-    ratio = gamma_ratio_int(
-        (l1 + l2 - m).as_int() + 1, (l2 - l1 + m).as_int() + 1
-    )
+    sign = -1.0 if (t1 - u1) // 2 % 2 else 1.0
+    ratio = gamma_ratio_int((t1 + t2 - u) // 2 + 1, (t2 - t1 + u) // 2 + 1)
     sq = Fraction(
-        fact(l + l2 - l1) * fact(l1 + m1) * fact(l2 + m2)
-        * fact(l + m) * ((2 * l).as_int() + 1),
-        fact(l - m) * fact(l1 - l2 + l) * fact(l1 + l2 - l)
-        * fact(l1 + l2 + l) * fact(l1 - m1) * fact(l2 - m2),
+        fact((t + t2 - t1) // 2) * fact((t1 + u1) // 2) * fact((t2 + u2) // 2)
+        * fact((t + u) // 2) * (t + 1),
+        fact((t - u) // 2) * fact((t1 - t2 + t) // 2) * fact((t1 + t2 - t) // 2)
+        * fact((t1 + t2 + t) // 2) * fact((t1 - u1) // 2) * fact((t2 - u2) // 2),
     )
     series = hyp3f2_unit(
-        (l + m).as_int() + 1,
-        (m - l).as_int(),
-        (m1 - l1).as_int(),
-        (m - l1 - l2).as_int(),
-        (l2 - l1 + m).as_int() + 1,
+        (t + u) // 2 + 1,
+        (u - t) // 2,
+        (u1 - t1) // 2,
+        (u - t1 - t2) // 2,
+        (t2 - t1 + u) // 2 + 1,
     )
     return sign * ratio * math.sqrt(sq) * float(series)

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from helirep.halfint import half
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
@@ -22,12 +21,10 @@ class TestSmallHelpers:
     def test_ipow_cycle(self):
         assert [ipow(k) for k in range(4)] == [1, 1j, -1, -1j]
         assert ipow(-1) == -1j
-        assert ipow(half(4)) == -1
 
     def test_fact(self):
         assert fact(0) == 1
         assert fact(6) == 720
-        assert fact(half(8)) == 24
         with pytest.raises(ValueError):
             fact(-2)
 
@@ -43,19 +40,9 @@ class TestTerminatingSeries:
         assert val == Fraction(9, 16)
         assert isinstance(val, Fraction)
 
-    def test_float_path(self):
-        val = terminating_series((-2, 3.0), (3,), 0.25)
-        assert val == pytest.approx(0.5625, abs=1e-15)
-        assert isinstance(val, float)
-
-    def test_halfint_parameters_accepted(self):
-        # 2F1(-1, b; c; x) = 1 - b x / c.
-        val = terminating_series((-1, half(3)), (half(1),), Fraction(2))
-        assert val == Fraction(-5)
-
     def test_no_truncation_raises(self):
         with pytest.raises(NonTerminatingError):
-            terminating_series((half(1), 2), (3,), 0.5)
+            terminating_series((Fraction(1, 2), 2), (3,), Fraction(1, 2))
 
     def test_pole_before_termination_raises(self):
         # c = -1 vanishes at the k = 2 denominator while the series

@@ -263,6 +263,12 @@ class TestConvergenceOrder:
                 convergence_order(rs, r0, r1, DIRAC_INIT)
         with pytest.raises(ValueError, match="components"):
             convergence_order(rs, 0.5, 1.0, np.ones(3))
+        # base_steps is checked before any solve: 0 used to divide by
+        # zero, -5 surfaced the solver's own step error, and 2.5 ran.
+        alt = dirac_radial("alt")
+        for steps in (0, -5, 2.5):
+            with pytest.raises(ValueError, match="base_steps"):
+                convergence_order(alt, 0.5, 10.0, DIRAC_INIT, base_steps=steps)
 
 
 class TestBesselProbe:

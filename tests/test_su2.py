@@ -222,3 +222,50 @@ class TestCouplingCoefficients:
                 except PoleError:
                     hit += 1
         assert hit > 0
+
+
+def _valid_cg_keys(max_twice):
+    """Every (l1, l2, l, m1, m2, m) with 2l1, 2l2 <= max_twice and m = m1 + m2."""
+    for tl1 in range(max_twice + 1):
+        for tl2 in range(max_twice + 1):
+            l1, l2 = half(tl1), half(tl2)
+            for l in lrange(abs(l1 - l2), l1 + l2):
+                for m1 in mrange(l1):
+                    for m2 in mrange(l2):
+                        if abs(m1 + m2) <= l:
+                            yield l1, l2, l, m1, m2, m1 + m2
+
+
+class TestCouplingAgainstSympy:
+    """Both CG routes against sympy's exact coefficient, a third oracle
+    that shares no code with either."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        cg = pytest.importorskip("sympy.physics.quantum.cg")
+        sympy = pytest.importorskip("sympy")
+
+        def want(l1, l2, l, m1, m2, m):
+            j1, j2, j, u1, u2, u = (
+                sympy.Rational(x.twice, 2) for x in (l1, l2, l, m1, m2, m)
+            )
+            return float(cg.CG(j1, u1, j2, u2, j, u).doit())
+
+        return [(key, want(*key)) for key in _valid_cg_keys(4)]
+
+    def test_condon_shortley_route(self, reference):
+        for key, want in reference:
+            assert cg_su2(*key) == pytest.approx(want, abs=1e-12), key
+
+    def test_series_route_up_to_its_normalization(self, reference):
+        evaluated = 0
+        for key, want in reference:
+            l1, l2, l = key[:3]
+            try:
+                got = cg_su2_hyp(*key)
+            except PoleError:
+                continue
+            evaluated += 1
+            scale = math.sqrt(float(l1 + l2 + l) + 1.0)
+            assert got == pytest.approx(want * scale, abs=1e-12), key
+        assert evaluated > len(reference) // 2
