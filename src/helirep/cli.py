@@ -126,15 +126,15 @@ def _dumps(payload):
         raise UsageError("a result is not a finite number (overflow)")
 
 
-def _emit(args, report, csv_header, csv_rows):
-    if args.format == "json":
-        text = _dumps(report)
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(csv_header)
-        writer.writerows(csv_rows)
-        text = buffer.getvalue()
+def _csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _emit(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -157,32 +157,36 @@ def cmd_zfun(args):
         factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = []
-    for th, s, f in zip(thetas, series, factorized):
-        rows.append({
-            "l": str(l), "m": str(m), "n": str(n),
-            "theta": float(th), "tau": tau,
-            "series": _pair(s), "factorized": _pair(f),
-            "discrepancy": float(abs(s - f)),
-        })
-    worst = max(row["discrepancy"] for row in rows)
-    report = _report(
-        "zfun",
-        {"l": str(l), "m": str(m), "n": str(n), "theta": theta,
-         "tau": tau, "grid": args.grid, "format": args.format},
-        {"rows": rows},
-        {"max_discrepancy": worst},
-    )
-    header = ["l", "m", "n", "theta", "tau", "series_re", "series_im",
-              "factorized_re", "factorized_im", "discrepancy"]
-    table = [
-        [row["l"], row["m"], row["n"], repr(row["theta"]), repr(row["tau"]),
-         repr(row["series"][0]), repr(row["series"][1]),
-         repr(row["factorized"][0]), repr(row["factorized"][1]),
-         repr(row["discrepancy"])]
-        for row in rows
-    ]
-    _emit(args, report, header, table)
+    l_text, m_text, n_text = str(l), str(m), str(n)
+    # Python floats and complexes, each column converted once.  The
+    # discrepancy is taken on Python complexes: numpy's vectorized complex
+    # abs can differ from hypot in the last bit.  + 0.0 prints a negative
+    # zero as 0.0.
+    columns = [(th, s, f, abs(s - f)) for th, s, f in
+               zip(thetas.tolist(), series.tolist(), factorized.tolist())]
+    if args.format == "csv":
+        header = ["l", "m", "n", "theta", "tau", "series_re", "series_im",
+                  "factorized_re", "factorized_im", "discrepancy"]
+        text = _csv(header, (
+            [l_text, m_text, n_text, repr(th), repr(tau),
+             repr(s.real + 0.0), repr(s.imag + 0.0),
+             repr(f.real + 0.0), repr(f.imag + 0.0), repr(d)]
+            for th, s, f, d in columns
+        ))
+    else:
+        rows = [
+            {"l": l_text, "m": m_text, "n": n_text, "theta": th, "tau": tau,
+             "series": _pair(s), "factorized": _pair(f), "discrepancy": d}
+            for th, s, f, d in columns
+        ]
+        text = _dumps(_report(
+            "zfun",
+            {"l": l_text, "m": m_text, "n": n_text, "theta": theta,
+             "tau": tau, "grid": args.grid, "format": args.format},
+            {"rows": rows},
+            {"max_discrepancy": max(row["discrepancy"] for row in rows)},
+        ))
+    _emit(args, text)
     return 0
 
 
@@ -203,20 +207,22 @@ def cmd_verify(args):
     if suite in ("gy", "radial") and args.chain:
         system = _load_system(args.chain)
     suite_report = run_suite(suite, tol=tol, system=system)
-    report = _report(
-        "verify",
-        {"suite": suite, "tolerance": suite_report["tolerance"],
-         "chain": args.chain, "format": args.format},
-        suite_report,
-        {row["name"]: row["residual"] for row in suite_report["checks"]},
-    )
-    header = ["suite", "check", "residual", "tol", "ok"]
-    table = [
-        [suite, row["name"], repr(row["residual"]), repr(row["tol"]),
-         str(row["ok"]).lower()]
-        for row in suite_report["checks"]
-    ]
-    _emit(args, report, header, table)
+    checks = suite_report["checks"]
+    if args.format == "csv":
+        text = _csv(["suite", "check", "residual", "tol", "ok"], [
+            [suite, row["name"], repr(row["residual"]), repr(row["tol"]),
+             str(row["ok"]).lower()]
+            for row in checks
+        ])
+    else:
+        text = _dumps(_report(
+            "verify",
+            {"suite": suite, "tolerance": suite_report["tolerance"],
+             "chain": args.chain, "format": args.format},
+            suite_report,
+            {row["name"]: row["residual"] for row in checks},
+        ))
+    _emit(args, text)
     return 0 if suite_report["ok"] else 1
 
 
@@ -244,17 +250,19 @@ def cmd_gy_build(args):
             handle.write(text)
         written.append(f"{field}.json")
     dim = system.chain.dim
-    report = _report(
-        "gy-build",
-        {"chain": args.chain, "out": out_dir, "format": args.format},
-        {"files": written, "dim": dim,
-         "spins": [str(l) for k in range(len(system.chain.reps))
-                   for l in system.chain.tower_spins(k)]},
-        {},
-    )
-    header = ["file", "rows", "cols"]
-    table = [[name, str(dim), str(dim)] for name in written]
-    _emit(args, report, header, table)
+    if args.format == "csv":
+        text = _csv(["file", "rows", "cols"],
+                    [[name, str(dim), str(dim)] for name in written])
+    else:
+        text = _dumps(_report(
+            "gy-build",
+            {"chain": args.chain, "out": out_dir, "format": args.format},
+            {"files": written, "dim": dim,
+             "spins": [str(l) for k in range(len(system.chain.reps))
+                       for l in system.chain.tower_spins(k)]},
+            {},
+        ))
+    _emit(args, text)
     return 0
 
 
@@ -278,29 +286,29 @@ def cmd_radial(args):
         sol = integrate(rs, start, stop, init, steps, sector=args.sector)
     except ValueError as exc:
         raise UsageError(str(exc))
-    defect = residual(rs, sol)
-    probe = bessel_probe(sol)
     labels = [str(label) for label in sol.labels]
-    report = _report(
-        "radial",
-        {"chain": args.chain, "l0": str(l0), "l0_dot": str(l0_dot),
-         "variant": args.variant, "sector": args.sector,
-         "grid": args.grid, "init": [_pair(z) for z in init],
-         "format": args.format},
-        {"labels": labels, "steps": steps, "rows": steps + 1,
-         "probe": probe},
-        {"equation_defect": defect},
-    )
-    header = ["r"]
-    for label in labels:
-        header.extend([f"re {label}", f"im {label}"])
-    table = []
-    for r, row in zip(sol.grid, sol.values):
-        line = [repr(float(r))]
-        for z in row:
-            line.extend([repr(float(z.real) + 0.0), repr(float(z.imag) + 0.0)])
-        table.append(line)
-    _emit(args, report, header, table)
+    if args.format == "csv":
+        header = ["r"]
+        for label in labels:
+            header.extend([f"re {label}", f"im {label}"])
+        # Columns r, re, im, re, im, ...; + 0.0 prints a negative zero as 0.0.
+        values = np.empty((len(sol.grid), 2 * len(labels)))
+        values[:, 0::2] = sol.values.real
+        values[:, 1::2] = sol.values.imag
+        table = np.column_stack([sol.grid, values + 0.0]).tolist()
+        text = _csv(header, ([repr(x) for x in row] for row in table))
+    else:
+        text = _dumps(_report(
+            "radial",
+            {"chain": args.chain, "l0": str(l0), "l0_dot": str(l0_dot),
+             "variant": args.variant, "sector": args.sector,
+             "grid": args.grid, "init": [_pair(z) for z in init],
+             "format": args.format},
+            {"labels": labels, "steps": steps, "rows": steps + 1,
+             "probe": bessel_probe(sol)},
+            {"equation_defect": residual(rs, sol)},
+        ))
+    _emit(args, text)
     return 0
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import CMatrix
 from .generators import helicity_ab_op
@@ -436,6 +435,8 @@ def finite_invariance_check(system: GYSystem, gens=None, xi=1e-4):
     the matrix plus xi times the table right-hand side; the deviation
     must shrink like xi^2.
     """
+    from scipy.linalg import expm  # at call time: only this check needs scipy
+
     if gens is None:
         gens = chain_generators(system.chain)
     plain = {1: system.lambda1, 2: system.lambda2, 3: system.lambda3}

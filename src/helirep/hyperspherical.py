@@ -26,7 +26,7 @@ import numpy as np
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, mrange
 from .kernels import _horner, ipow, ln_factorial
-from .su2 import _jac_vec, _sph_vec, _weights
+from .su2 import _finite, _jac_vec, _sph_vec, _weights
 
 _MEMO = 4096  # entries per memoized table, keyed by twice-int labels
 
@@ -101,6 +101,7 @@ def z_series(l, m, n, theta, tau):
     """Z^l_mn at one point by the series route: the one-point view of
     ``z_series_grid``."""
     l, m, n = _weights(l, m, n)
+    _finite(theta, tau)
     return complex(_series_table(l.twice, m.twice, n.twice, [theta], [tau])[0, 0])
 
 
@@ -112,6 +113,7 @@ def z_series_grid(l, m, n, thetas, taus):
     edges.
     """
     l, m, n = _weights(l, m, n)
+    _finite(thetas, taus)
     return _series_table(l.twice, m.twice, n.twice, thetas, taus)
 
 
@@ -129,6 +131,7 @@ def z_grid(l, m, n, thetas, taus):
     boost-axis tabulation, so the cost is linear in the grid edges.
     """
     l, m, n = _weights(l, m, n)
+    _finite(thetas, taus)
     tl, tm, tn = l.twice, m.twice, n.twice
     return sum(
         np.outer(_sph_vec(tl, tm, tk, thetas), _jac_vec(tl, tk, tn, taus))
@@ -144,6 +147,7 @@ def z_matrix(l, theta, tau):
     labels once ``l`` is validated.
     """
     (l,) = _weights(l)
+    _finite(theta, tau)
     ms = mrange(l)
     tl, ts = l.twice, [m.twice for m in ms]
     rot = np.array([[_sph_vec(tl, tm, tk, [theta])[0] for tk in ts] for tm in ts])

@@ -23,7 +23,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .gelfand_yaglom import GYSystem, RepChain, _check_table
 from .generators import _alpha
@@ -169,6 +168,17 @@ def _normal_form(block):
         )
     a_inv = np.linalg.inv(block.deriv)
     return -a_inv @ block.inv_r, -block.kappa * a_inv
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported at its first call.
+
+    scipy costs more to import than numpy and the rest of the package
+    together, and only the two integrators below need it, so
+    ``import helirep`` and the commands that never integrate skip it."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _real_split(mat):

@@ -27,6 +27,15 @@ def _weights(l, *projections):
     return out
 
 
+def _finite(*angles):
+    """Reject a non-finite angle or rapidity (scalar or array) before any
+    evaluation: the rotation tabulator would reflect a NaN angle forever,
+    and a NaN rapidity would come back as a NaN value."""
+    for values in angles:
+        if not np.isfinite(np.asarray(values, dtype=float)).all():
+            raise ValueError("angles and rapidities must be finite")
+
+
 _MEMO = 4096  # entries per memoized table, keyed by twice-int labels
 
 
@@ -106,18 +115,21 @@ def sph_p(l, m, n, theta):
     rotation tabulator, which reflects angles past the equator.
     """
     l, m, n = _weights(l, m, n)
+    _finite(theta)
     return complex(_sph_vec(l.twice, m.twice, n.twice, [theta])[0])
 
 
 def jac_p(l, m, n, tau):
     """Boost matrix element; real, and symmetric under m <-> n."""
     l, m, n = _weights(l, m, n)
+    _finite(tau)
     return float(_jac_vec(l.twice, m.twice, n.twice, [tau])[0])
 
 
 def wigner_d(l, m, n, theta):
     """Standard real rotation element d^l_{mn}; no phase conventions to pick."""
     tl, tm, tn = (x.twice for x in _weights(l, m, n))
+    _finite(theta)
     value = ipow((tm - tn) // 2) * _sph_vec(tl, tm, tn, [theta])[0]
     return float(value.real)
 

@@ -1,6 +1,7 @@
 """Tests for the complexified-rotation matrix functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from helirep.hyperspherical import (
     z_series,
     z_series_grid,
 )
+from helirep.su2 import jac_p, sph_p, wigner_d
 
 SEED = 20260822
 
@@ -202,6 +204,37 @@ class TestGridEvaluation:
                 assert grid[i, j] == pytest.approx(
                     z_series(half(3), half(1), half(-1), th, ta), abs=1e-11
                 )
+
+
+class TestNonFiniteAngles:
+    """A non-finite angle or rapidity is a ValueError, raised before any
+    evaluation: no numpy warning, no endless reflection, no NaN value."""
+
+    CALLS = {
+        "sph_p": lambda x: sph_p(half(2), half(0), half(2), x),
+        "wigner_d": lambda x: wigner_d(half(2), half(0), half(2), x),
+        "jac_p": lambda x: jac_p(half(2), half(0), half(2), x),
+        "z_series theta": lambda x: z_series(half(2), half(0), half(2), x, 0.1),
+        "z_series tau": lambda x: z_series(half(2), half(0), half(2), 0.1, x),
+        "z_factorized theta": lambda x: z_factorized(half(2), half(0), half(2), x, 0.1),
+        "z_factorized tau": lambda x: z_factorized(half(2), half(0), half(2), 0.1, x),
+        "z_grid thetas": lambda x: z_grid(half(2), half(0), half(2), [0.1, x], [0.1]),
+        "z_grid taus": lambda x: z_grid(half(2), half(0), half(2), [0.1], [0.1, x]),
+        "z_series_grid thetas": lambda x: z_series_grid(half(2), half(0), half(2), [x], [0.1]),
+        "z_series_grid taus": lambda x: z_series_grid(half(2), half(0), half(2), [0.1], [x]),
+        "z_matrix theta": lambda x: z_matrix(half(2), x, 0.1),
+        "z_matrix tau": lambda x: z_matrix(half(2), 0.1, x),
+        "m_function": lambda x: m_function(half(2), half(0), half(2), GroupPoint(theta=x)),
+        "m_matrix": lambda x: m_matrix(half(2), GroupPoint(tau=x)),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_rejected(self, entry, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                self.CALLS[entry](value)
 
 
 class TestSeriesGridEvaluation:

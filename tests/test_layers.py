@@ -4,9 +4,17 @@ Each module may import only modules below it in ``ORDER``; the package
 ``__init__`` sits on top and may import any of them.  The bottom
 layers stay free of the package: ``halfint`` and ``kernels`` import no
 helirep module, so the kernels work on plain ints, Fractions and arrays.
+
+Cold start: no module imports scipy when it is imported.  scipy costs
+more to import than numpy and the package together, and only the radial
+integrators and ``finite_invariance_check`` use it, so they import it at
+their first call.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +80,74 @@ def test_imports_only_lower_layers(name):
 def test_bottom_layers_import_no_helirep_module(name):
     modules, attributes = _imports(name)
     assert not modules and not attributes
+
+
+def _module_level_imports(tree):
+    """Top-level names of the modules a module imports when it is imported:
+    every import statement outside a function body."""
+    out, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_no_module_imports_scipy_when_imported(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert "scipy" not in _module_level_imports(tree)
+
+
+COLD_START = """
+import contextlib, io, sys
+import numpy as np
+from helirep import cli
+for argv in (["zfun", "--l", "1/2", "--theta", "1", "--tau", "0.5"],
+             ["verify", "cg"], ["verify", "clifford"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded"
+from helirep.gelfand_yaglom import dirac_system, finite_invariance_check
+from helirep.radial import assemble_rfs, integrate
+system = dirac_system()
+sol = integrate(assemble_rfs(system, "1/2", "1/2"), 0.5, 10.0, [1, 0, 0, 0], 200)
+assert sol.values.shape == (201, 4) and np.isfinite(sol.values).all()
+assert finite_invariance_check(system)["second_order"]
+print("ok")
+"""
+
+
+def test_cli_calls_that_never_integrate_leave_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    env.pop("HELIREP_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_radial_integrators_call_the_module_attribute_solve_ivp(monkeypatch):
+    """``radial.solve_ivp`` stays a module attribute that both integrators
+    look up at call time; the benchmark's tracer probes it by that name."""
+    import helirep.radial as radial
+    from helirep.gelfand_yaglom import dirac_system
+
+    calls = []
+    solve = radial.solve_ivp
+    assert callable(solve)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "solve_ivp", counted)
+    rs = radial.assemble_rfs(dirac_system(), "1/2", "1/2")
+    radial.integrate(rs, 0.5, 10.0, [1, 0, 0, 0], 200)
+    radial.convergence_order(rs, 0.5, 2.0, [1, 0, 0, 0], base_steps=10)
+    assert calls == ["RK45"] * 4
