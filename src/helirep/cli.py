@@ -284,7 +284,7 @@ def cmd_radial(args):
     start, stop, steps = _parse_grid(args.grid)
     try:
         sol = integrate(rs, start, stop, init, steps, sector=args.sector)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # bad input, or a stalled solve
         raise UsageError(str(exc))
     labels = [str(label) for label in sol.labels]
     if args.format == "csv":

@@ -18,20 +18,19 @@ six-factor product.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, mrange
-from .kernels import _horner, ipow, ln_factorial
+from .kernels import _Memo, _horner, _powers, _stack, ipow, ln_factorial
 from .su2 import _finite, _jac_vec, _sph_vec, _weights
 
-_MEMO = 4096  # entries per memoized table, keyed by twice-int labels
+_CELLS = 1 << 14  # cells per evaluated block of a table and its label rows
 
 
-@functools.lru_cache(maxsize=_MEMO)
 def _ln_pref(tl, ta, tb):
     """log of sqrt((l+a)!(l-b)!/((l-a)!(l+b)!)) / (a-b)! for a >= b (twice-ints)."""
     return 0.5 * (
@@ -42,7 +41,6 @@ def _ln_pref(tl, ta, tb):
     ) - ln_factorial((ta - tb) // 2)
 
 
-@functools.lru_cache(maxsize=_MEMO)
 def _gauss_float_coeffs(tl, ta, tb):
     """Ascending float coefficients of 2F1(a-l, -l-b; a-b+1; .), a >= b.
 
@@ -54,9 +52,91 @@ def _gauss_float_coeffs(tl, ta, tb):
     out = [1.0]
     for t in range(min(tl - ta, tl + tb) // 2):
         out.append(out[-1] * (fa + t) * (fb + t) / ((d + 1 + t) * (t + 1)))
-    out = np.array(out)
-    out.flags.writeable = False
     return out
+
+
+class _SeriesBlock(NamedTuple):
+    """The rows k = l, l-1, ..., -l that pair with one label x, each pair
+    ordered a >= b; ``prefs``, ``scales`` and ``signs`` are (2l+1, 1)
+    columns, and ``powers`` holds four of them."""
+
+    forward: np.ndarray  # stacked ascending coefficients, see kernels._stack
+    backward: np.ndarray  # each row's series reversed, stacked alike
+    spans: tuple  # the rows that reach each degree, for both stacks
+    prefs: np.ndarray  # exp(_ln_pref) of each pair
+    scales: np.ndarray  # i^(a-b) exp(_ln_pref), the rotation's prefactor
+    signs: np.ndarray  # (-1)^degree, the sign of the reversed series
+    powers: np.ndarray  # exponents of cos and sin, inner then outer
+
+
+@_Memo
+def _series_block(tl, tx):
+    """The float-recurrence block of label x at spin l (twice-ints).
+
+    The rotation reads it with x = m and the boost with x = n.
+    """
+    pairs = [(max(tx, tk), min(tx, tk)) for tk in range(tl, -tl - 1, -2)]
+    series = [_gauss_float_coeffs(tl, ta, tb) for ta, tb in pairs]
+    forward, spans = _stack(series)
+    backward, _ = _stack([c[::-1] for c in series])
+    prefs = [math.exp(_ln_pref(tl, ta, tb)) for ta, tb in pairs]
+    dists = [(ta - tb) // 2 for ta, tb in pairs]
+    tops = [len(c) - 1 for c in series]
+    columns = []
+    for values in (
+        prefs,
+        [ipow(d) * p for d, p in zip(dists, prefs)],
+        [(-1.0) ** top for top in tops],
+        [
+            [tl - d for d in dists],
+            dists,
+            [tl - d - 2 * top for d, top in zip(dists, tops)],
+            [d + 2 * top for d, top in zip(dists, tops)],
+        ],
+    ):
+        column = np.array(values)[..., None]
+        column.flags.writeable = False
+        columns.append(column)
+    return _SeriesBlock(forward, backward, spans, *columns)
+
+
+def _series_rotation(tl, block, thetas):
+    """The rotation factors of the series route, rows k, columns theta.
+
+    cos^(2l-d) sin^d (theta/2) times the series in -tan^2(theta/2) while
+    |tan(theta/2)| <= 1, and past that the reversed series in
+    -cot^2(theta/2) with the powers traded accordingly, so every power
+    stays bounded up to theta = pi.
+    """
+    ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    inner = np.abs(st) <= np.abs(ct)
+    cos_in, sin_in, cos_out, sin_out = block.powers
+    if inner.all():
+        poly = _horner(block.forward, block.spans, -((st / ct) ** 2))
+        power = _powers(ct, cos_in) * _powers(st, sin_in)
+    elif not inner.any():
+        poly = _horner(block.backward, block.spans, -((ct / st) ** 2))
+        power = block.signs * _powers(ct, cos_out) * _powers(st, sin_out)
+    else:
+        out = np.empty((tl + 1, thetas.size), dtype=complex)
+        for cells in (inner, ~inner):
+            out[:, cells] = _series_rotation(tl, block, thetas[cells])
+        return out
+    return block.scales * power * poly
+
+
+def _series_boost(tl, block, taus):
+    """The boost factors of the series route, rows k, columns tau."""
+    ch, th = np.cosh(0.5 * taus), np.tanh(0.5 * taus)
+    poly = _horner(block.forward, block.spans, th * th)
+    return block.prefs * ch**tl * _powers(th, block.powers[1]) * poly
+
+
+def _angle_blocks(size, width):
+    """Slices of an angle axis for blocks of about _CELLS cells, where each
+    angle takes ``width`` cells."""
+    step = max(1, _CELLS // width)
+    return [slice(lo, lo + step) for lo in range(0, size, step)]
 
 
 def _series_table(tl, tm, tn, thetas, taus):
@@ -64,36 +144,23 @@ def _series_table(tl, tm, tn, thetas, taus):
 
     Each internal label k adds the outer product of a rotation and a
     boost factor, each a log-factorial prefactor times a terminating
-    Gauss series.  The rotation factor is cos^(2l-d) sin^d (theta/2)
-    times the series in -tan^2(theta/2) while |tan(theta/2)| <= 1, and
-    past that the reversed series in -cot^2(theta/2) with the powers
-    traded accordingly, so every power stays bounded up to theta = pi.
+    Gauss series.  Both factors are tabulated for all k at once, block
+    by block along the angle axes.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
-    inner = np.abs(st) <= np.abs(ct)
-    big, small = np.where(inner, ct, st), np.where(inner, st, ct)
-    y = -((small / big) ** 2)
-    ch, th = np.cosh(0.5 * taus), np.tanh(0.5 * taus)
-    out = np.zeros((thetas.size, taus.size), dtype=complex)
-    for tk in range(tl, -tl - 1, -2):
-        ta, tb = max(tm, tk), min(tm, tk)
-        d = (ta - tb) // 2
-        coeffs = _gauss_float_coeffs(tl, ta, tb)
-        top = coeffs.size - 1
-        poly = _horner(np.where(inner, coeffs[:, None], coeffs[::-1, None]), y)
-        power = np.where(
-            inner,
-            big ** (tl - d) * small**d,
-            (-1) ** top * small ** (tl - d - 2 * top) * big ** (d + 2 * top),
-        )
-        rot = ipow(d) * math.exp(_ln_pref(tl, ta, tb)) * power * poly
-        ta, tb = max(tk, tn), min(tk, tn)
-        d = (ta - tb) // 2
-        poly = _horner(_gauss_float_coeffs(tl, ta, tb), th * th)
-        boost = math.exp(_ln_pref(tl, ta, tb)) * ch**tl * th**d * poly
-        out += np.outer(rot, boost)
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    taus = np.asarray(taus, dtype=float).ravel()
+    rot_block, boost_block = _series_block(tl, tm), _series_block(tl, tn)
+    rows = tl + 1
+    out = np.empty((thetas.size, taus.size), dtype=complex)
+    for cols in _angle_blocks(taus.size, rows):
+        boost = _series_boost(tl, boost_block, taus[cols])
+        for cells in _angle_blocks(thetas.size, max(rows, boost.shape[1])):
+            rot = _series_rotation(tl, rot_block, thetas[cells])
+            # One += per label, in k order: a matmul would reorder the sum.
+            acc = np.zeros((rot.shape[1], boost.shape[1]), dtype=complex)
+            for r, b in zip(rot[:, :, None], boost):
+                acc += r * b
+            out[cells, cols] = acc
     return out
 
 
@@ -128,36 +195,49 @@ def z_grid(l, m, n, thetas, taus):
 
     Returns an array of shape (len(thetas), len(taus)); each internal
     label contributes an outer product of one rotation-axis and one
-    boost-axis tabulation, so the cost is linear in the grid edges.
+    boost-axis tabulation, so the cost is linear in the grid edges.  The
+    tabulators of ``su2`` give all labels at once, block by block along
+    the angle axes.
     """
     l, m, n = _weights(l, m, n)
     _finite(thetas, taus)
     tl, tm, tn = l.twice, m.twice, n.twice
-    return sum(
-        np.outer(_sph_vec(tl, tm, tk, thetas), _jac_vec(tl, tk, tn, taus))
-        for tk in range(tl, -tl - 1, -2)
-    )
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    taus = np.asarray(taus, dtype=float).ravel()
+    rows = tl + 1
+    out = np.empty((thetas.size, taus.size), dtype=complex)
+    for cols in _angle_blocks(taus.size, rows):
+        boost = _jac_vec(tl, tn, taus[cols])
+        for cells in _angle_blocks(thetas.size, max(rows, boost.shape[1])):
+            rot = _sph_vec(tl, tm, thetas[cells])
+            acc = np.zeros((rot.shape[1], boost.shape[1]), dtype=complex)
+            for r, b in zip(rot[:, :, None], boost):  # in k order, as above
+                acc += r * b
+            out[cells, cols] = acc
+    return out
 
 
 def z_matrix(l, theta, tau):
     """The full [Z^l_mn] matrix, rows/columns labeled m descending.
 
     The product of the rotation matrix [sph_p(l, m, k)] and the boost
-    matrix [jac_p(l, k, n)], filled from the tabulators on twice-int
-    labels once ``l`` is validated.
+    matrix [jac_p(l, k, n)], filled row by row from the tabulators on
+    twice-int labels once ``l`` is validated; the boost factor is
+    symmetric, so its row k is the tabulation of label k.
     """
     (l,) = _weights(l)
     _finite(theta, tau)
     ms = mrange(l)
     tl, ts = l.twice, [m.twice for m in ms]
-    rot = np.array([[_sph_vec(tl, tm, tk, [theta])[0] for tk in ts] for tm in ts])
-    boost = np.array([[_jac_vec(tl, tk, tn, [tau])[0] for tn in ts] for tk in ts])
+    rot = np.array([_sph_vec(tl, tm, [theta])[:, 0] for tm in ts])
+    boost = np.array([_jac_vec(tl, tk, [tau])[:, 0] for tk in ts])
     return CMatrix(rot @ boost, ms, ms)
 
 
 def m_function(l, m, n, g: GroupPoint):
     """Phase-dressed matrix element of the six-parameter group element."""
     l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
+    _finite(*g.as_tuple())
     left = cmath.exp(-float(m) * (g.eps + 1j * g.phi))
     right = cmath.exp(-float(n) * (g.veps + 1j * g.psi))
     return left * z_factorized(l, m, n, g.theta, g.tau) * right
@@ -166,6 +246,7 @@ def m_function(l, m, n, g: GroupPoint):
 def m_matrix(l, g: GroupPoint):
     """Full representation matrix at spin l, rows labeled m descending."""
     l = HalfInt(l)
+    _finite(*g.as_tuple())
     ms = mrange(l)
     zc = z_matrix(l, g.theta, g.tau)
     left = np.array([cmath.exp(-float(m) * (g.eps + 1j * g.phi)) for m in ms])

@@ -7,7 +7,10 @@ needed term, raise instead of guessing.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -74,16 +77,94 @@ def terminating_series(num_params, den_params, x):
     return total
 
 
-def _horner(coeffs, y):
-    """Sum of coeffs[j] * y**j (ascending coefficients) by Horner's rule.
+class _Memo:
+    """A least-recently-used memo of ``build(*key)``, for builders that
+    return tuples of read-only arrays, bounded by the bytes of those
+    arrays: a label block at spin l holds O(l^2) numbers, so a bound on
+    the count of blocks alone would let high spins take gigabytes."""
 
-    ``y`` is an array; a coefficient may itself be an array that
-    broadcasts against it.
+    budget = 1 << 23  # bytes held; every block for 2l <= 40 fits
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._build = build
+        self._blocks = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def _size(block):
+        return sum(getattr(field, "nbytes", 0) for field in block)
+
+    def __call__(self, *key):
+        with self._lock:
+            block = self._blocks.get(key)
+            if block is not None:
+                self._blocks.move_to_end(key)
+                return block
+        block = self._build(*key)
+        with self._lock:
+            if key not in self._blocks:
+                self._blocks[key] = block
+                self._bytes += self._size(block)
+                while self._bytes > self.budget and len(self._blocks) > 1:
+                    self._bytes -= self._size(self._blocks.popitem(last=False)[1])
+        return block
+
+    def cache_clear(self):
+        with self._lock:
+            self._blocks.clear()
+            self._bytes = 0
+
+
+def _stack(series):
+    """Ascending coefficient lists stacked as the rows of one Horner
+    evaluation.
+
+    Returns a read-only (degree + 1, rows, 1) array, zero above each
+    row's own degree, and for each degree j the rows (lo, hi) that reach
+    it; rows outside a span hold zeros at that degree.
     """
-    acc = np.zeros_like(y) + coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * y + c
+    top = max(map(len, series))
+    coeffs = np.zeros((top, len(series), 1))
+    for row, c in enumerate(series):
+        coeffs[: len(c), row, 0] = c
+    coeffs.flags.writeable = False
+    spans = []
+    for j in range(top):
+        rows = [row for row, c in enumerate(series) if len(c) > j]
+        spans.append((rows[0], rows[-1] + 1))
+    return coeffs, tuple(spans)
+
+
+def _horner(coeffs, spans, y):
+    """Every row of sum_j coeffs[j] * y**j by Horner's rule, for stacked
+    coefficients from ``_stack`` and a 1-D ``y``: a (rows, len(y)) array.
+
+    Each row starts from zero and joins the loop at its span, so its top
+    coefficient c enters as 0 * y + c = c, exactly as on its own.
+    """
+    acc = np.zeros((coeffs.shape[1], y.size))
+    for c, (lo, hi) in zip(coeffs[::-1], reversed(spans)):
+        part = acc[lo:hi]
+        part *= y
+        part += c[lo:hi]
     return acc
+
+
+def _powers(x, exponents):
+    """x ** e for a row of bases ``x`` and a (rows, 1) column of integer
+    exponents: a (rows, len(x)) array.
+
+    Each row has the bits of ``x ** e`` with a scalar e.  numpy squares
+    for a scalar exponent 2 but calls pow for an array exponent, and the
+    two differ in the last bit, so rows with e = 2 are squared here.
+    """
+    out = x ** exponents
+    square = exponents[:, 0] == 2
+    if square.any():
+        out[square] = x * x
+    return out
 
 
 def hyp3f2_unit(a1, a2, a3, b1, b2):

@@ -215,15 +215,18 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
     if steps < 100:
         raise ValueError("need at least 100 steps")
     grid = np.linspace(r0, r1, steps + 1)
-    result = solve_ivp(
-        rhs,
-        (r0, r1),
-        start,
-        method="RK45",
-        t_eval=grid,
-        rtol=rtol,
-        atol=atol,
-    )
+    # An overflow ends in a stall or in non-finite samples, both raised
+    # below as one error, so numpy's warnings on the way say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = solve_ivp(
+            rhs,
+            (r0, r1),
+            start,
+            method="RK45",
+            t_eval=grid,
+            rtol=rtol,
+            atol=atol,
+        )
     if not result.success:
         last = result.t[-1] if len(result.t) else r0
         raise RuntimeError(

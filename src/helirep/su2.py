@@ -3,14 +3,23 @@ Clebsch-Gordan coefficients in two independent forms."""
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .halfint import HalfInt
-from .kernels import _horner, fact, gamma_ratio_int, hyp3f2_unit, ipow
+from .kernels import (
+    _Memo,
+    _horner,
+    _powers,
+    _stack,
+    fact,
+    gamma_ratio_int,
+    hyp3f2_unit,
+    ipow,
+)
 
 
 def _weights(l, *projections):
@@ -36,10 +45,6 @@ def _finite(*angles):
             raise ValueError("angles and rapidities must be finite")
 
 
-_MEMO = 4096  # entries per memoized table, keyed by twice-int labels
-
-
-@functools.lru_cache(maxsize=_MEMO)
 def _series_coeffs(tl, ta, tb):
     """Coefficients of 2F1(a-l, -l-b; a-b+1; x), ascending, for a >= b.
 
@@ -51,10 +56,9 @@ def _series_coeffs(tl, ta, tb):
     for t in range((tl - ta) // 2):
         num = Fraction(ta - tl + 2 * t, 2) * Fraction(-tl - tb + 2 * t, 2)
         out.append(out[-1] * num / ((d + 1 + t) * (t + 1)))
-    return tuple(float(c) for c in out)
+    return [float(c) for c in out]
 
 
-@functools.lru_cache(maxsize=_MEMO)
 def _pair_norm(tl, ta, tb):
     """1/(a-b)! * sqrt((l+a)!(l-b)! / ((l-a)!(l+b)!)) for a >= b (twice-ints).
 
@@ -71,41 +75,87 @@ def _pair_norm(tl, ta, tb):
     return math.ldexp(root / (div / (1 << t)), s - t)
 
 
-def _structure(tl, tm, tn, c, t, sign):
-    """c^{2l} t^{a-b} 2F1(a-l, -l-b; a-b+1; sign t^2), a >= b ordering (m, n)."""
-    ta, tb = max(tm, tn), min(tm, tn)
-    poly = _horner(_series_coeffs(tl, ta, tb), sign * t * t)
-    return _pair_norm(tl, ta, tb) * c**tl * t ** ((ta - tb) // 2) * poly
+class _Block(NamedTuple):
+    """The rows k = l, l-1, ..., -l that pair with one label x, each pair
+    ordered a >= b; the last four fields are (2l+1, 1) columns."""
+
+    coeffs: np.ndarray  # stacked ascending coefficients, see kernels._stack
+    spans: tuple  # the rows that reach each degree
+    norms: np.ndarray  # _pair_norm of each pair
+    powers: np.ndarray  # the t-exponent a - b
+    phases: np.ndarray  # the helicity phase i^(a-b)
+    mirrors: np.ndarray  # i^(2l-x-k), the factor of the reflection
 
 
-def _sph_vec(tl, tm, tn, thetas):
-    """The rotation factor on an array of angles (labels as twice-ints).
-
-    Past the equator (cos theta < 0) it reflects theta -> pi - theta
-    through an exact index identity, keeping the series argument
-    -tan^2(theta/2) inside the unit disk.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.empty(thetas.shape, dtype=complex)
-    direct = np.cos(thetas) >= 0.0
-    if direct.any():
-        half = 0.5 * thetas[direct]
-        phase = ipow(abs(tm - tn) // 2)
-        out[direct] = phase * _structure(tl, tm, tn, np.cos(half), np.tan(half), -1.0)
-    rest = ~direct
-    if rest.any():
-        refl = ipow(tl - tm - tn)
-        out[rest] = refl * _sph_vec(tl, tm, -tn, math.pi - thetas[rest])
+def _column(values):
+    """A read-only (len(values), 1) column."""
+    out = np.array(values)[:, None]
+    out.flags.writeable = False
     return out
 
 
-def _jac_vec(tl, tm, tn, taus):
-    """The boost factor on an array of rapidities (labels as twice-ints).
+@_Memo
+def _label_block(tl, tx):
+    """The exact-coefficient block of label x at spin l (twice-ints).
+
+    The rotation reads it with x = m and the boost with x = n: the boost
+    factor is symmetric in (k, n).
+    """
+    ks = range(tl, -tl - 1, -2)
+    pairs = [(max(tx, tk), min(tx, tk)) for tk in ks]
+    powers = [(ta - tb) // 2 for ta, tb in pairs]
+    return _Block(
+        *_stack([_series_coeffs(tl, ta, tb) for ta, tb in pairs]),
+        _column([_pair_norm(tl, ta, tb) for ta, tb in pairs]),
+        _column(powers),
+        _column([ipow(d) for d in powers]),
+        _column([ipow(tl - tx - tk) for tk in ks]),
+    )
+
+
+def _structure(tl, block, c, t, sign):
+    """c^{2l} t^{a-b} 2F1(a-l, -l-b; a-b+1; sign t^2) for every row of a
+    label block: a (2l+1, len(t)) array."""
+    poly = _horner(block.coeffs, block.spans, sign * t * t)
+    return block.norms * c**tl * _powers(t, block.powers) * poly
+
+
+def _row(tl, tk):
+    """The row of label k (twice-ints) in a label block or tabulation."""
+    return (tl - tk) // 2
+
+
+def _sph_vec(tl, tm, thetas):
+    """The rotation factors (m, k) for every k = l, ..., -l (rows) on a
+    1-D array of angles (columns); labels as twice-ints.
+
+    Past the equator (cos theta < 0) it reflects theta -> pi - theta
+    through an exact index identity that reverses the rows, keeping the
+    series argument -tan^2(theta/2) inside the unit disk.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    block = _label_block(tl, tm)
+    direct = np.cos(thetas) >= 0.0
+    if direct.all():
+        half = 0.5 * thetas
+        return block.phases * _structure(tl, block, np.cos(half), np.tan(half), -1.0)
+    if not direct.any():
+        return block.mirrors * _sph_vec(tl, tm, math.pi - thetas)[::-1]
+    out = np.empty((tl + 1, thetas.size), dtype=complex)
+    for cells in (direct, ~direct):
+        out[:, cells] = _sph_vec(tl, tm, thetas[cells])
+    return out
+
+
+def _jac_vec(tl, tn, taus):
+    """The boost factors (k, n) for every k = l, ..., -l (rows) on a 1-D
+    array of rapidities (columns); labels as twice-ints.
 
     Every series term is positive, so it is stable for all tau.
     """
     half = 0.5 * np.asarray(taus, dtype=float)
-    return _structure(tl, tm, tn, np.cosh(half), np.tanh(half), 1.0)
+    block = _label_block(tl, tn)
+    return _structure(tl, block, np.cosh(half), np.tanh(half), 1.0)
 
 
 def sph_p(l, m, n, theta):
@@ -114,23 +164,23 @@ def sph_p(l, m, n, theta):
     Symmetric under m <-> n (phase included); the one-point view of the
     rotation tabulator, which reflects angles past the equator.
     """
-    l, m, n = _weights(l, m, n)
+    tl, tm, tn = (x.twice for x in _weights(l, m, n))
     _finite(theta)
-    return complex(_sph_vec(l.twice, m.twice, n.twice, [theta])[0])
+    return complex(_sph_vec(tl, tm, [theta])[_row(tl, tn), 0])
 
 
 def jac_p(l, m, n, tau):
     """Boost matrix element; real, and symmetric under m <-> n."""
-    l, m, n = _weights(l, m, n)
+    tl, tm, tn = (x.twice for x in _weights(l, m, n))
     _finite(tau)
-    return float(_jac_vec(l.twice, m.twice, n.twice, [tau])[0])
+    return float(_jac_vec(tl, tn, [tau])[_row(tl, tm), 0])
 
 
 def wigner_d(l, m, n, theta):
     """Standard real rotation element d^l_{mn}; no phase conventions to pick."""
     tl, tm, tn = (x.twice for x in _weights(l, m, n))
     _finite(theta)
-    value = ipow((tm - tn) // 2) * _sph_vec(tl, tm, tn, [theta])[0]
+    value = ipow((tm - tn) // 2) * _sph_vec(tl, tm, [theta])[_row(tl, tn), 0]
     return float(value.real)
 
 

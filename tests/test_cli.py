@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,19 @@ class TestRadial:
 
     def test_bad_ansatz_weight(self, capsys):
         assert main(["radial", "--chain", "dirac", "--l0", "0"]) == 2
+
+    @pytest.mark.parametrize("kappa", [[0.0, 400.0], [1e300, 1e300]])
+    def test_stalled_integration_is_usage_error(self, capsys, tmp_path, kappa):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({**DIRAC_CONFIG, "kappa": kappa}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["radial", "--chain", str(path), "--grid", "0.5:60:200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("helirep: integration stalled at r = ")
+        assert captured.err.count("\n") == 1
 
 
 class TestDeterminism:

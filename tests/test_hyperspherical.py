@@ -226,6 +226,17 @@ class TestNonFiniteAngles:
         "z_matrix tau": lambda x: z_matrix(half(2), 0.1, x),
         "m_function": lambda x: m_function(half(2), half(0), half(2), GroupPoint(theta=x)),
         "m_matrix": lambda x: m_matrix(half(2), GroupPoint(tau=x)),
+        **{
+            f"{name} {coord}": (
+                lambda x, call=call, coord=coord: call(GroupPoint(**{coord: x}))
+            )
+            for name, call in (
+                ("m_function", lambda g: m_function(half(2), half(0), half(2), g)),
+                ("m_matrix", lambda g: m_matrix(half(2), g)),
+                ("rep_matrix", lambda g: rep_matrix(half(1), half(2), g)),
+            )
+            for coord in ("phi", "eps", "theta", "tau", "psi", "veps")
+        },
     }
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -330,6 +341,12 @@ class TestRouteIndependence:
         for module in (su2, hs):
             monkeypatch.setattr(module, "_sph_vec", self._broken)
             monkeypatch.setattr(module, "_jac_vec", self._broken)
+        # Both routes rebuild their label blocks under the patch: a
+        # memoized block would hide a broken helper.
+        monkeypatch.setattr(su2, "_series_coeffs", self._broken)
+        monkeypatch.setattr(su2, "_pair_norm", self._broken)
+        su2._label_block.cache_clear()
+        hs._series_block.cache_clear()
         thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
         want = _z_mpmath(5, 3, -1, 2.8, 0.7)
         assert z_series(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
@@ -343,10 +360,15 @@ class TestRouteIndependence:
 
     def test_factorized_route_without_series_helpers(self, monkeypatch):
         import helirep.hyperspherical as hs
+        import helirep.su2 as su2
         from helirep.su2 import jac_p, sph_p
 
         monkeypatch.setattr(hs, "_gauss_float_coeffs", self._broken)
         monkeypatch.setattr(hs, "_ln_pref", self._broken)
+        # Both routes rebuild their label blocks under the patch: a
+        # memoized block would hide a broken helper.
+        hs._series_block.cache_clear()
+        su2._label_block.cache_clear()
         thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
         want = _z_mpmath(5, 3, -1, 2.8, 0.7)
         assert z_factorized(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
@@ -362,3 +384,76 @@ class TestRouteIndependence:
             z_series(*self.ARGS, 2.8, 0.7)
         with pytest.raises(AssertionError, match="other route"):
             z_series_grid(*self.ARGS, thetas, taus)
+
+
+class TestTablesKeepTheirBits:
+    """Tabulating all internal labels at once and cutting the angle axes
+    into blocks change no bit: a table equals its pieces, and each
+    one-point view equals its table's entry."""
+
+    TWICE = (40, 2, -6)
+
+    @staticmethod
+    def _long(table_rows):
+        import helirep.hyperspherical as hs
+
+        return 2 * (hs._CELLS // table_rows) + 7  # three blocks of angles
+
+    @pytest.mark.parametrize("table", [z_grid, z_series_grid])
+    def test_theta_sweep_equals_its_points(self, table):
+        args = tuple(half(t) for t in self.TWICE)
+        thetas = np.linspace(0.05, 3.1, self._long(self.TWICE[0] + 1))
+        taus = np.array([-0.7, 0.0, 1.3])
+        assert thetas[0] < math.pi / 2 < thetas[-1]
+        got = table(*args, thetas, taus)
+        pieces = np.vstack([table(*args, [th], taus) for th in thetas])
+        assert np.array_equal(got, pieces)
+
+    @pytest.mark.parametrize("table", [z_grid, z_series_grid])
+    def test_tau_sweep_equals_its_points(self, table):
+        args = tuple(half(t) for t in self.TWICE)
+        thetas = np.array([0.4, 2.9])
+        taus = np.linspace(-2.5, 2.5, self._long(self.TWICE[0] + 1))
+        got = table(*args, thetas, taus)
+        pieces = np.hstack([table(*args, thetas, [ta]) for ta in taus])
+        assert np.array_equal(got, pieces)
+
+    @pytest.mark.parametrize("table", [z_grid, z_series_grid])
+    def test_table_blocked_on_both_axes_equals_its_rows(self, table):
+        args = tuple(half(t) for t in self.TWICE)
+        thetas = np.linspace(-1.0, 4.0, 90)
+        taus = np.linspace(-2.0, 2.0, self._long(self.TWICE[0] + 1) // 2)
+        got = table(*args, thetas, taus)
+        pieces = np.vstack([table(*args, [th], taus) for th in thetas])
+        assert np.array_equal(got, pieces)
+
+    def test_one_point_views_equal_table_entries(self):
+        from helirep.kernels import ipow
+        from helirep.su2 import _jac_vec, _sph_vec
+
+        tl = 7
+        l = half(tl)
+        thetas = np.array([-0.8, 0.0, 0.9, math.pi / 2, 2.2, math.pi, 4.5])
+        taus = np.array([-1.5, 0.0, 0.6])
+        labels = range(tl, -tl - 1, -2)
+        for tm in labels:
+            rot, boost = _sph_vec(tl, tm, thetas), _jac_vec(tl, tm, taus)
+            for row, tn in enumerate(labels):
+                m, n = half(tm), half(tn)
+                for i, th in enumerate(thetas):
+                    assert sph_p(l, m, n, th) == rot[row, i]
+                    want = ipow((tm - tn) // 2) * rot[row, i]
+                    assert wigner_d(l, m, n, th) == want.real
+                for j, ta in enumerate(taus):
+                    # jac_p(l, m, n) is row m of label n's tabulation, and
+                    # by symmetry row n of label m's.
+                    assert jac_p(l, m, n, ta) == boost[row, j]
+                    assert jac_p(l, n, m, ta) == boost[row, j]
+        for tm, tn in ((7, -3), (1, 1), (-7, 5)):
+            m, n = half(tm), half(tn)
+            series = z_series_grid(l, m, n, thetas, taus)
+            grid = z_grid(l, m, n, thetas, taus)
+            for i, th in enumerate(thetas):
+                for j, ta in enumerate(taus):
+                    assert z_series(l, m, n, th, ta) == series[i, j]
+                    assert z_factorized(l, m, n, th, ta) == grid[i, j]

@@ -3,11 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
+    _horner,
+    _powers,
+    _stack,
     fact,
     gamma_ratio_int,
     hyp3f2_unit,
@@ -79,3 +83,70 @@ class TestGammaRatio:
         assert gamma_ratio_int(-3, -1) == pytest.approx(1.0 / 6.0)
         # Gamma(-2)/Gamma(-1) -> (-1)^1 * 1!/2! = -1/2.
         assert gamma_ratio_int(-2, -1) == pytest.approx(-0.5)
+
+
+class TestStackedRows:
+    """The row kernels of the label-vectorized tabulators keep the bits of
+    the one-row arithmetic they replace."""
+
+    XS = np.concatenate([
+        np.random.default_rng(7).uniform(-1.0, 1.0, 2000),
+        [0.0, -0.0, 1.0, -1.0, 0.5],
+    ])
+
+    def test_powers_match_scalar_exponents(self):
+        exponents = np.array([[2], [0], [5], [2], [1], [3], [13]])
+        table = _powers(self.XS, exponents)
+        for row, (e,) in enumerate(exponents.tolist()):
+            want = self.XS ** e
+            assert np.array_equal(table[row].view(np.uint64), want.view(np.uint64))
+            # One point at a time, as the one-point views evaluate.
+            for i in range(0, self.XS.size, 97):
+                point = _powers(self.XS[i : i + 1], exponents)[row, 0]
+                assert point.view(np.uint64) == want[i].view(np.uint64)
+
+    def test_stacked_horner_matches_each_row(self):
+        # Row 1 sits inside the span of degree 1 without reaching it, and
+        # row 4 tops out in an exact zero.
+        series = [[1.0, -0.5, 0.25], [3.0], [0.7, 0.1, -2.0, 1e-3], [0.5, 1.5], [2.0, 0.0]]
+        coeffs, spans = _stack(series)
+        assert coeffs.shape == (4, 5, 1) and not coeffs.flags.writeable
+        assert spans == ((0, 5), (0, 5), (0, 3), (2, 3))
+        y = -(self.XS**2)
+        table = _horner(coeffs, spans, y)
+        for row, c in enumerate(series):
+            acc = np.zeros_like(y) + c[-1]
+            for value in reversed(c[:-1]):
+                acc = acc * y + value
+            assert np.array_equal(table[row].view(np.uint64), acc.view(np.uint64))
+
+
+class TestMemo:
+    def test_bounded_by_bytes_least_recent_first(self, monkeypatch):
+        from helirep.kernels import _Memo
+
+        builds = []
+
+        @_Memo
+        def block(size, tag):
+            builds.append((size, tag))
+            return (np.zeros(size), "not an array")
+
+        monkeypatch.setattr(block, "budget", 3 * 8 * 100)
+        first = block(100, "a")
+        assert block(100, "a") is first and builds == [(100, "a")]
+        block(100, "b")
+        block(100, "c")
+        block(100, "a")  # now the most recent: "b" goes first
+        block(100, "d")
+        assert block(100, "a") is first
+        block(100, "b")
+        assert builds == [(100, "a"), (100, "b"), (100, "c"), (100, "d"), (100, "b")]
+        # A block larger than the budget is returned, and held alone.
+        big = block(1000, "e")
+        assert block(1000, "e") is big
+        block(100, "a")
+        assert builds[-2:] == [(1000, "e"), (100, "a")]
+        block.cache_clear()
+        block(100, "a")
+        assert builds[-1] == (100, "a") and len(builds) == 8

@@ -269,3 +269,57 @@ class TestCouplingAgainstSympy:
             scale = math.sqrt(float(l1 + l2 + l) + 1.0)
             assert got == pytest.approx(want * scale, abs=1e-12), key
         assert evaluated > len(reference) // 2
+
+
+def _bits(value):
+    """The bit patterns of a float or complex, signed zeros included."""
+    return np.array([value]).view(np.uint64).tolist()
+
+
+class TestLabelBlocksAgainstOneRowLoop:
+    """The label-block tabulators against the one-pair evaluation they
+    replace: one Horner loop per (m, k) pair, a scalar t-exponent, and the
+    reflection theta -> pi - theta taken pair by pair.  Equal bits."""
+
+    @staticmethod
+    def _one_pair(tl, tm, tn, c, t, sign):
+        from helirep.su2 import _pair_norm, _series_coeffs
+
+        ta, tb = max(tm, tn), min(tm, tn)
+        coeffs = _series_coeffs(tl, ta, tb)
+        poly = np.zeros_like(t) + coeffs[-1]
+        for value in reversed(coeffs[:-1]):
+            poly = poly * (sign * t * t) + value
+        return _pair_norm(tl, ta, tb) * c**tl * t ** ((ta - tb) // 2) * poly
+
+    def _rotation(self, tl, tm, tn, theta):
+        from helirep.kernels import ipow
+
+        if np.cos(theta) < 0.0:
+            return ipow(tl - tm - tn) * self._rotation(tl, tm, -tn, math.pi - theta)
+        half_angle = np.array([0.5 * theta])
+        value = self._one_pair(
+            tl, tm, tn, np.cos(half_angle), np.tan(half_angle), -1.0
+        )
+        return ipow(abs(tm - tn) // 2) * value[0]
+
+    def test_rotation_and_boost_rows(self):
+        from helirep.su2 import _jac_vec, _sph_vec
+
+        thetas = [0.0, 0.4, 1.2, math.pi / 2, 1.9, 2.7, math.pi, 4.4, -0.9]
+        taus = [-2.5, -0.3, 0.0, 0.8, 3.0]
+        for tl in range(0, 13):
+            labels = range(tl, -tl - 1, -2)
+            for tm in labels:
+                rot = _sph_vec(tl, tm, thetas)
+                boost = _jac_vec(tl, tm, taus)
+                for row, tn in enumerate(labels):
+                    for i, theta in enumerate(thetas):
+                        want = self._rotation(tl, tm, tn, theta)
+                        assert _bits(rot[row, i]) == _bits(want)
+                    for j, tau in enumerate(taus):
+                        half_tau = np.array([0.5 * tau])
+                        want = self._one_pair(
+                            tl, tn, tm, np.cosh(half_tau), np.tanh(half_tau), 1.0
+                        )[0]
+                        assert _bits(boost[row, j]) == _bits(want)
