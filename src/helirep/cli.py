@@ -206,7 +206,10 @@ def cmd_verify(args):
     system = None
     if suite in ("gy", "radial") and args.chain:
         system = _load_system(args.chain)
-    suite_report = run_suite(suite, tol=tol, system=system)
+    try:
+        suite_report = run_suite(suite, tol=tol, system=system)
+    except (ValueError, RuntimeError) as exc:  # no normal form, or a stalled solve
+        raise UsageError(str(exc))
     checks = suite_report["checks"]
     if args.format == "csv":
         text = _csv(["suite", "check", "residual", "tol", "ok"], [

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CMatrix
-from .generators import helicity_ab_op
+from .generators import helicity_ab_op, split_families
 from .halfint import HalfInt, half, lrange, mrange
 from .tensordec import RepLabel
 
@@ -222,26 +222,24 @@ def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
 def chain_generators(chain: RepChain):
     """Rotation/boost generator set acting on the chain carrier.
 
-    The rotation triple acts tower-by-tower in its helicity form; the
-    boost triple is i times it.  The conjugate-sector pair is the
-    negated rotation triple together with -i times itself — the sign
-    that closes the conjugate invariance tables.
+    The rotation triple acts tower-by-tower in its helicity form: the
+    chain basis is rep-major, towers ascending, m descending, so each
+    tower's block sits on the diagonal.  The boost triple is i times it.
+    The conjugate-sector pair is the negated rotation triple together
+    with -i times itself — the sign that closes the conjugate invariance
+    tables.
     """
     basis = chain.basis()
+    towers = [l for k in range(len(chain.reps)) for l in chain.tower_spins(k)]
     out = {}
     for i in (1, 2, 3):
-        entries = {}
-        for k in range(len(chain.reps)):
-            for l in chain.tower_spins(k):
-                op = helicity_ab_op(f"A{i}", l)
-                for ri, rl in enumerate(op.row_labels):
-                    for ci, cl in enumerate(op.col_labels):
-                        value = op.data[ri, ci]
-                        if value != 0:
-                            entries[
-                                (ChainIndex(k, l, rl), ChainIndex(k, l, cl))
-                            ] = value
-        rot = CMatrix.from_entries(basis, basis, entries)
+        data = np.zeros((len(basis), len(basis)), dtype=complex)
+        start = 0
+        for l in towers:
+            stop = start + l.twice + 1
+            data[start:stop, start:stop] = helicity_ab_op(f"A{i}", l).data
+            start = stop
+        rot = CMatrix(data, basis)
         out[f"A{i}"] = rot
         out[f"B{i}"] = rot * 1j
         out[f"A{i}t"] = -rot
@@ -253,19 +251,14 @@ def chain_ladders(gens):
     """Raising/lowering split of both sectors of a chain generator set."""
     out = {}
     for suffix in ("", "t"):
-        x = {}
-        y = {}
-        for i in (1, 2, 3):
-            a = gens[f"A{i}{suffix}"]
-            b = gens[f"B{i}{suffix}"]
-            x[i] = (a + b * 1j) * 0.5
-            y[i] = (a - b * 1j) * 0.5
-        out[f"X3{suffix}"] = x[3]
-        out[f"Y3{suffix}"] = y[3]
-        out[f"X+{suffix}"] = x[1] + x[2] * 1j
-        out[f"X-{suffix}"] = x[1] - x[2] * 1j
-        out[f"Y+{suffix}"] = y[1] + y[2] * 1j
-        out[f"Y-{suffix}"] = y[1] - y[2] * 1j
+        xy = split_families(
+            {f"{f}{i}": gens[f"{f}{i}{suffix}"] for f in "AB" for i in "123"}
+        )
+        for fam in "XY":
+            one, two = xy[f"{fam}1"], xy[f"{fam}2"]
+            out[f"{fam}3{suffix}"] = xy[f"{fam}3"]
+            out[f"{fam}+{suffix}"] = one + two * 1j
+            out[f"{fam}-{suffix}"] = one - two * 1j
     return out
 
 
@@ -278,40 +271,46 @@ _VECTOR_PATTERN = {
     (1, 3): (2, -1), (2, 3): (1, +1), (3, 3): None,
 }
 
-_TABLE_FACTORS = {"A": 1.0, "B": 1j, "At": -1.0, "Bt": 1j}
+# How a table label prints each right-hand-side scale.
+_COEF_STR = {1: "", -1: "-", 1j: "i*", -1j: "-i*"}
 
 
-def _table_rows(family, lambdas, gens, sector):
-    """Residuals of one 9-row invariance table."""
-    suffix = "t" if family.endswith("t") else ""
-    letter = family[0]
-    factor = _TABLE_FACTORS[family]
-    tag = "c" if sector == "conjugate" else ""
-    rows = {}
+def _relations(family, lambdas, gens, tag):
+    """The nine relations [G_i, lambda_j] = rhs of one invariance table.
+
+    ``family`` is A, B (plain sector) or At, Bt (conjugate sector); the
+    pattern's scale is 1, i, -1 and i respectively.  Yields (label,
+    generator, lambda_j, right-hand side, or None where it vanishes).
+    """
+    letter, suffix = family[0], family[1:]
+    factor = 1j if letter == "B" else (-1.0 if suffix else 1.0)
     for (i, j), rhs in _VECTOR_PATTERN.items():
+        head = f"[{letter}{i}{suffix},lambda{j}{tag}]="
         gen = gens[f"{letter}{i}{suffix}"]
-        comm = gen.commutator(lambdas[j])
         if rhs is None:
-            label = f"[{letter}{i}{suffix},lambda{j}{tag}]=0"
-            rows[label] = comm.norm_inf()
+            yield head + "0", gen, lambdas[j], None
         else:
             target, sign = rhs
             coef = factor * sign
-            label = f"[{letter}{i}{suffix},lambda{j}{tag}]={_coef_str(coef)}lambda{target}{tag}"
-            rows[label] = (comm - lambdas[target] * coef).norm_inf()
+            yield (head + f"{_COEF_STR[coef]}lambda{target}{tag}", gen,
+                   lambdas[j], lambdas[target] * coef)
+
+
+def _sectors(system):
+    """The four invariance tables of a system as (family, lambdas, tag)."""
+    plain = {1: system.lambda1, 2: system.lambda2, 3: system.lambda3}
+    conj = {1: system.lambda1c, 2: system.lambda2c, 3: system.lambda3c}
+    return (("A", plain, ""), ("B", plain, ""), ("At", conj, "c"),
+            ("Bt", conj, "c"))
+
+
+def _table_rows(family, lambdas, gens, tag):
+    """Residuals of one 9-row invariance table."""
+    rows = {}
+    for label, gen, lam, rhs in _relations(family, lambdas, gens, tag):
+        comm = gen.commutator(lam)
+        rows[label] = (comm if rhs is None else comm - rhs).norm_inf()
     return rows
-
-
-def _coef_str(c):
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    if c == 1j:
-        return "i*"
-    if c == -1j:
-        return "-i*"
-    return f"({c})*"
 
 
 def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
@@ -329,8 +328,7 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
     """
     lambda1 = gens["A2"].commutator(lambda3)
     lambda2 = gens["A3"].commutator(lambda1)
-    lambdas = {1: lambda1, 2: lambda2, 3: lambda3}
-    rows = _table_rows("A", lambdas, gens, "plain")
+    rows = _table_rows("A", {1: lambda1, 2: lambda2, 3: lambda3}, gens, "")
     worst = max(rows, key=rows.get)
     if rows[worst] > tol:
         raise ValueError(
@@ -383,7 +381,7 @@ def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):
     )
 
 
-def verify_invariance(system: GYSystem, gens=None, tol=1e-10):
+def verify_invariance(system: GYSystem, tol=1e-10):
     """Residuals of all 36 table relations plus the ladder identities.
 
     Covers the rotation and boost tables in the plain sector, their
@@ -392,32 +390,25 @@ def verify_invariance(system: GYSystem, gens=None, tol=1e-10):
     whole opposite family and the double-commutator reproduction), and
     returns every residual alongside the list of violations.
     """
-    if gens is None:
-        gens = chain_generators(system.chain)
-    plain = {1: system.lambda1, 2: system.lambda2, 3: system.lambda3}
-    conj = {1: system.lambda1c, 2: system.lambda2c, 3: system.lambda3c}
+    gens = chain_generators(system.chain)
     residuals = {}
-    residuals.update(_table_rows("A", plain, gens, "plain"))
-    residuals.update(_table_rows("B", plain, gens, "plain"))
-    residuals.update(_table_rows("At", conj, gens, "conjugate"))
-    residuals.update(_table_rows("Bt", conj, gens, "conjugate"))
+    for family, lambdas, tag in _sectors(system):
+        residuals.update(_table_rows(family, lambdas, gens, tag))
 
+    # The plain sector's lambda3 is a Y-family vector operator and commutes
+    # with X; the conjugate sector's swaps the roles.
     lad = chain_ladders(gens)
-    l3, l3c = system.lambda3, system.lambda3c
-    double = lad["Y+"].commutator(l3.commutator(lad["Y-"]))
-    residuals["[Y+,[lambda3,Y-]]=2*lambda3"] = (double - l3 * 2.0).norm_inf()
-    residuals["[lambda3,Y3]=0"] = l3.commutator(lad["Y3"]).norm_inf()
-    residuals["[lambda3,X-]=0"] = l3.commutator(lad["X-"]).norm_inf()
-    residuals["[lambda3,X+]=0"] = l3.commutator(lad["X+"]).norm_inf()
-    residuals["[lambda3,X3]=0"] = l3.commutator(lad["X3"]).norm_inf()
-    double_c = lad["X+t"].commutator(l3c.commutator(lad["X-t"]))
-    residuals["[X+t,[lambda3c,X-t]]=2*lambda3c"] = (
-        double_c - l3c * 2.0
-    ).norm_inf()
-    residuals["[lambda3c,X3t]=0"] = l3c.commutator(lad["X3t"]).norm_inf()
-    residuals["[lambda3c,Y-t]=0"] = l3c.commutator(lad["Y-t"]).norm_inf()
-    residuals["[lambda3c,Y+t]=0"] = l3c.commutator(lad["Y+t"]).norm_inf()
-    residuals["[lambda3c,Y3t]=0"] = l3c.commutator(lad["Y3t"]).norm_inf()
+    for l3, tag, own, other, t in (
+        (system.lambda3, "", "Y", "X", ""),
+        (system.lambda3c, "c", "X", "Y", "t"),
+    ):
+        name = f"lambda3{tag}"
+        double = lad[f"{own}+{t}"].commutator(l3.commutator(lad[f"{own}-{t}"]))
+        residuals[f"[{own}+{t},[{name},{own}-{t}]]=2*{name}"] = (
+            double - l3 * 2.0
+        ).norm_inf()
+        for key in (f"{own}3{t}", f"{other}-{t}", f"{other}+{t}", f"{other}3{t}"):
+            residuals[f"[{name},{key}]=0"] = l3.commutator(lad[key]).norm_inf()
 
     max_residual = max(residuals.values())
     return {
@@ -428,7 +419,7 @@ def verify_invariance(system: GYSystem, gens=None, tol=1e-10):
     }
 
 
-def finite_invariance_check(system: GYSystem, gens=None, xi=1e-4):
+def finite_invariance_check(system: GYSystem, xi=1e-4):
     """First-order spot check with finite group elements.
 
     Conjugates each matrix by exp(xi * generator) and compares against
@@ -437,24 +428,12 @@ def finite_invariance_check(system: GYSystem, gens=None, xi=1e-4):
     """
     from scipy.linalg import expm  # at call time: only this check needs scipy
 
-    if gens is None:
-        gens = chain_generators(system.chain)
-    plain = {1: system.lambda1, 2: system.lambda2, 3: system.lambda3}
-    conj = {1: system.lambda1c, 2: system.lambda2c, 3: system.lambda3c}
+    gens = chain_generators(system.chain)
     worst = 0.0
-    for family, lambdas in (("A", plain), ("B", plain), ("At", conj), ("Bt", conj)):
-        suffix = "t" if family.endswith("t") else ""
-        letter = family[0]
-        factor = _TABLE_FACTORS[family]
-        for (i, j), rhs in _VECTOR_PATTERN.items():
-            gen = gens[f"{letter}{i}{suffix}"].data
-            transform = expm(xi * gen)
-            inverse = expm(-xi * gen)
-            moved = transform @ lambdas[j].data @ inverse
-            first_order = lambdas[j].data.copy()
-            if rhs is not None:
-                target, sign = rhs
-                first_order = first_order + xi * factor * sign * lambdas[target].data
+    for family, lambdas, tag in _sectors(system):
+        for _, gen, lam, rhs in _relations(family, lambdas, gens, tag):
+            moved = expm(xi * gen.data) @ lam.data @ expm(-xi * gen.data)
+            first_order = lam.data if rhs is None else lam.data + xi * rhs.data
             worst = max(worst, float(np.max(np.abs(moved - first_order))))
     return {"xi": xi, "max_deviation": worst, "second_order": worst <= 100.0 * xi * xi}
 

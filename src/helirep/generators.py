@@ -13,6 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import CMatrix, enumerate_basis
 from .halfint import HalfInt, lrange, mrange
 
@@ -22,8 +24,21 @@ def _alpha(l, m):
     return math.sqrt((l.twice + m.twice) * (l.twice - m.twice + 2)) / 2
 
 
+def _ladder(l):
+    """(J+, J-, J3) on the spin-l carrier as dense arrays, m descending.
+
+    J+ raises m with weight _alpha(l, m+1), J- is its transpose and J3 is
+    diag(m); every generator family below is a linear combination of them.
+    """
+    ms = mrange(l)
+    jp = np.diag([_alpha(l, m) for m in ms[:-1]], 1)
+    return jp, jp.T, np.diag([float(m) for m in ms])
+
+
 # ---------------------------------------------------------------------------
 # Ladder operators on the (l, ldot) carrier
+
+_LADDER_KINDS = ("X+", "X-", "X3", "Y+", "Y-", "Y3")
 
 
 def waerden_op(kind, l, ldot):
@@ -32,39 +47,33 @@ def waerden_op(kind, l, ldot):
     ``kind`` is one of X+, X-, X3 (acting on the dotted projection) or
     Y+, Y-, Y3 (acting on the undotted one).  Raising/lowering entries
     carry the usual sqrt((j±m)(j∓m+1)) weights; the 3-components are
-    diagonal in the respective projection.
+    diagonal in the respective projection.  On the basis order of
+    `enumerate_basis` (m outer, mdot inner) Y is J ⊗ 1 and X is 1 ⊗ J.
     """
+    if kind not in _LADDER_KINDS:
+        raise ValueError(f"unknown ladder operator kind {kind!r}")
     l, ldot = HalfInt(l), HalfInt(ldot)
     basis = enumerate_basis(l, ldot)
-    entries = {}
-    for b in basis:
-        if kind == "X3":
-            entries[(b, b)] = float(b.mdot)
-        elif kind == "Y3":
-            entries[(b, b)] = float(b.m)
-        elif kind == "X-":
-            if b.mdot > -ldot:
-                tgt = b._replace(mdot=b.mdot - 1)
-                entries[(tgt, b)] = _alpha(ldot, b.mdot)
-        elif kind == "X+":
-            if b.mdot < ldot:
-                tgt = b._replace(mdot=b.mdot + 1)
-                entries[(tgt, b)] = _alpha(ldot, b.mdot + 1)
-        elif kind == "Y-":
-            if b.m > -l:
-                tgt = b._replace(m=b.m - 1)
-                entries[(tgt, b)] = _alpha(l, b.m)
-        elif kind == "Y+":
-            if b.m < l:
-                tgt = b._replace(m=b.m + 1)
-                entries[(tgt, b)] = _alpha(l, b.m + 1)
-        else:
-            raise ValueError(f"unknown ladder operator kind {kind!r}")
-    return CMatrix.from_entries(basis, basis, entries)
+    part = "+-3".index(kind[1])
+    if kind[0] == "Y":
+        data = np.kron(_ladder(l)[part], np.eye(ldot.twice + 1))
+    else:
+        data = np.kron(np.eye(l.twice + 1), _ladder(ldot)[part])
+    return CMatrix(data, basis)
 
 
 # ---------------------------------------------------------------------------
 # Tridiagonal operators on a single spin
+
+# Coefficients of (J+, J-, J3) in each rotation/boost generator.
+_AB_COEFFS = {
+    "A1": (-0.5j, -0.5j, 0.0),
+    "A2": (-0.5, 0.5, 0.0),
+    "A3": (0.0, 0.0, -1j),
+    "B1": (0.5, 0.5, 0.0),
+    "B2": (-0.5j, 0.5j, 0.0),
+    "B3": (0.0, 0.0, 1.0),
+}
 
 
 def helicity_ab_op(kind, l):
@@ -75,45 +84,12 @@ def helicity_ab_op(kind, l):
     optional trailing ``t`` selecting the conjugate-representation
     variant, which is the overall sign flip of the plain one.
     """
-    base = kind
-    flip = 1.0
-    if kind.endswith("t"):
-        base = kind[:-1]
-        flip = -1.0
+    coeffs = _AB_COEFFS.get(kind[:-1] if kind.endswith("t") else kind)
+    if coeffs is None:
+        raise ValueError(f"unknown operator kind {kind!r}")
     l = HalfInt(l)
-    ms = mrange(l)
-    entries = {}
-    for m in ms:
-        down = _alpha(l, m) if m > -l else 0.0
-        up = _alpha(l, m + 1) if m < l else 0.0
-        if base == "A1":
-            if m > -l:
-                entries[(m - 1, m)] = -0.5j * down
-            if m < l:
-                entries[(m + 1, m)] = -0.5j * up
-        elif base == "A2":
-            if m > -l:
-                entries[(m - 1, m)] = 0.5 * down
-            if m < l:
-                entries[(m + 1, m)] = -0.5 * up
-        elif base == "A3":
-            entries[(m, m)] = -1j * float(m)
-        elif base == "B1":
-            if m > -l:
-                entries[(m - 1, m)] = 0.5 * down
-            if m < l:
-                entries[(m + 1, m)] = 0.5 * up
-        elif base == "B2":
-            if m > -l:
-                entries[(m - 1, m)] = 0.5j * down
-            if m < l:
-                entries[(m + 1, m)] = -0.5j * up
-        elif base == "B3":
-            entries[(m, m)] = float(m)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-    out = CMatrix.from_entries(ms, ms, entries)
-    return flip * out
+    data = sum(c * j for c, j in zip(coeffs, _ladder(l)))
+    return CMatrix(-data if kind.endswith("t") else data, mrange(l))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +238,7 @@ def basis_change(gn):
         plus, minus = out[f"{fam}+"], out[f"{fam}-"]
         out[f"{fam}1"] = 0.5 * (plus + minus)
         out[f"{fam}2"] = -0.5j * (plus - minus)
-    for k in ("1", "2", "3"):
-        out[f"A{k}"] = out[f"X{k}"] + out[f"Y{k}"]
-        out[f"B{k}"] = -1j * (out[f"X{k}"] - out[f"Y{k}"])
+    out.update(ab_from_families(out))
     return out
 
 
@@ -471,7 +445,4 @@ def helicity_ops(l, dotted=False):
 
 def waerden_ops(l, ldot):
     """The six ladder operators on the (l, ldot) carrier as a dict."""
-    return {
-        k: waerden_op(k, l, ldot)
-        for k in ("X+", "X-", "X3", "Y+", "Y-", "Y3")
-    }
+    return {k: waerden_op(k, l, ldot) for k in _LADDER_KINDS}

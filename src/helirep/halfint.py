@@ -5,6 +5,8 @@ from __future__ import annotations
 import numbers
 from fractions import Fraction
 
+_EXACT_FLOAT = 1 << 53
+
 
 def _twice_of(value):
     """Twice ``value`` as an exact int, or raise."""
@@ -122,7 +124,14 @@ class HalfInt:
         return self.twice >= _twice_of(other)
 
     def __hash__(self):
-        return hash(Fraction(self.twice, 2))
+        # Equal to hash(Fraction(twice, 2)), so HalfInt keys meet equal
+        # int, Fraction and float keys; a half below 2^53 is an exact float.
+        t = self.twice
+        if t % 2 == 0:
+            return hash(t // 2)
+        if abs(t) < _EXACT_FLOAT:
+            return hash(t / 2)
+        return hash(Fraction(t, 2))
 
     # -- conversions ------------------------------------------------------
     def __float__(self):

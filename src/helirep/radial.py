@@ -175,10 +175,15 @@ def solve_ivp(*args, **kwargs):
 
     scipy costs more to import than numpy and the rest of the package
     together, and only the two integrators below need it, so
-    ``import helirep`` and the commands that never integrate skip it."""
+    ``import helirep`` and the commands that never integrate skip it.
+
+    An overflow on the way ends in a stall, non-finite samples or a
+    non-finite order estimate, each reported by the caller, so numpy's
+    warnings during the solve say nothing more."""
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(*args, **kwargs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(*args, **kwargs)
 
 
 def _real_split(mat):
@@ -215,18 +220,9 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
     if steps < 100:
         raise ValueError("need at least 100 steps")
     grid = np.linspace(r0, r1, steps + 1)
-    # An overflow ends in a stall or in non-finite samples, both raised
-    # below as one error, so numpy's warnings on the way say nothing more.
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = solve_ivp(
-            rhs,
-            (r0, r1),
-            start,
-            method="RK45",
-            t_eval=grid,
-            rtol=rtol,
-            atol=atol,
-        )
+    result = solve_ivp(
+        rhs, (r0, r1), start, method="RK45", t_eval=grid, rtol=rtol, atol=atol
+    )
     if not result.success:
         last = result.t[-1] if len(result.t) else r0
         raise RuntimeError(
@@ -282,8 +278,11 @@ def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
     y1 = endpoint(base_steps)
     y2 = endpoint(2 * base_steps)
     y3 = endpoint(4 * base_steps)
-    d12 = float(np.linalg.norm(y1 - y2))
-    d23 = float(np.linalg.norm(y2 - y3))
+    # Runs that overflowed give infinite or NaN differences, and so a
+    # non-finite order, which is the report; the norms need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d12 = float(np.linalg.norm(y1 - y2))
+        d23 = float(np.linalg.norm(y2 - y3))
     order = math.log2(d12 / d23) if d23 > 0 else float("inf")
     return {"order": order, "coarse_diff": d12, "fine_diff": d23}
 

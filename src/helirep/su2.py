@@ -48,15 +48,19 @@ def _finite(*angles):
 def _series_coeffs(tl, ta, tb):
     """Coefficients of 2F1(a-l, -l-b; a-b+1; x), ascending, for a >= b.
 
-    Labels come as twice-ints.  The recurrence runs in exact rationals;
-    each coefficient is rounded to a float once.
+    Labels come as twice-ints.  The recurrence runs on an exact int
+    numerator and denominator; each coefficient is rounded to a float
+    once, by int true division, which rounds correctly as float(Fraction)
+    does.
     """
     d = (ta - tb) // 2
-    out = [Fraction(1)]
+    num, den = 1, 1
+    out = [1.0]
     for t in range((tl - ta) // 2):
-        num = Fraction(ta - tl + 2 * t, 2) * Fraction(-tl - tb + 2 * t, 2)
-        out.append(out[-1] * num / ((d + 1 + t) * (t + 1)))
-    return [float(c) for c in out]
+        num *= (ta - tl + 2 * t) * (-tl - tb + 2 * t)
+        den *= 4 * (d + 1 + t) * (t + 1)
+        out.append(num / den)
+    return out
 
 
 def _pair_norm(tl, ta, tb):

@@ -15,7 +15,7 @@ import pytest
 
 import helirep
 from helirep.cli import main
-from helirep.gelfand_yaglom import dirac_system
+from helirep.gelfand_yaglom import dirac_system, system_to_config
 
 DIRAC_CONFIG = {
     "reps": [{"l1": "1/2", "l2": "0"}, {"l1": "0", "l2": "1/2"}],
@@ -345,6 +345,45 @@ class TestRadial:
         assert captured.out == ""
         assert captured.err.startswith("helirep: integration stalled at r = ")
         assert captured.err.count("\n") == 1
+
+
+class TestVerifyRadialTotality:
+    """``verify radial`` on chains whose solves overflow or have no normal
+    form: a report or one ``helirep:`` line, never a warning or traceback."""
+
+    def run(self, capsys, tmp_path, config):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "radial", "--chain", str(path), "--format", "csv"])
+        return code, capsys.readouterr()
+
+    def test_overflowing_order_estimate_fails_its_row(self, capsys, tmp_path):
+        config = system_to_config(dirac_system())
+        code, captured = self.run(capsys, tmp_path, {**config, "kappa": [0.0, 400.0]})
+        assert code == 1
+        assert captured.err == ""
+        rows = {line.split(",")[1]: line for line in captured.out.splitlines()}
+        assert rows["convergence order deficit (target >= 4)"] == (
+            "radial,convergence order deficit (target >= 4),1.0,0.0,false"
+        )
+
+    def test_stalled_solve_is_usage_error(self, capsys, tmp_path):
+        config = system_to_config(dirac_system())
+        code, captured = self.run(capsys, tmp_path, {**config, "kappa": [1e300, 1e300]})
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("helirep: integration stalled at r = ")
+        assert captured.err.count("\n") == 1
+
+    def test_singular_derivative_is_usage_error(self, capsys, tmp_path):
+        code, captured = self.run(capsys, tmp_path, {**DIRAC_CONFIG, "coeffs": []})
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "helirep: derivative matrix is singular — the system has no normal form\n"
+        )
 
 
 class TestDeterminism:

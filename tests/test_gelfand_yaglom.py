@@ -26,7 +26,8 @@ from helirep.gelfand_yaglom import (
     verify_invariance,
     weyl_gamma_triple,
 )
-from helirep.halfint import half
+from helirep.generators import helicity_ab_op
+from helirep.halfint import half, mrange
 from helirep.tensordec import RepLabel
 
 SEED = 20260822
@@ -234,6 +235,35 @@ class TestRandomTables:
         raiser.data[0, 1] = 1.0  # couples different m within one tower
         with pytest.raises(ValueError, match="inconsisten"):
             lambda12_from_commutators(raiser, gens)
+
+
+class TestChainGenerators:
+    # The chain's conjugate boost is -i times the negated rotation, which
+    # is the plain tower boost B_i, not the tower's B_i t.
+    TOWER_KIND = {
+        f"{fam}{i}{t}": f"B{i}" if fam + t == "Bt" else f"{fam}{i}{t}"
+        for fam in "AB" for i in "123" for t in ("", "t")
+    }
+
+    def test_blocks_are_the_tower_generators(self):
+        # Integer towers 0, 1, 2 / 0, 1 / 0: each tower's generator sits
+        # on the diagonal in basis order, and nothing couples two towers.
+        chain = RepChain(((1, 1), (half(1), half(1)), (0, 0)))
+        gens = chain_generators(chain)
+        basis = chain.basis()
+        for kind, tower_kind in self.TOWER_KIND.items():
+            rest = gens[kind].data.copy()
+            start = 0
+            for k in range(len(chain.reps)):
+                for l in chain.tower_spins(k):
+                    stop = start + l.twice + 1
+                    assert basis[start:stop] == [ChainIndex(k, l, m) for m in mrange(l)]
+                    block = helicity_ab_op(tower_kind, l).data
+                    assert np.array_equal(rest[start:stop, start:stop], block), kind
+                    rest[start:stop, start:stop] = 0
+                    start = stop
+            assert start == len(basis)
+            assert not rest.any(), kind
 
 
 class TestSpinBlocks:

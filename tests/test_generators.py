@@ -1,5 +1,7 @@
 """Tests for the infinitesimal-operator realizations and their maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,71 @@ SPINS = [half(k) for k in range(1, 7)]  # 1/2 .. 3
 
 def zeros_like(mat):
     return CMatrix.zeros(mat.row_labels, mat.col_labels)
+
+
+def spin_matrix(axis, tl):
+    """Hermitian J_axis at spin tl/2 from its matrix elements, m descending:
+    <m+1|J1|m> = <m|J1|m+1> = sqrt((l-m)(l+m+1))/2, J2 the same with -i/+i,
+    J3 = diag(m)."""
+    ms = range(tl, -tl - 1, -2)
+    out = np.zeros((tl + 1, tl + 1), dtype=complex)
+    for r, tr in enumerate(ms):
+        for c, tc in enumerate(ms):
+            if tr == tc + 2:  # raise
+                step = math.sqrt((tl - tc) * (tl + tc + 2)) / 4
+                out[r, c] = {"1": step, "2": -1j * step, "3": 0}[axis]
+            elif tr == tc - 2:  # lower
+                step = math.sqrt((tl + tc) * (tl - tc + 2)) / 4
+                out[r, c] = {"1": step, "2": 1j * step, "3": 0}[axis]
+            elif tr == tc and axis == "3":
+                out[r, c] = tc / 2
+    return out
+
+
+class TestAgainstMatrixElements:
+    """Each constructor against its entries written out here, integer spins
+    included: A_k = -i J_k, B_k = J_k, a trailing t negates, and the
+    two-spin ladders act on one projection of the (m, mdot) basis."""
+
+    @pytest.mark.parametrize("tl", range(7))
+    @pytest.mark.parametrize("kind", [
+        f"{fam}{k}{t}" for fam in "AB" for k in "123" for t in ("", "t")
+    ])
+    def test_helicity_ab_op(self, kind, tl):
+        want = spin_matrix(kind[1], tl) * (-1j if kind[0] == "A" else 1)
+        if kind.endswith("t"):
+            want = -want
+        got = helicity_ab_op(kind, half(tl))
+        assert [m.twice for m in got.row_labels] == list(range(tl, -tl - 1, -2))
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("tl, tld", [(a, b) for a in range(7) for b in range(7)])
+    def test_waerden_op(self, tl, tld):
+        for kind in ("X+", "X-", "X3", "Y+", "Y-", "Y3"):
+            got = waerden_op(kind, half(tl), half(tld))
+            want = np.zeros(got.shape, dtype=complex)
+            for r, row in enumerate(got.row_labels):
+                for c, col in enumerate(got.col_labels):
+                    # The factor acted on, and the one that must match.
+                    tj, tr, tc, same = (
+                        (tld, row.mdot.twice, col.mdot.twice, row.m == col.m)
+                        if kind[0] == "X"
+                        else (tl, row.m.twice, col.m.twice, row.mdot == col.mdot)
+                    )
+                    if not same:
+                        continue
+                    if kind[1] == "+" and tr == tc + 2:
+                        want[r, c] = math.sqrt((tj - tc) * (tj + tc + 2)) / 2
+                    elif kind[1] == "-" and tr == tc - 2:
+                        want[r, c] = math.sqrt((tj + tc) * (tj - tc + 2)) / 2
+                    elif kind[1] == "3" and tr == tc:
+                        want[r, c] = tc / 2
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
+
+    def test_unknown_ladder_kind_rejected(self):
+        for kind in ("Z+", "X", "X+t", "x3"):
+            with pytest.raises(ValueError, match="unknown ladder operator kind"):
+                waerden_op(kind, half(1), half(1))
 
 
 class TestHelicityOps:

@@ -80,6 +80,30 @@ class TestQueriesAndOrder:
         assert hash(half(2)) == hash(1)
         assert len({half(2), 1, Fraction(1)}) == 1
 
+    @pytest.mark.parametrize("twice", [
+        0, 1, -1, 2, -2, 7, -7, 2**53 - 1, -(2**53 - 1), 2**53, 2**53 + 1,
+        -(2**53) - 1, 2**60 + 3, -(2**61) + 1, 2**70, 3**50,
+    ])
+    def test_hash_equals_fraction_hash(self, twice):
+        assert hash(half(twice)) == hash(Fraction(twice, 2))
+
+    def test_hash_equals_fraction_hash_over_a_sweep(self):
+        for twice in list(range(-3000, 3001)) + [
+            sign * (2**53 + k) for sign in (1, -1) for k in range(-50, 51)
+        ]:
+            assert hash(half(twice)) == hash(Fraction(twice, 2)), twice
+
+    def test_dict_lookups_meet_int_fraction_and_float_keys(self):
+        table = {half(3): "a", half(4): "b", half(-5): "c", half(2**60 + 1): "d"}
+        assert table[Fraction(3, 2)] == table[1.5] == "a"
+        assert table[2] == table[2.0] == table[Fraction(2)] == "b"
+        assert table[Fraction(-5, 2)] == table[-2.5] == "c"
+        assert table[Fraction(2**60 + 1, 2)] == "d"
+        keys = {1: "int", Fraction(3, 2): "fraction", -0.5: "float"}
+        assert keys[half(2)] == "int"
+        assert keys[half(3)] == "fraction"
+        assert keys[half(-1)] == "float"
+
     def test_str_forms(self):
         assert str(half(3)) == "3/2"
         assert str(half(-1)) == "-1/2"
