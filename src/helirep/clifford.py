@@ -11,13 +11,16 @@ form (a column per row and a phase exponent mod 4), and the dimension
 of their span is an exact rank over the Gaussian integers, taken group
 by group over products that share positions.  The transposition
 matrices mix two adjacent generators with sqrt weights and get verified
-against their expected scalar relations.
+against their expected scalar relations; their entries are real, so the
+relation products run in float64 (a generator with a nonzero imaginary
+part keeps complex arithmetic).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,14 @@ _SIGMA = {
 
 _MAX_RANK = 20
 _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
+
+
+def _int_arg(name, value):
+    """``value`` as an int: any integral number (numpy ints too), but no
+    bool and nothing non-integral, so nothing is silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _chain(kind, position, factors):
@@ -73,7 +84,7 @@ def brauer_weyl(n):
     doubled as X + X and the sigma_3 chain with opposite block signs,
     which makes the two summands inequivalent.
     """
-    n = int(n)
+    n = _int_arg("rank", n)
     if not 1 <= n <= _MAX_RANK:
         raise ValueError(f"rank must be between 1 and {_MAX_RANK}, got {n}")
     m, odd = divmod(n, 2)
@@ -301,7 +312,7 @@ def odd_direct_sum(m):
     central with opposite scalars in the two blocks, and that selecting
     one summand is multiplicative on random algebra elements.
     """
-    m = int(m)
+    m = _int_arg("m", m)
     if not 1 <= m <= 5:
         raise ValueError(f"direct-sum report capped at m = 5, got {m}")
     basis = brauer_weyl(2 * m + 1)
@@ -355,15 +366,22 @@ def odd_direct_sum(m):
 
 
 def _random_element(products, rng, terms=48):
-    """Random algebra element: a combination of sampled subset products."""
+    """Random algebra element: a combination of sampled subset products.
+
+    Pick k gets the coefficient a_k + i b_k from the k-th pair of normal
+    draws.  All entries are formed in one product and scattered in one
+    ordered ``np.add.at``, pick-major, so each cell sums its terms in
+    pick order from +0j: the same bits as adding the picks one by one.
+    """
     picks = rng.choice(len(products), size=min(terms, len(products)), replace=False)
+    normals = rng.normal(size=(len(picks), 2))
+    coeffs = normals[:, 0] + 1j * normals[:, 1]
     dim = products.cols.shape[1]
-    rows = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for idx in picks:
-        coeff = rng.normal() + 1j * rng.normal()
-        out[rows, products.cols[idx]] += coeff * _PHASES[products.phase[idx]]
-    return out
+    flat = np.arange(dim) * dim + products.cols[picks]
+    entries = coeffs[:, None] * _PHASES[products.phase[picks]]
+    out = np.zeros(dim * dim, dtype=complex)
+    np.add.at(out, flat.ravel(), entries.ravel())
+    return out.reshape(dim, dim)
 
 
 @dataclass(frozen=True)
@@ -383,7 +401,7 @@ def schur_transpositions(m):
     coefficient vanishes at k = 1, so t_1 = -E_1.  The realized scalar
     signs of the square/braid/far-commutation relations are attached.
     """
-    m = int(m)
+    m = _int_arg("m", m)
     if not 2 <= m <= 10:
         raise ValueError(f"transposition set needs 2 <= m <= 10, got {m}")
     family = brauer_weyl(2 * m).generators[:m]
@@ -395,6 +413,9 @@ def schur_transpositions(m):
         if k > 1:
             t_k = lead * family[k - 2] + t_k
         ts.append(t_k)
+    # The sigma_1 family is not needed past here: freeing it keeps the
+    # peak memory of the relation products below that of the build.
+    del family
     gens = SchurCoverGens(m, tuple(ts))
     report = verify_tn_relations(gens)
     signs = {
@@ -421,9 +442,10 @@ def verify_tn_relations(gens: SchurCoverGens):
     t_k t_l (t_l t_k)^{-1} for far pairs are each scalar and constant
     across indices, and reports the three scalars.  The report never
     reconciles them against any presentation — it only states what the
-    matrices do.
+    matrices do.  A generator whose imaginary part is all zero (every
+    matrix ``schur_transpositions`` builds) is multiplied in float64.
     """
-    ts = gens.t
+    ts = [t.real.copy() if not t.imag.any() else t for t in gens.t]
     report = {"m": gens.m, "failures": []}
 
     def collect(label, values):
@@ -464,7 +486,11 @@ def transposition_homomorphism_report(m, max_word_len=4):
     underlying transpositions (k, k+1) on m+1 points; all matrix words
     landing on the same permutation must agree up to an overall sign.
     """
+    max_word_len = _int_arg("max_word_len", max_word_len)
+    if max_word_len < 1:
+        raise ValueError(f"max_word_len must be at least 1, got {max_word_len}")
     gens = schur_transpositions(m)
+    m = gens.m
     points = m + 1
     by_perm = {}
     worst = 0.0

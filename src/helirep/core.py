@@ -57,18 +57,35 @@ class CMatrix:
             col_labels = row_labels
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
-        self.data = np.asarray(data, dtype=complex)
-        if self.data.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValueError(
-                f"data shape {self.data.shape} does not match labels "
-                f"({len(self.row_labels)}, {len(self.col_labels)})"
-            )
+        self._set_data(data)
         self._rindex = {lab: i for i, lab in enumerate(self.row_labels)}
         self._cindex = {lab: i for i, lab in enumerate(self.col_labels)}
         if len(self._rindex) != len(self.row_labels):
             raise ValueError("duplicate row labels")
         if len(self._cindex) != len(self.col_labels):
             raise ValueError("duplicate column labels")
+
+    def _set_data(self, data):
+        self.data = np.asarray(data, dtype=complex)
+        if self.data.shape != (len(self.row_labels), len(self.col_labels)):
+            raise ValueError(
+                f"data shape {self.data.shape} does not match labels "
+                f"({len(self.row_labels)}, {len(self.col_labels)})"
+            )
+
+    def _with_data(self, data, labels=None):
+        """A CMatrix holding ``data`` under labels that were already checked.
+
+        ``labels`` is (row_labels, col_labels, row_index, col_index) of
+        validated operands and defaults to this matrix's own.  The tuples
+        and index maps are shared, not rebuilt; only the shape is checked.
+        """
+        if labels is None:
+            labels = (self.row_labels, self.col_labels, self._rindex, self._cindex)
+        out = object.__new__(CMatrix)
+        out.row_labels, out.col_labels, out._rindex, out._cindex = labels
+        out._set_data(data)
+        return out
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -124,17 +141,17 @@ class CMatrix:
     # -- algebra ----------------------------------------------------------
     def __add__(self, other):
         other = self._aligned(other)
-        return CMatrix(self.data + other.data, self.row_labels, self.col_labels)
+        return self._with_data(self.data + other.data)
 
     def __sub__(self, other):
         other = self._aligned(other)
-        return CMatrix(self.data - other.data, self.row_labels, self.col_labels)
+        return self._with_data(self.data - other.data)
 
     def __neg__(self):
-        return CMatrix(-self.data, self.row_labels, self.col_labels)
+        return self._with_data(-self.data)
 
     def __mul__(self, scalar):
-        return CMatrix(self.data * scalar, self.row_labels, self.col_labels)
+        return self._with_data(self.data * scalar)
 
     __rmul__ = __mul__
 
@@ -145,10 +162,16 @@ class CMatrix:
             if set(self.col_labels) != set(other.row_labels):
                 raise ValueError("matmul label mismatch")
             other = other.reindexed(self.col_labels, other.col_labels)
-        return CMatrix(self.data @ other.data, self.row_labels, other.col_labels)
+        return self._with_data(
+            self.data @ other.data,
+            (self.row_labels, other.col_labels, self._rindex, other._cindex),
+        )
 
     def dagger(self):
-        return CMatrix(self.data.conj().T, self.col_labels, self.row_labels)
+        return self._with_data(
+            self.data.conj().T,
+            (self.col_labels, self.row_labels, self._cindex, self._rindex),
+        )
 
     def commutator(self, other):
         return self @ other - other @ self

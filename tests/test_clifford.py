@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from helirep.clifford import (
+    _PHASES,
     CliffordBasis,
+    _random_element,
     _subset_products,
     SchurCoverGens,
     brauer_weyl,
@@ -54,6 +56,11 @@ class TestBrauerWeyl:
             brauer_weyl(0)
         with pytest.raises(ValueError):
             brauer_weyl(21)
+        # Non-integral ranks are refused, not truncated.
+        for bad in (2.5, 2.0, True, "3", None):
+            with pytest.raises(ValueError):
+                brauer_weyl(bad)
+        assert brauer_weyl(np.int64(3)).n == 3
 
 
 class TestVerifyClifford:
@@ -168,6 +175,33 @@ class TestOddDirectSum:
             odd_direct_sum(6)
         with pytest.raises(ValueError):
             odd_direct_sum(0)
+        for bad in (1.5, True, "2"):
+            with pytest.raises(ValueError):
+                odd_direct_sum(bad)
+        assert odd_direct_sum(np.int32(1))["m"] == 1
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_random_element_matches_per_pick_sum(self, m):
+        products = _subset_products(brauer_weyl(2 * m + 1).generators)
+        dim = products.cols.shape[1]
+
+        def per_pick(rng, terms=48):
+            # The reference build: one fancy-index += per picked product.
+            size = min(terms, len(products))
+            picks = rng.choice(len(products), size=size, replace=False)
+            out = np.zeros((dim, dim), dtype=complex)
+            for idx in picks:
+                coeff = rng.normal() + 1j * rng.normal()
+                phase = _PHASES[products.phase[idx]]
+                out[np.arange(dim), products.cols[idx]] += coeff * phase
+            return out
+
+        for seed in (0, 2 * m + 1, 12345):
+            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                want = per_pick(rng_ref)
+                got = _random_element(products, rng)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestSchurTranspositions:
@@ -204,6 +238,17 @@ class TestSchurTranspositions:
             schur_transpositions(1)
         with pytest.raises(ValueError):
             schur_transpositions(11)
+        for bad in (3.7, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                schur_transpositions(bad)
+            with pytest.raises(ValueError):
+                transposition_homomorphism_report(bad)
+        for bad_len in (-3, 0, 2.5, True):
+            with pytest.raises(ValueError):
+                transposition_homomorphism_report(3, max_word_len=bad_len)
+        assert schur_transpositions(np.int64(3)).m == 3
+        report = transposition_homomorphism_report(np.int64(2), np.int64(2))
+        assert (report["m"], report["max_word_len"]) == (2, 2)
 
 
 class TestTnRelations:
@@ -212,6 +257,13 @@ class TestTnRelations:
         assert report["ok"]
         assert report["failures"] == []
         assert (report["s1"], report["s2"], report["s3"]) == (1, 1, -1)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_complex_generators_keep_complex_arithmetic(self, m):
+        ts = schur_transpositions(m).t
+        report = verify_tn_relations(SchurCoverGens(m, tuple(1j * t for t in ts)))
+        assert report["ok"]
+        assert (report["s1"], report["s2"], report["s3"]) == (-1, -1, -1)
 
     def test_perturbed_matrix_fails_scalar_checks(self):
         gens = schur_transpositions(4)

@@ -49,6 +49,9 @@ class TestCMatrix:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CMatrix(np.eye(3), [half(1), half(-1)])
+        # A scalar product that broadcasts to another shape is refused too.
+        with pytest.raises(ValueError):
+            CMatrix.identity(["u", "v"]) * np.ones((3, 2, 2))
 
     def test_matmul_aligns_inner_labels(self):
         a = CMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["r1", "r2"], ["x", "y"])
@@ -107,6 +110,39 @@ class TestCMatrix:
         m = CMatrix(np.array([[1.0, -3.0j], [0.5, 2.0]]), ["a", "b"])
         assert m.norm_inf() == 3.0
 
+    def test_results_match_freshly_validated_matrices(self):
+        rng = np.random.default_rng(3)
+        rows = tuple(basis_index(1, m) for m in (1, 0, -1))
+        cols = tuple(basis_index(half(1), m) for m in (half(1), half(-1)))
+        outer = ("x", "y", "z", "w")
+
+        def rand(r, c):
+            return CMatrix(rng.normal(size=(len(r), len(c))) + 1j, r, c)
+
+        a, b = rand(rows, cols), rand(rows, cols)
+        # Operands stored in another label order are aligned first.
+        swapped = b.reindexed(rows[::-1], cols[::-1])
+        c = rand(cols[::-1], outer)
+        results = [
+            (a + swapped, rows, cols),
+            (a - swapped, rows, cols),
+            (-a, rows, cols),
+            (a * 2.5j, rows, cols),
+            (1.5 * a, rows, cols),
+            (a @ c, rows, outer),
+            (a.dagger(), cols, rows),
+        ]
+        for got, want_rows, want_cols in results:
+            fresh = CMatrix(got.data, want_rows, want_cols)
+            assert got.row_labels == fresh.row_labels
+            assert got.col_labels == fresh.col_labels
+            assert got._rindex == fresh._rindex
+            assert got._cindex == fresh._cindex
+            assert got.data.dtype == complex
+            assert np.array_equal(got.data, fresh.data)
+        assert np.array_equal((a + swapped).data, a.data + b.data)
+        assert np.array_equal((a @ c).data, a.data @ c.data[::-1])
+        assert np.array_equal(a.dagger().data, a.data.conj().T)
 
 class TestGroupPoint:
     def test_as_tuple_order(self):
