@@ -126,7 +126,7 @@ def _dumps(payload):
         raise UsageError("a result is not a finite number (overflow)")
 
 
-def _csv(header, rows):
+def _csv(header, rows=()):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -148,44 +148,51 @@ def cmd_zfun(args):
     n = _half(args.n if args.n is not None else args.l, "--n")
     theta = _finite(args.theta, "--theta")
     tau = _finite(args.tau, "--tau")
-    if args.grid:
-        thetas = np.linspace(*_parse_grid(args.grid))
-    else:
-        thetas = np.array([theta])
-    try:
-        series = z_series_grid(l, m, n, thetas, [tau])[:, 0]
-        factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    l_text, m_text, n_text = str(l), str(m), str(n)
-    # Python floats and complexes, each column converted once.  The
-    # discrepancy is taken on Python complexes: numpy's vectorized complex
-    # abs can differ from hypot in the last bit.  + 0.0 prints a negative
-    # zero as 0.0.
-    columns = [(th, s, f, abs(s - f)) for th, s, f in
-               zip(thetas.tolist(), series.tolist(), factorized.tolist())]
+    grid = _parse_grid(args.grid) if args.grid else None
+    # An overflowing sweep or table is refused below, so numpy's warnings
+    # on the way say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = np.linspace(*grid) if grid else np.array([theta])
+        try:
+            series = z_series_grid(l, m, n, thetas, [tau])[:, 0]
+            factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    # Python floats, each column converted once; + 0.0 prints a negative
+    # zero as 0.0.  The discrepancy is taken on Python complexes: numpy's
+    # vectorized complex abs can differ from hypot in the last bit.
+    theta_col = thetas.tolist()
+    discrepancy = [abs(s - f) for s, f in
+                   zip(series.tolist(), factorized.tolist())]
+    # A discrepancy is finite only if all four parts it is taken from are.
+    if not all(map(math.isfinite, theta_col + discrepancy)):
+        raise UsageError("a result is not a finite number (overflow)")
+    s_re, s_im, f_re, f_im = (
+        (part + 0.0).tolist() for part in
+        (series.real, series.imag, factorized.real, factorized.imag)
+    )
+    # One %-template per row: the constant fields are filled in once and
+    # %r prints a float as repr, which is also json's float form.
     if args.format == "csv":
+        row = f"{l},{m},{n},%r,{tau!r},%r,%r,%r,%r,%r\n"
         header = ["l", "m", "n", "theta", "tau", "series_re", "series_im",
                   "factorized_re", "factorized_im", "discrepancy"]
-        text = _csv(header, (
-            [l_text, m_text, n_text, repr(th), repr(tau),
-             repr(s.real + 0.0), repr(s.imag + 0.0),
-             repr(f.real + 0.0), repr(f.imag + 0.0), repr(d)]
-            for th, s, f, d in columns
-        ))
+        text = _csv(header) + "".join(map(row.__mod__, zip(
+            theta_col, s_re, s_im, f_re, f_im, discrepancy)))
     else:
-        rows = [
-            {"l": l_text, "m": m_text, "n": n_text, "theta": th, "tau": tau,
-             "series": _pair(s), "factorized": _pair(f), "discrepancy": d}
-            for th, s, f, d in columns
-        ]
+        # The row object's keys in sorted order, as _dumps sorts them.
+        row = (f'{{"discrepancy":%r,"factorized":[%r,%r],"l":"{l}",'
+               f'"m":"{m}","n":"{n}","series":[%r,%r],"tau":{tau!r},'
+               f'"theta":%r}}')
+        rows = ",".join(map(row.__mod__, zip(
+            discrepancy, f_re, f_im, s_re, s_im, theta_col)))
         text = _dumps(_report(
             "zfun",
-            {"l": l_text, "m": m_text, "n": n_text, "theta": theta,
+            {"l": str(l), "m": str(m), "n": str(n), "theta": theta,
              "tau": tau, "grid": args.grid, "format": args.format},
-            {"rows": rows},
-            {"max_discrepancy": max(row["discrepancy"] for row in rows)},
-        ))
+            {"rows": []},
+            {"max_discrepancy": max(discrepancy)},
+        )).replace('"rows":[]', f'"rows":[{rows}]', 1)
     _emit(args, text)
     return 0
 
@@ -294,12 +301,14 @@ def cmd_radial(args):
         header = ["r"]
         for label in labels:
             header.extend([f"re {label}", f"im {label}"])
-        # Columns r, re, im, re, im, ...; + 0.0 prints a negative zero as 0.0.
-        values = np.empty((len(sol.grid), 2 * len(labels)))
-        values[:, 0::2] = sol.values.real
-        values[:, 1::2] = sol.values.imag
-        table = np.column_stack([sol.grid, values + 0.0]).tolist()
-        text = _csv(header, ([repr(x) for x in row] for row in table))
+        # Columns r, re, im, re, im, ...; + 0.0 prints a negative zero as
+        # 0.0, and one %-template prints each row's floats as repr.
+        columns = np.empty((1 + 2 * len(labels), len(sol.grid)))
+        columns[0] = sol.grid
+        columns[1::2] = sol.values.real.T + 0.0
+        columns[2::2] = sol.values.imag.T + 0.0
+        row = ",".join(["%r"] * len(columns)) + "\n"
+        text = _csv(header) + "".join(map(row.__mod__, zip(*columns.tolist())))
     else:
         text = _dumps(_report(
             "radial",

@@ -170,20 +170,181 @@ def _normal_form(block):
     return -a_inv @ block.inv_r, -block.kappa * a_inv
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported at its first call.
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math.
+# 6, 1980) with Shampine's quartic dense output (Math. Comp. 46, 1986),
+# spelled as scipy's RK45 spells them, so that the loop below takes
+# RK45's steps and prints RK45's samples bit for bit.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_STAGES = tuple(zip(_C[1:].tolist(), (_A[s, :s] for s in range(1, 6))))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_EXPONENT = -1 / 5
+_MIN_RTOL = 100 * np.finfo(float).eps
+STALL = "Required step size is less than spacing between numbers."
+_DONE = "The solver successfully reached the end of the integration interval."
 
-    scipy costs more to import than numpy and the rest of the package
-    together, and only the two integrators below need it, so
-    ``import helirep`` and the commands that never integrate skip it.
 
-    An overflow on the way ends in a stall, non-finite samples or a
-    non-finite order estimate, each reported by the caller, so numpy's
-    warnings during the solve say nothing more."""
-    from scipy.integrate import solve_ivp
+@dataclass(frozen=True)
+class IVPResult:
+    """Samples ``y[:, i]`` at ``t[i]``: the ``t_eval`` points, or every
+    accepted step (the start included) without them."""
 
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _rms(x):
+    # np.linalg.norm's own sum for a real vector, kept a numpy scalar so
+    # that a zero denominator downstream gives inf, not ZeroDivisionError.
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, interval, max_step, rtol, atol):
+    """Hairer, Norsett & Wanner's starting step (Sec. II.4), as RK45 picks it."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval, max_step)
+
+
+def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6,
+              first_step=None, max_step=np.inf):
+    """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y) forward
+    over ``t_span``, with RK45's step control, error norm and dense output.
+
+    Both integrators below call it by this module attribute.  An overflow
+    on the way ends in a stall, non-finite samples or a non-finite order
+    estimate, each reported by the caller, so numpy's warnings during
+    the solve say nothing more."""
+    t, t_bound = map(float, t_span)
+    if not t_bound > t:
+        raise ValueError("solve_ivp integrates forward only; need t1 > t0")
+    y = np.asarray(y0, dtype=float)
+    if t_eval is not None:
+        t_eval = np.asarray(t_eval)
+    if rtol < _MIN_RTOL:
+        rtol = np.maximum(rtol, _MIN_RTOL)
+    n = y.size
+    K = np.empty((len(_C) + 1, n))
+    stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
+    K_steps, K_all = K[:-1].T, K.T
+    samples_t, samples_y = ([], []) if t_eval is not None else ([t], [y])
+    done = 0
+    y_abs = np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(*args, **kwargs)
+        f = fun(t, y)
+        nfev = 1
+        if first_step is None:
+            h_abs = _initial_step(fun, t, y, f, t_bound - t, max_step, rtol, atol)
+            nfev += 1
+        else:
+            h_abs = first_step
+        status = None
+        while status is None:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                # RK45 stalls on h_abs < min_step; a NaN step size, which
+                # never recovers, stalls too instead of looping for ever.
+                if not h_abs >= min_step:
+                    status = -1
+                    break
+                t_new = t + h_abs
+                if t_new - t_bound > 0:
+                    t_new = t_bound
+                h = t_new - t
+                h_abs = np.abs(h)
+                K[0] = f
+                for c, k, a in stages:
+                    K[len(a)] = fun(t + c * h, y + np.dot(k, a) * h)
+                y_new = y + h * np.dot(K_steps, _B)
+                f_new = fun(t + h, y_new)
+                K[-1] = f_new
+                nfev += 6
+                y_new_abs = np.abs(y_new)
+                scale = atol + np.maximum(y_abs, y_new_abs) * rtol
+                error_norm = _rms(np.dot(K_all, _E) * h / scale)
+                if error_norm < 1:
+                    if error_norm == 0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = min(_MAX_FACTOR,
+                                     _SAFETY * error_norm ** _EXPONENT)
+                    if rejected:
+                        factor = min(1, factor)
+                    h_abs *= factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _EXPONENT)
+                rejected = True
+            if status == -1:
+                break
+            t_old, y_old, t, y, f, y_abs = t, y, t_new, y_new, f_new, y_new_abs
+            if t - t_bound >= 0:
+                status = 0
+            if t_eval is None:
+                samples_t.append(t)
+                samples_y.append(y)
+                continue
+            # Shampine's quartic through the step, at the t_eval points
+            # in (t_old, t].
+            stop = t_eval.searchsorted(t, side="right")
+            if stop > done:
+                step = t - t_old
+                x = (t_eval[done:stop] - t_old) / step
+                powers = x[None].repeat(4, axis=0).cumprod(axis=0)
+                dense = step * np.dot(K_all.dot(_P), powers)
+                dense += y_old[:, None]
+                samples_t.append(t_eval[done:stop])
+                samples_y.append(dense)
+                done = stop
+    if t_eval is None:
+        t_out, y_out = np.array(samples_t), np.vstack(samples_y).T
+    elif samples_t:
+        t_out, y_out = np.hstack(samples_t), np.hstack(samples_y)
+    else:
+        t_out, y_out = np.empty(0), np.empty((n, 0))
+    return IVPResult(t_out, y_out, nfev, status == 0,
+                     _DONE if status == 0 else STALL)
 
 
 def _real_split(mat):
@@ -204,6 +365,10 @@ def _prepare(system, r0, r1, init, sector):
     init = np.asarray(init, dtype=complex)
     if init.shape != (block.dim,):
         raise ValueError(f"initial vector must have {block.dim} components")
+    # A non-finite component makes every step size NaN, which the solver
+    # could only report as a stall; it is an input error.
+    if not np.isfinite(init).all():
+        raise ValueError("initial vector components must be finite")
     over_r_s, constant_s = map(_real_split, _normal_form(block))
 
     def rhs(r, z):
@@ -220,9 +385,7 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
     if steps < 100:
         raise ValueError("need at least 100 steps")
     grid = np.linspace(r0, r1, steps + 1)
-    result = solve_ivp(
-        rhs, (r0, r1), start, method="RK45", t_eval=grid, rtol=rtol, atol=atol
-    )
+    result = solve_ivp(rhs, (r0, r1), start, t_eval=grid, rtol=rtol, atol=atol)
     if not result.success:
         last = result.t[-1] if len(result.t) else r0
         raise RuntimeError(
@@ -267,7 +430,6 @@ def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
             rhs,
             (r0, r1),
             start,
-            method="RK45",
             first_step=h,
             max_step=h,
             rtol=1e6,
@@ -288,15 +450,23 @@ def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
 
 
 def _zero_crossings(x, y):
-    """Linear-interpolated zero crossings of y(x)."""
-    out = []
-    for i in range(len(y) - 1):
-        a, b = y[i], y[i + 1]
-        if a == 0.0:
-            out.append(x[i])
-        elif a * b < 0:
-            out.append(x[i] - a * (x[i + 1] - x[i]) / (b - a))
-    return np.asarray(out)
+    """Linear-interpolated zero crossings of y(x): x[i] where y[i] is an
+    exact zero, else the secant root on each sign change y[i] -> y[i+1]."""
+    a, b = y[:-1], y[1:]
+    zero = a == 0.0
+    cross = np.flatnonzero(a * b < 0)
+    out = x[:-1].copy()
+    out[cross] = x[cross] - a[cross] * (x[cross + 1] - x[cross]) / (
+        b[cross] - a[cross])
+    zero[cross] = True
+    return out[zero]
+
+
+def _peaks(mag):
+    """Indices of the interior samples at least as large as both
+    neighbors (a plateau counts every sample on it)."""
+    inner = mag[1:-1]
+    return np.flatnonzero((inner >= mag[:-2]) & (inner >= mag[2:])) + 1
 
 
 def bessel_probe(solution: RadialSolution, component=None):
@@ -342,10 +512,7 @@ def bessel_probe(solution: RadialSolution, component=None):
         return report
 
     mag = np.abs(y)
-    peaks = [
-        i for i in range(1, len(mag) - 1)
-        if mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]
-    ]
+    peaks = _peaks(mag)
     if len(peaks) >= 4:
         xs, ys = r[peaks], mag[peaks]
     else:

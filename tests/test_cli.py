@@ -128,6 +128,44 @@ class TestZfun:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_overflowing_sweep_is_refused_in_both_formats(capsys, fmt):
+    # At l = 40, tau = 700 both routes overflow.  CSV used to print rows
+    # of nan with exit 0, and both formats printed numpy's warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["zfun", "--l", "40", "--tau", "700", "--grid", "0:3:5",
+                     "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "helirep: a result is not a finite number (overflow)\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_formats_carry_the_same_numbers(capsys, fmt):
+    # Both formats come from one %-template per row; each field must
+    # read back as the float it was computed from.
+    argv = ["zfun", "--l", "7/2", "--m", "3/2", "--n=-1/2", "--tau", "-0.0",
+            "--grid", "-1:7:40"]
+    code, rep = run_json(capsys, *argv)
+    assert code == 0
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("l,m,n,theta,tau,series_re,series_im,factorized_re,"
+                        "factorized_im,discrepancy")
+    assert len(lines) == 41
+    for line, row in zip(lines[1:], rep["results"]["rows"]):
+        fields = line.split(",")
+        assert fields[:3] == [row["l"], row["m"], row["n"]] == ["7/2", "3/2", "-1/2"]
+        assert fields[4] == "-0.0" and math.copysign(1.0, row["tau"]) == -1.0
+        assert [float(f) for f in fields[3:]] == [
+            row["theta"], row["tau"], *row["series"], *row["factorized"],
+            row["discrepancy"]]
+    assert rep["residuals"]["max_discrepancy"] == max(
+        row["discrepancy"] for row in rep["results"]["rows"])
+
+
 @pytest.mark.parametrize("separate, attached", [
     (["zfun", "--l", "1/2", "--theta", "-1e-3"],
      ["zfun", "--l", "1/2", "--theta=-1e-3"]),
@@ -329,6 +367,14 @@ class TestRadial:
 
     def test_wrong_init_length(self, capsys):
         assert main(["radial", "--chain", "dirac", "--init", "1,0"]) == 2
+
+    @pytest.mark.parametrize("init", ["inf,0,0,0", "nan,0,0,0", "1,0,infj,0"])
+    def test_non_finite_init_is_usage_error(self, capsys, init):
+        # Refused before the solve, where the step size would be NaN.
+        assert main(["radial", "--chain", "dirac", "--init", init]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "helirep: initial vector components must be finite\n"
 
     def test_bad_ansatz_weight(self, capsys):
         assert main(["radial", "--chain", "dirac", "--l0", "0"]) == 2

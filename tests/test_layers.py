@@ -6,9 +6,9 @@ layers stay free of the package: ``halfint`` and ``kernels`` import no
 helirep module, so the kernels work on plain ints, Fractions and arrays.
 
 Cold start: no module imports scipy when it is imported.  scipy costs
-more to import than numpy and the package together, and only the radial
-integrators and ``finite_invariance_check`` use it, so they import it at
-their first call.
+more to import than numpy and the package together, and only
+``finite_invariance_check`` uses it (``expm``), so it imports it at its
+first call.  The radial integrators run their own Dormand-Prince loop.
 """
 
 import ast
@@ -114,16 +114,25 @@ for argv in (["zfun", "--l", "1/2", "--theta", "1", "--tau", "0.5"],
         assert cli.main(argv) == 0, argv
 assert "scipy" not in sys.modules, "scipy loaded"
 from helirep.gelfand_yaglom import dirac_system, finite_invariance_check
-from helirep.radial import assemble_rfs, integrate
+from helirep.radial import assemble_rfs, convergence_order, integrate
 system = dirac_system()
-sol = integrate(assemble_rfs(system, "1/2", "1/2"), 0.5, 10.0, [1, 0, 0, 0], 200)
+rs = assemble_rfs(system, "1/2", "1/2")
+sol = integrate(rs, 0.5, 10.0, [1, 0, 0, 0], 200)
 assert sol.values.shape == (201, 4) and np.isfinite(sol.values).all()
+assert convergence_order(rs, 0.5, 2.0, [1, 0, 0, 0], base_steps=10)["order"] > 0
+for argv in (["radial", "--chain", "dirac"], ["verify", "radial"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded by an integration"
 assert finite_invariance_check(system)["second_order"]
+assert "scipy" in sys.modules
 print("ok")
 """
 
 
 def test_cli_calls_that_never_integrate_leave_scipy_unloaded():
+    """Nor do the radial integrators, their CLI calls and ``verify radial``:
+    only ``finite_invariance_check`` loads scipy."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     env.pop("HELIREP_TOL", None)
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
@@ -143,11 +152,11 @@ def test_radial_integrators_call_the_module_attribute_solve_ivp(monkeypatch):
     assert callable(solve)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["method"])
+        calls.append(args[1])
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(radial, "solve_ivp", counted)
     rs = radial.assemble_rfs(dirac_system(), "1/2", "1/2")
     radial.integrate(rs, 0.5, 10.0, [1, 0, 0, 0], 200)
     radial.convergence_order(rs, 0.5, 2.0, [1, 0, 0, 0], base_steps=10)
-    assert calls == ["RK45"] * 4
+    assert calls == [(0.5, 10.0)] + [(0.5, 2.0)] * 3

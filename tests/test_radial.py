@@ -1,6 +1,7 @@
 """Tests for the separated radial systems and their diagnostics."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from helirep.gelfand_yaglom import (
     build_system,
     dirac_system,
 )
+from helirep import radial
+from helirep.gelfand_yaglom import system_from_config
 from helirep.halfint import half
 from helirep.radial import (
     RadialSolution,
+    _peaks,
+    _zero_crossings,
     assemble_rfs,
     bessel_probe,
     convergence_order,
@@ -215,6 +220,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="components"):
             integrate(rs, 0.5, 1.0, np.ones(3), 100)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_initial_vector_rejected(self, bad):
+        # Refused before the solve: RK45 steps with a NaN step size for ever.
+        init = DIRAC_INIT.copy()
+        init[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            integrate(dirac_radial(), 0.5, 60.0, init, 100)
+
 
 class TestResidual:
     def test_dirac_residual_small_both_variants(self):
@@ -269,6 +282,13 @@ class TestConvergenceOrder:
         for steps in (0, -5, 2.5):
             with pytest.raises(ValueError, match="base_steps"):
                 convergence_order(alt, 0.5, 10.0, DIRAC_INIT, base_steps=steps)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_initial_vector_rejected(self, bad):
+        init = DIRAC_INIT.copy()
+        init[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            convergence_order(dirac_radial(), 0.5, 10.0, init)
 
 
 class TestBesselProbe:
@@ -326,6 +346,144 @@ class TestBesselProbe:
         report = bessel_probe(sol)
         assert report["verdict"] == "inconclusive"
         assert report["periods"] < 3
+
+
+def _crossings_by_loop(x, y):
+    out = []
+    for i in range(len(y) - 1):
+        a, b = y[i], y[i + 1]
+        if a == 0.0:
+            out.append(x[i])
+        elif a * b < 0:
+            out.append(x[i] - a * (x[i + 1] - x[i]) / (b - a))
+    return np.asarray(out)
+
+
+def _peaks_by_loop(mag):
+    return [i for i in range(1, len(mag) - 1)
+            if mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]]
+
+
+class TestProbeScans:
+    """The array scans of ``bessel_probe`` against the per-sample loops
+    they replace, on data with exact zeros, plateaus and NaN."""
+
+    def samples(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.01, 1.0, 400))
+        y = np.round(rng.normal(size=400), 1)  # ties and exact zeros
+        y[rng.integers(0, 400, 40)] = 0.0
+        y[rng.integers(0, 400, 5)] = np.nan
+        return x, y
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_crossings_match_the_loop(self, seed):
+        x, y = self.samples(seed)
+        got, want = _zero_crossings(x, y), _crossings_by_loop(x, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_zero_crossings_edge_cases(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        assert _zero_crossings(x, np.array([0.0, 0.0, 0.0, 0.0])).tolist() == [0.0, 1.0, 2.0]
+        assert _zero_crossings(x, np.array([1.0, -1.0, 1.0, 0.0])).tolist() == [0.5, 1.5]
+        assert _zero_crossings(x[:1], np.array([0.0])).size == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_peaks_match_the_loop(self, seed):
+        _, y = self.samples(seed)
+        mag = np.abs(y)
+        assert _peaks(mag).tolist() == _peaks_by_loop(mag)
+
+    def test_probe_report_is_unchanged_on_a_plateau_signal(self):
+        r = np.linspace(0.5, 60.0, 10001)
+        y = np.round(np.cos(r) / np.sqrt(r), 3)  # flat peaks, exact zeros
+        sol = RadialSolution(r, y.astype(complex)[:, None], ("p",), "plain", "printed")
+        report = bessel_probe(sol)
+        crossings = _crossings_by_loop(r, y)
+        assert report["periods"] == (len(crossings) - 1) / 2.0
+        wavelengths = np.diff(crossings) * 2.0
+        assert report["wavelength_mean"] == float(np.mean(wavelengths))
+        peaks = _peaks_by_loop(np.abs(y))
+        slope = np.polyfit(np.log(r[peaks]), np.log(np.abs(y)[peaks]), 1)[0]
+        assert report["envelope_exponent"] == float(slope)
+
+
+KAPPA_CONFIG = {
+    "reps": [{"l1": "1/2", "l2": "0"}, {"l1": "0", "l2": "1/2"}],
+    "coeffs": [
+        {"from": 2, "to": 1, "lp": "1/2", "l": "1/2", "re": 1.0, "im": 0.0},
+        {"from": 1, "to": 2, "lp": "1/2", "l": "1/2", "re": -1.0, "im": 0.0},
+    ],
+}
+
+
+class TestSolverMatchesScipy:
+    """``radial.solve_ivp`` takes scipy RK45's steps bit for bit: the same
+    samples, right-hand-side count, status and message."""
+
+    def check(self, rs, init, r0, r1, sector="plain", **options):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        _, r0, r1, start, rhs = radial._prepare(rs, r0, r1, init, sector)
+        ours = radial.solve_ivp(rhs, (r0, r1), start, **options)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns when it raises rtol
+            ref = scipy_integrate.solve_ivp(rhs, (r0, r1), start, method="RK45",
+                                            **options)
+        assert ours.t.tobytes() == np.asarray(ref.t, dtype=float).tobytes()
+        assert ours.y.tobytes() == np.asarray(ref.y, dtype=float).tobytes()
+        assert (ours.nfev, ours.success, ours.message) == (
+            ref.nfev, ref.success, ref.message)
+        return ours
+
+    @pytest.mark.parametrize("variant", ["printed", "alt"])
+    @pytest.mark.parametrize("sector", ["plain", "conjugate"])
+    def test_cli_solves(self, variant, sector):
+        # ``radial --chain dirac`` with its default grid and init
+        rs = assemble_rfs(dirac_system(), "1/2", "1/2", variant=variant)
+        ours = self.check(rs, [1, 0, 0, 0], 0.5, 60.0, sector,
+                          t_eval=np.linspace(0.5, 60.0, 10001), rtol=1e-10, atol=1e-12)
+        assert ours.success and ours.t.shape == (10001,)
+
+    @pytest.mark.parametrize("variant", ["printed", "alt"])
+    def test_verify_radial_init(self, variant):
+        rs = assemble_rfs(dirac_system(), "1/2", "1/2", variant=variant)
+        self.check(rs, DIRAC_INIT, 0.5, 60.0,
+                   t_eval=np.linspace(0.5, 60.0, 10001), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("steps", [200, 400, 800])
+    def test_fixed_step_runs(self, steps):
+        # the three runs of convergence_order(rs, 0.5, 10.0, ..., base_steps=200)
+        h = 9.5 / steps
+        ours = self.check(dirac_radial(), DIRAC_INIT, 0.5, 10.0, first_step=h,
+                          max_step=h, rtol=1e6, atol=1e6)
+        assert ours.success and ours.t[-1] == 10.0
+
+    @pytest.mark.parametrize("kappa", [[0.0, 400.0], [1e300, 1e300]],
+                             ids=["kappa400", "kappa1e300"])
+    def test_stall_and_overflow(self, kappa):
+        rs = assemble_rfs(system_from_config({**KAPPA_CONFIG, "kappa": kappa}),
+                          "1/2", "1/2")
+        ours = self.check(rs, [1, 0, 0, 0], 0.5, 60.0,
+                          t_eval=np.linspace(0.5, 60.0, 201), rtol=1e-10, atol=1e-12)
+        assert not ours.success and ours.message == radial.STALL
+
+    def test_nan_step_size_stalls(self):
+        # A NaN derivative makes the first step size NaN; RK45 would keep
+        # stepping with it for ever.
+        result = radial.solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0),
+                                  np.ones(2), t_eval=np.linspace(0.0, 1.0, 5))
+        assert not result.success and result.message == radial.STALL
+        assert result.t.size == 0 and result.y.shape == (2, 0)
+        assert result.nfev == 2
+
+    def test_rtol_below_the_floor_is_raised_to_it(self):
+        # scipy raises rtol to 100 eps; the loop must too
+        grid = np.linspace(0.5, 20.0, 1001)
+        low = self.check(dirac_radial(), DIRAC_INIT, 0.5, 20.0, t_eval=grid,
+                         rtol=1e-20, atol=1e-12)
+        floor = self.check(dirac_radial(), DIRAC_INIT, 0.5, 20.0, t_eval=grid,
+                           rtol=100 * np.finfo(float).eps, atol=1e-12)
+        assert low.success and low.y.tobytes() == floor.y.tobytes()
 
 
 class TestConjugateSector:

@@ -10,7 +10,7 @@ in a fresh working directory: all eight ``verify`` suites in JSON and
 CSV, ``verify gy`` and ``gy-build`` on seeded random chain configs
 (integer-tower chains among them), ``verify radial`` on two Dirac
 configs whose solves overflow, ``zfun`` points and sweeps, and
-``radial``, and three usage errors.  Every call runs twice, once to
+``radial``, and four usage errors.  Every call runs twice, once to
 stdout and once with ``--out``.  The script compares stdout, the ``--out`` files
 (every file ``gy-build`` writes) and the exit code, prints one line per
 call, and exits 1 if any call differs, unless the call is named with
@@ -116,6 +116,8 @@ def calls():
                                    "--grid", "0:3.14159:200", "--format", fmt]),
             (f"zfun sweep past pi {fmt}", ["zfun", "--l", "7/2", "--m", "3/2", "--tau", "2.5",
                                            "--grid", "-1:7:500", "--format", fmt]),
+            (f"zfun sweep overflow {fmt}", ["zfun", "--l", "40", "--tau", "700",
+                                             "--grid", "0:3:5", "--format", fmt]),
             (f"radial dirac {fmt}", ["radial", "--chain", "dirac", "--format", fmt]),
             (f"radial alt conjugate {fmt}",
              ["radial", "--chain", "dirac", "--variant", "alt", "--sector", "conjugate",
@@ -133,6 +135,8 @@ def calls():
         ("usage: verify without suite", ["verify"]),
         ("usage: zfun bad l", ["zfun", "--l", "1/3"]),
         ("usage: radial short init", ["radial", "--chain", "dirac", "--init", "1,0"]),
+        ("usage: radial infinite init", ["radial", "--chain", "dirac",
+                                         "--init", "inf,0,0,0"]),
     ]
     return out
 
