@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .kernels import _int_arg
 
 _SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -33,14 +34,6 @@ _SIGMA = {
 
 _MAX_RANK = 20
 _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
-
-
-def _int_arg(name, value):
-    """``value`` as an int: any integral number (numpy ints too), but no
-    bool and nothing non-integral, so nothing is silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _chain(kind, position, factors):
@@ -397,25 +390,24 @@ def schur_transpositions(m):
     """Transposition matrices on 2^m dimensions.
 
     t_k = sqrt((k-1)/2k) E_{k-1} - sqrt((k+1)/2k) E_k for k = 1..m,
-    using the sigma_1 family of the rank-2m generator basis; the first
-    coefficient vanishes at k = 1, so t_1 = -E_1.  The realized scalar
-    signs of the square/braid/far-commutation relations are attached.
+    using only the sigma_1 family E_1..E_m of the rank-2m generator
+    basis (its sigma_2 half is never built); the first coefficient
+    vanishes at k = 1, so t_1 = -E_1.  The realized scalar signs of the
+    square/braid/far-commutation relations are attached.
     """
     m = _int_arg("m", m)
     if not 2 <= m <= 10:
         raise ValueError(f"transposition set needs 2 <= m <= 10, got {m}")
-    family = brauer_weyl(2 * m).generators[:m]
-    ts = []
+    # E_k is built as t_k needs it; holding only E_{k-1} keeps the
+    # family out of the peak memory of the relation products below.
+    ts, prev = [], None
     for k in range(1, m + 1):
-        lead = math.sqrt((k - 1) / (2 * k))
-        trail = math.sqrt((k + 1) / (2 * k))
-        t_k = -trail * family[k - 1]
+        e_k = _chain(1, k - 1, m)
+        t_k = -math.sqrt((k + 1) / (2 * k)) * e_k
         if k > 1:
-            t_k = lead * family[k - 2] + t_k
+            t_k = math.sqrt((k - 1) / (2 * k)) * prev + t_k
         ts.append(t_k)
-    # The sigma_1 family is not needed past here: freeing it keeps the
-    # peak memory of the relation products below that of the build.
-    del family
+        prev = e_k
     gens = SchurCoverGens(m, tuple(ts))
     report = verify_tn_relations(gens)
     signs = {

@@ -4,24 +4,24 @@ A chain is an ordered list of (l1, l2) representation labels; two links
 interlock when both weights differ by exactly one half step.  The
 longitudinal matrix is assembled from a reduced coefficient table — one
 complex number per (rep pair, spin-tower pair) — stretched over the
-projection quantum number by the fixed sqrt weights; the transverse
-pair is recovered by commutators with the rotation generators.  The
-module verifies the full rotation/boost invariance tables in both the
-plain and conjugate sectors, the ladder-form identities they imply,
-the projection-block structure, and decomposability of the chain.
+projection quantum number by the rank-1 tower weights of
+`generators._tower_link`; the transverse pair is recovered by
+commutators with the rotation generators.  The module verifies the
+full rotation/boost invariance tables in both the plain and conjugate
+sectors, the ladder-form identities they imply, the projection-block
+structure, and decomposability of the chain.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import CMatrix
-from .generators import helicity_ab_op, split_families
+from .generators import _tower_link, helicity_ab_op, split_families
 from .halfint import HalfInt, half, lrange, mrange
 from .tensordec import RepLabel
 
@@ -79,13 +79,23 @@ class RepChain:
         """The largest tower spin over the chain."""
         return max(l for k in range(len(self.reps)) for l in self.tower_spins(k))
 
-    def basis(self):
-        """Chain carrier: rep-major, towers ascending, m descending."""
-        out = []
+    def tower_slices(self):
+        """{(k, l): slice} of each tower's rows on the chain carrier.
+
+        The one statement of the chain layout: rep-major, towers
+        ascending, m descending within a tower.
+        """
+        out, start = {}, 0
         for k in range(len(self.reps)):
             for l in self.tower_spins(k):
-                out.extend(ChainIndex(k, l, m) for m in mrange(l))
+                out[k, l] = slice(start, start + l.twice + 1)
+                start += l.twice + 1
         return out
+
+    def basis(self):
+        """Chain carrier labels in the order of `tower_slices`."""
+        return [ChainIndex(k, l, m) for k, l in self.tower_slices()
+                for m in mrange(l)]
 
     @property
     def dim(self):
@@ -165,16 +175,6 @@ class CoeffTable:
         return out
 
 
-def _tower_weight(lp, l, m):
-    """Projection stretch factor for a coefficient between towers."""
-    lt, mt = l.twice, m.twice
-    if lp.twice == lt - 2:
-        return math.sqrt(lt * lt - mt * mt) / 2.0
-    if lp.twice == lt:
-        return mt / 2.0
-    return math.sqrt((lt + 2) ** 2 - mt * mt) / 2.0
-
-
 def _check_table(chain, table, sector):
     """Reject a coefficient whose reps or towers the chain cannot carry."""
     nreps = len(chain.reps)
@@ -194,16 +194,15 @@ def _check_table(chain, table, sector):
 
 
 def _assemble_one(chain, table, sector):
+    """One sector's longitudinal matrix: each coefficient times the V3
+    block of `_tower_link` between its two towers."""
     _check_table(chain, table, sector)
-    basis = chain.basis()
-    entries = {}
+    slices = chain.tower_slices()
+    data = np.zeros((chain.dim, chain.dim), dtype=complex)
     for (kp, k, lp, l), value in table.items():
-        ms = mrange(lp) if lp.twice < l.twice else mrange(l)
-        for m in ms:
-            entries[(ChainIndex(kp, lp, m), ChainIndex(k, l, m))] = (
-                value * _tower_weight(lp, l, m)
-            )
-    return CMatrix.from_entries(basis, basis, entries)
+        v3 = _tower_link(l, (lp.twice - l.twice) // 2)[2]
+        data[slices[kp, lp], slices[k, l]] = value * v3
+    return CMatrix(data, chain.basis())
 
 
 def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
@@ -230,15 +229,12 @@ def chain_generators(chain: RepChain):
     tables.
     """
     basis = chain.basis()
-    towers = [l for k in range(len(chain.reps)) for l in chain.tower_spins(k)]
+    slices = chain.tower_slices()
     out = {}
     for i in (1, 2, 3):
         data = np.zeros((len(basis), len(basis)), dtype=complex)
-        start = 0
-        for l in towers:
-            stop = start + l.twice + 1
-            data[start:stop, start:stop] = helicity_ab_op(f"A{i}", l).data
-            start = stop
+        for (_, l), span in slices.items():
+            data[span, span] = helicity_ab_op(f"A{i}", l).data
         rot = CMatrix(data, basis)
         out[f"A{i}"] = rot
         out[f"B{i}"] = rot * 1j
@@ -460,9 +456,9 @@ def reassemble_spin_blocks(blocks, chain: RepChain):
     basis = chain.basis()
     out = CMatrix.zeros(basis)
     for block in blocks.values():
-        for ri, rl in enumerate(block.row_labels):
-            for ci, cl in enumerate(block.col_labels):
-                out.data[out._rindex[rl], out._cindex[cl]] = block.data[ri, ci]
+        rows = [out._rindex[label] for label in block.row_labels]
+        cols = [out._cindex[label] for label in block.col_labels]
+        out.data[np.ix_(rows, cols)] = block.data
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import CMatrix, enumerate_basis
 from .halfint import HalfInt, lrange, mrange
+from .kernels import _int_arg
 
 
 def _alpha(l, m):
@@ -33,6 +34,39 @@ def _ladder(l):
     ms = mrange(l)
     jp = np.diag([_alpha(l, m) for m in ms[:-1]], 1)
     return jp, jp.T, np.diag([float(m) for m in ms])
+
+
+def _tower_link(l, step):
+    """(V+, V-, V3) from the spin-l tower to the spin-(l + step) tower as
+    dense arrays, m descending on both sides.
+
+    These are the m-dependent weights of every rank-1 tensor operator
+    between adjacent towers (Wigner-Eckart): V3 keeps m, V+ raises it by
+    one and V- lowers it.  Step 0 is the ladder; step -1 carries
+    sqrt(l^2 - m^2), sqrt((l-m)(l-m-1)) and sqrt((l+m)(l+m-1)) at the
+    source projection m; step +1 is the transpose of step -1 from tower
+    l+1 with V+ and V- swapped.
+    """
+    if step == 0:
+        return _ladder(l)
+    if step == 1:
+        vp, vm, v3 = _tower_link(l + 1, -1)
+        return vm.T, vp.T, v3.T
+    if step != -1:
+        raise ValueError(f"towers {step} steps apart do not couple")
+    lt = l.twice
+    mt = np.arange(lt, -lt - 1, -2)
+    rows = np.arange(lt - 1)
+    out = []
+    # V+, V-, V3 in turn: target row i (m = l-1-i) takes its source at
+    # column i + shift; prod is four times the radicand, in twice-ints.
+    for shift, prod in ((2, (lt - mt) * (lt - mt - 2)),
+                        (0, (lt + mt) * (lt + mt - 2)),
+                        (1, (lt - mt) * (lt + mt))):
+        block = np.zeros((lt - 1, lt + 1))
+        block[rows, rows + shift] = np.sqrt(prod[rows + shift]) / 2
+        out.append(block)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +141,9 @@ class GNRepLabel:
         object.__setattr__(self, "l0", HalfInt(self.l0))
         if self.l0 < 0:
             raise ValueError("l0 must be non-negative")
-        if int(self.p) < 1:
+        object.__setattr__(self, "p", _int_arg("p", self.p))
+        if self.p < 1:
             raise ValueError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
 
     @property
     def l1(self):
@@ -138,67 +172,44 @@ def _gn_link_coef(rep, l):
     return (1j / lf) * cmath.sqrt(rad)
 
 
+_GN_KINDS = ("H+", "H-", "H3", "F+", "F-", "F3")
+
+# Sign of the link coefficient on F's (V+, V-, V3) blocks, by tower step.
+_GN_LINK_SIGNS = {-1: (1, -1, 1), 1: (1, -1, -1)}
+
+
 def gn_op(kind, rep: GNRepLabel):
     """Compact (H) or boost (F) generator on the spin-tower carrier.
 
-    H3/H± act within each spin block; F3/F± couple l-1, l, l+1 blocks
-    with the diagonal and link coefficients of the tower.  Terms whose
-    target leaves the carrier vanish identically and are skipped, which
-    also avoids the undefined diagonal coefficient at l = 0 (it would
-    only ever multiply m = 0).
+    A block-tridiagonal assembly over the towers: H+, H-, H3 are the
+    ladder on each tower; F+, F-, F3 are -(diagonal coefficient) times
+    the ladder on each tower plus the signed link coefficient times the
+    `_tower_link` block to each neighbouring tower of the carrier.  The
+    diagonal coefficient is undefined at l = 0, where the ladder vanishes.
     """
-    basis = rep.basis()
-    entries = {}
-    lmax = rep.lmax
-    for (l, m) in basis:
-        if kind == "H3":
-            entries[((l, m), (l, m))] = float(m)
-        elif kind == "H+":
-            if m < l:
-                entries[((l, m + 1), (l, m))] = _alpha(l, m + 1)
-        elif kind == "H-":
-            if m > -l:
-                entries[((l, m - 1), (l, m))] = _alpha(l, m)
-        elif kind == "F3":
-            if l - 1 >= rep.l0 and abs(m) <= l - 1:
-                entries[((l - 1, m), (l, m))] = _gn_link_coef(
-                    rep, l
-                ) * math.sqrt((l - m).as_int() * (l + m).as_int())
-            if l > 0:
-                entries[((l, m), (l, m))] = -_gn_diag_coef(rep, l) * float(m)
-            if l + 1 <= lmax:
-                entries[((l + 1, m), (l, m))] = -_gn_link_coef(
-                    rep, l + 1
-                ) * math.sqrt((l + 1 - m).as_int() * (l + 1 + m).as_int())
-        elif kind == "F+":
-            if l - 1 >= rep.l0 and m + 1 <= l - 1:
-                entries[((l - 1, m + 1), (l, m))] = _gn_link_coef(
-                    rep, l
-                ) * math.sqrt((l - m).as_int() * (l - m - 1).as_int())
-            if l > 0 and m < l:
-                entries[((l, m + 1), (l, m))] = -_gn_diag_coef(
-                    rep, l
-                ) * _alpha(l, m + 1)
-            if l + 1 <= lmax:
-                entries[((l + 1, m + 1), (l, m))] = _gn_link_coef(
-                    rep, l + 1
-                ) * math.sqrt((l + m + 1).as_int() * (l + m + 2).as_int())
-        elif kind == "F-":
-            if l - 1 >= rep.l0 and m - 1 >= -(l - 1):
-                entries[((l - 1, m - 1), (l, m))] = -_gn_link_coef(
-                    rep, l
-                ) * math.sqrt((l + m).as_int() * (l + m - 1).as_int())
-            if l > 0 and m > -l:
-                entries[((l, m - 1), (l, m))] = -_gn_diag_coef(
-                    rep, l
-                ) * _alpha(l, m)
-            if l + 1 <= lmax:
-                entries[((l + 1, m - 1), (l, m))] = -_gn_link_coef(
-                    rep, l + 1
-                ) * math.sqrt((l - m + 1).as_int() * (l - m + 2).as_int())
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
-    return CMatrix.from_entries(basis, basis, entries)
+    if kind not in _GN_KINDS:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    part = "+-3".index(kind[1])
+
+    def span(l):  # towers l0 .. l-1 fill the first l^2 - l0^2 rows
+        start = (l.twice ** 2 - rep.l0.twice ** 2) // 4
+        return slice(start, start + l.twice + 1)
+
+    dim = span(rep.l1).start
+    data = np.zeros((dim, dim), dtype=complex)
+    for l in lrange(rep.l0, rep.lmax):
+        if kind[0] == "H":
+            data[span(l), span(l)] = _ladder(l)[part]
+            continue
+        if l > 0:
+            data[span(l), span(l)] = -_gn_diag_coef(rep, l) * _ladder(l)[part]
+        for step in (-1, 1):
+            if rep.l0 <= l + step <= rep.lmax:
+                link = _gn_link_coef(rep, max(l, l + step))
+                if _GN_LINK_SIGNS[step][part] < 0:
+                    link = -link
+                data[span(l + step), span(l)] = link * _tower_link(l, step)[part]
+    return CMatrix(data, rep.basis())
 
 
 def gn_ops(rep: GNRepLabel):

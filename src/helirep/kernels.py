@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from fractions import Fraction
@@ -22,6 +23,14 @@ class NonTerminatingError(ValueError):
 
 class PoleError(ArithmeticError):
     """A denominator parameter vanishes before the series terminates."""
+
+
+def _int_arg(name, value):
+    """``value`` as an int: any integral number (numpy ints too), but no
+    bool and nothing non-integral, so nothing is silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def ipow(k):

@@ -19,14 +19,14 @@ wavelength).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gelfand_yaglom import GYSystem, RepChain, _check_table
-from .generators import _alpha
-from .halfint import HalfInt, mrange
+from .generators import _alpha, _tower_link
+from .halfint import HalfInt
+from .kernels import _int_arg
 from .su2 import _weights
 
 _VARIANTS = ("printed", "alt")
@@ -76,58 +76,36 @@ class RadialSolution:
     variant: str
 
 
-def _sqrt_pairs(a, b):
-    """sqrt(a*b) for integer factors, zero when the ladder exits."""
-    prod = a * b
-    return math.sqrt(prod) if prod > 0 else 0.0
+# 1/r weights by tower step (target tower = source tower + step): the
+# diagonal coefficient as a function of the target spin, then the signs
+# of the raising and the lowering cross term.
+_INV_R = {
+    1: (lambda l: -(l + 1), 1, 1),
+    0: (lambda l: -1, -1, 1),
+    -1: (lambda l: l, -1, -1),
+}
 
 
-def _spectator_weights(spec_l, spec_m):
-    """Lowering/raising ladder factors of the spectator projection."""
-    return _alpha(spec_l, spec_m), _alpha(spec_l, spec_m + 1)
-
-
-def _assemble_block(chain, table, kappa, spec_l, spec_m, variant, sector):
-    basis = tuple(chain.basis())
-    index = {label: i for i, label in enumerate(basis)}
-    dim = len(basis)
-    deriv = np.zeros((dim, dim), dtype=complex)
-    inv_r = np.zeros((dim, dim), dtype=complex)
-    down, up = _spectator_weights(spec_l, spec_m)
-    flip = -1.0 if variant == "alt" else 1.0
+def _assemble_block(chain, table, lambda3, kappa, spec_l, spec_m, variant,
+                    sector):
+    """One sector's block: A is twice the sector's longitudinal matrix;
+    C stretches each table coefficient over its tower pair with the
+    `_tower_link` blocks, the cross terms scaled by the spectator's
+    lowering and raising ladder factors."""
     _check_table(chain, table, sector)
+    slices = chain.tower_slices()
+    inv_r = np.zeros(lambda3.shape, dtype=complex)
+    down, up = _alpha(spec_l, spec_m), _alpha(spec_l, spec_m + 1)
+    flip = -1.0 if variant == "alt" else 1.0
     for (kr, ks, lr, ls), value in table.items():
-        lt = lr.twice
-        for m in mrange(lr):
-            mt = m.twice
-            row = index[basis[0]._replace(k=kr, l=lr, m=m)]
-            if ls.twice == lt - 2:
-                stretch = _sqrt_pairs(lt - mt, lt + mt) / 2.0
-                terms = (
-                    (m, 2.0 * stretch, flip * -(lt + 2) / 2.0 * stretch),
-                    (m - 1, 0.0, 1j * _sqrt_pairs(lt + mt, lt + mt - 2) / 2.0 * down),
-                    (m + 1, 0.0, 1j * _sqrt_pairs(lt - mt, lt - mt - 2) / 2.0 * up),
-                )
-            elif ls.twice == lt:
-                terms = (
-                    (m, float(mt), flip * -mt / 2.0),
-                    (m - 1, 0.0, -1j * _sqrt_pairs(lt + mt, lt - mt + 2) / 2.0 * down),
-                    (m + 1, 0.0, 1j * _sqrt_pairs(lt + mt + 2, lt - mt) / 2.0 * up),
-                )
-            else:
-                stretch = _sqrt_pairs(lt + 2 - mt, lt + 2 + mt) / 2.0
-                terms = (
-                    (m, 2.0 * stretch, flip * lt / 2.0 * stretch),
-                    (m - 1, 0.0, -1j * _sqrt_pairs(lt - mt + 2, lt - mt + 4) / 2.0 * down),
-                    (m + 1, 0.0, -1j * _sqrt_pairs(lt + mt + 2, lt + mt + 4) / 2.0 * up),
-                )
-            for target_m, d_weight, r_weight in terms:
-                if d_weight == 0.0 and r_weight == 0.0:
-                    continue
-                col = index[basis[0]._replace(k=ks, l=ls, m=target_m)]
-                deriv[row, col] += value * d_weight
-                inv_r[row, col] += value * r_weight
-    return RadialBlock(basis, deriv, inv_r, complex(kappa))
+        step = (lr.twice - ls.twice) // 2
+        diag, plus, minus = _INV_R[step]
+        vp, vm, v3 = _tower_link(ls, step)
+        weight = flip * diag(float(lr)) * v3 + 1j * (
+            plus * down * vp + minus * up * vm)
+        inv_r[slices[kr, lr], slices[ks, ls]] += value * weight
+    return RadialBlock(lambda3.row_labels, 2 * lambda3.data, inv_r,
+                       complex(kappa))
 
 
 def assemble_rfs(system: GYSystem, l0, l0_dot, variant="printed", mdot=None, m=None):
@@ -149,12 +127,12 @@ def assemble_rfs(system: GYSystem, l0, l0_dot, variant="printed", mdot=None, m=N
             "ansatz weights must dominate every tower spin of the chain"
         )
     plain = _assemble_block(
-        system.chain, system.coeffs.undotted, system.kappa, l0_dot, mdot,
-        variant, "plain",
+        system.chain, system.coeffs.undotted, system.lambda3, system.kappa,
+        l0_dot, mdot, variant, "plain",
     )
     conjugate = _assemble_block(
-        system.chain, system.coeffs.dotted, system.kappa_dot, l0, m,
-        variant, "conjugate",
+        system.chain, system.coeffs.dotted, system.lambda3c, system.kappa_dot,
+        l0, m, variant, "conjugate",
     )
     return RadialSystem(system.chain, l0, l0_dot, variant, plain, conjugate)
 
@@ -381,7 +359,7 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
               rtol=1e-10, atol=1e-12):
     """Adaptive 4th/5th-order integration on a uniform output grid."""
     block, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
-    steps = int(steps)
+    steps = _int_arg("steps", steps)
     if steps < 100:
         raise ValueError("need at least 100 steps")
     grid = np.linspace(r0, r1, steps + 1)
@@ -420,7 +398,8 @@ def residual(system: RadialSystem, solution: RadialSolution):
 def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
     """Richardson order estimate from step-capped fixed-step runs."""
-    if not isinstance(base_steps, numbers.Integral) or base_steps < 1:
+    base_steps = _int_arg("base_steps", base_steps)
+    if base_steps < 1:
         raise ValueError(f"base_steps must be an integer >= 1, got {base_steps!r}")
     _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
 

@@ -18,6 +18,7 @@ import numpy as np
 from .core import CMatrix, enumerate_basis
 from .generators import waerden_op
 from .halfint import HalfInt, half, lrange, mrange
+from .kernels import _int_arg
 from .su2 import _weights, cg_su2
 
 
@@ -136,7 +137,7 @@ def bilinear_form(k, r, lam):
     alternation makes the matrix symmetric when (r+k)/2 is even and
     skew-symmetric when it is odd.
     """
-    k, r = int(k), int(r)
+    k, r = _int_arg("k", k), _int_arg("r", r)
     if k < 0 or r < 0:
         raise ValueError("tensor ranks must be non-negative")
     if (k + r) % 2:
@@ -151,7 +152,7 @@ def bilinear_form(k, r, lam):
 
 def sym_dimension(k, r):
     """Dimension (k+1)(r+1) of the symmetric carrier of rank (k, r)."""
-    k, r = int(k), int(r)
+    k, r = _int_arg("k", k), _int_arg("r", r)
     if k < 0 or r < 0:
         raise ValueError("tensor ranks must be non-negative")
     return (k + 1) * (r + 1)
@@ -189,7 +190,7 @@ def symmetrizer_one_row(m):
     partial-average recursion S_j = (S_{j-1} x 1) (1 + sum_k T_{k,j})/j
     so the cost stays polynomial.  Idempotent with rank m + 1.
     """
-    m = int(m)
+    m = _int_arg("m", m)
     if m < 1:
         raise ValueError("need at least one tensor factor")
     if m > _SYMMETRIZER_CAP:

@@ -8,6 +8,7 @@ import pytest
 from helirep.core import CMatrix
 from helirep.generators import (
     GNRepLabel,
+    _tower_link,
     ab_from_families,
     basis_change,
     basis_change_inverse,
@@ -22,6 +23,7 @@ from helirep.generators import (
     waerden_ops,
 )
 from helirep.halfint import half
+from helirep.su2 import cg_su2
 
 SPINS = [half(k) for k in range(1, 7)]  # 1/2 .. 3
 
@@ -309,3 +311,37 @@ class TestCommutatorReport:
     def test_unknown_relation_set_rejected(self):
         with pytest.raises(ValueError):
             commutator_residual({}, "poincare")
+
+
+# (twice l, step) of every source tower up to l = 3 with a target tower.
+TOWER_STEPS = [(tl, step) for tl in range(7) for step in (-1, 0, 1)
+               if tl + 2 * step >= 0]
+
+
+class TestTowerLink:
+    """Wigner-Eckart oracle for `_tower_link`, from `su2.cg_su2`, which
+    shares no code with it: each spherical component V_{+1} = -V+/sqrt2,
+    V_0 = V3, V_{-1} = V-/sqrt2 divided by <l m; 1 q | l+step, m+q> is one
+    constant over m, and vanishes wherever the coefficient does."""
+
+    @pytest.mark.parametrize("twice_l, step", TOWER_STEPS)
+    def test_weights_follow_clebsch_gordan(self, twice_l, step):
+        l = half(twice_l)
+        target = l + step
+        vp, vm, v3 = _tower_link(l, step)
+        assert v3.shape == (target.twice + 1, twice_l + 1)
+        for q, block in ((1, -vp / math.sqrt(2)), (0, v3),
+                         (-1, vm / math.sqrt(2))):
+            ratios = []
+            for i in range(target.twice + 1):
+                for j in range(twice_l + 1):
+                    cg = cg_su2(l, 1, target, l - j, q, target - i)
+                    if cg == 0.0:
+                        assert block[i, j] == 0.0, (q, i, j)
+                    else:
+                        ratios.append(block[i, j] / cg)
+            if twice_l == step == 0:  # nothing rank-1 acts within spin 0
+                assert not ratios
+                continue
+            assert ratios and ratios[0] != 0.0
+            assert np.allclose(ratios, ratios[0], rtol=1e-13, atol=0)

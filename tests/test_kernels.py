@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helirep.gelfand_yaglom import dirac_system
+from helirep.generators import GNRepLabel
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
@@ -19,6 +21,8 @@ from helirep.kernels import (
     ln_factorial,
     terminating_series,
 )
+from helirep.radial import assemble_rfs, convergence_order, integrate
+from helirep.tensordec import bilinear_form, sym_dimension, symmetrizer_one_row
 
 
 class TestSmallHelpers:
@@ -150,3 +154,34 @@ class TestMemo:
         block.cache_clear()
         block(100, "a")
         assert builds[-1] == (100, "a") and len(builds) == 8
+
+
+def _dirac_radial():
+    return assemble_rfs(dirac_system(), "1/2", "1/2", variant="alt")
+
+
+DIRAC_INIT = [1.0, 0.0, 1j, 0.0]
+
+# Every integer argument behind `kernels._int_arg`: (call, a valid count).
+INT_ARGS = {
+    "GNRepLabel p": (lambda n: GNRepLabel("0", n), 2),
+    "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), 2),
+    "bilinear_form r": (lambda n: bilinear_form(0, n, 1.0), 2),
+    "sym_dimension k": (lambda n: sym_dimension(n, 1), 2),
+    "sym_dimension r": (lambda n: sym_dimension(1, n), 2),
+    "symmetrizer_one_row m": (symmetrizer_one_row, 2),
+    "integrate steps": (
+        lambda n: integrate(_dirac_radial(), 0.5, 1.0, DIRAC_INIT, n), 100),
+    "convergence_order base_steps": (
+        lambda n: convergence_order(_dirac_radial(), 0.5, 1.0, DIRAC_INIT,
+                                    base_steps=n), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_ARGS))
+def test_integer_arguments_are_never_truncated(name):
+    call, good = INT_ARGS[name]
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+    call(np.int64(good))

@@ -9,8 +9,11 @@ PARENT_SRC and CHANGE_SRC are directories holding a ``helirep`` package
 in a fresh working directory: all eight ``verify`` suites in JSON and
 CSV, ``verify gy`` and ``gy-build`` on seeded random chain configs
 (integer-tower chains among them), ``verify radial`` on two Dirac
-configs whose solves overflow, ``zfun`` points and sweeps, and
-``radial``, and four usage errors.  Every call runs twice, once to
+configs whose solves overflow and on chain4, ``zfun`` points and
+sweeps, ``radial`` on Dirac and on chain3 and chain4 (the conjugate
+sector with the alt variant, and raised ansatz weights, so the 1/r
+assembly is compared beyond Dirac; chain5, whose derivative matrix is
+singular, keeps the error path), and four usage errors.  Every call runs twice, once to
 stdout and once with ``--out``.  The script compares stdout, the ``--out`` files
 (every file ``gy-build`` writes) and the exit code, prints one line per
 call, and exits 1 if any call differs, unless the call is named with
@@ -100,7 +103,7 @@ def calls():
         for i in range(len(CHAINS)):
             out.append((f"verify gy chain{i} {fmt}",
                         ["verify", "gy", "--chain", f"chain{i}.json", "--format", fmt]))
-        for cfg in ("kappa400", "kappa1e300"):
+        for cfg in ("kappa400", "kappa1e300", "chain4"):
             out.append((f"verify radial {cfg} {fmt}",
                         ["verify", "radial", "--chain", f"{cfg}.json", "--format", fmt]))
         out.append((f"verify gy --tol 1e-30 {fmt}",
@@ -124,6 +127,10 @@ def calls():
               "--init", "1,0,1j,0", "--grid", "0.5:20:500", "--format", fmt]),
             (f"radial chain5 {fmt}", ["radial", "--chain", "chain5.json",
                                       "--grid", "0.5:10:200", "--format", fmt]),
+            *((f"radial {c} alt conjugate {fmt}",
+               ["radial", "--chain", f"{c}.json", "--variant", "alt",
+                "--sector", "conjugate", "--grid", "0.5:10:200", "--format", fmt])
+              for c in ("chain3", "chain4")),
             (f"radial kappa400 {fmt}", ["radial", "--chain", "kappa400.json",
                                         "--grid", "0.5:60:200", "--format", fmt]),
             (f"gy-build dirac {fmt}", ["gy-build", "--chain", "dirac", "--format", fmt]),
@@ -131,6 +138,10 @@ def calls():
         for i in (2, 6):
             out.append((f"gy-build chain{i} {fmt}",
                         ["gy-build", "--chain", f"chain{i}.json", "--format", fmt]))
+    for c in ("chain3", "chain4"):
+        out.append((f"radial {c} l0=7/2 l0-dot=5/2",
+                    ["radial", "--chain", f"{c}.json", "--l0", "7/2",
+                     "--l0-dot", "5/2", "--grid", "0.5:10:200"]))
     out += [
         ("usage: verify without suite", ["verify"]),
         ("usage: zfun bad l", ["zfun", "--l", "1/3"]),
