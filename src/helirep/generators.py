@@ -52,8 +52,6 @@ def _tower_link(l, step):
     if step == 1:
         vp, vm, v3 = _tower_link(l + 1, -1)
         return vm.T, vp.T, v3.T
-    if step != -1:
-        raise ValueError(f"towers {step} steps apart do not couple")
     lt = l.twice
     mt = np.arange(lt, -lt - 1, -2)
     rows = np.arange(lt - 1)
