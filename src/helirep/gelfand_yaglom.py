@@ -15,13 +15,15 @@ structure, and decomposability of the chain.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import CMatrix
-from .generators import _tower_link, helicity_ab_op, split_families
+from .generators import (_tower_link, helicity_ab_op, relation_residuals,
+                         split_families)
 from .halfint import HalfInt, half, lrange, mrange
 from .tensordec import RepLabel
 
@@ -154,7 +156,8 @@ class CoeffTable:
     """Reduced coefficients keyed by (target rep, source rep, l', l).
 
     Holds one table for the plain sector and one for the conjugate
-    sector.  Only tower pairs with |l' - l| <= 1 are representable.
+    sector.  Only tower pairs with |l' - l| <= 1 are representable, and
+    every coefficient must be finite.
     """
 
     def __init__(self, undotted=None, dotted=None):
@@ -171,7 +174,11 @@ class CoeffTable:
                     f"coefficient links towers {lp} and {l}, "
                     "more than one step apart"
                 )
-            out[(int(kp), int(k), lp, l)] = complex(value)
+            value = complex(value)
+            if not cmath.isfinite(value):
+                raise ValueError(f"coefficient ({kp}, {k}, {lp}, {l}) is not "
+                                 f"finite: {value}")
+            out[(int(kp), int(k), lp, l)] = value
         return out
 
 
@@ -300,15 +307,6 @@ def _sectors(system):
             ("Bt", conj, "c"))
 
 
-def _table_rows(family, lambdas, gens, tag):
-    """Residuals of one 9-row invariance table."""
-    rows = {}
-    for label, gen, lam, rhs in _relations(family, lambdas, gens, tag):
-        comm = gen.commutator(lam)
-        rows[label] = (comm if rhs is None else comm - rhs).norm_inf()
-    return rows
-
-
 def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
     """Transverse pair recovered from the longitudinal matrix.
 
@@ -319,14 +317,16 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
     Raises
     ------
     ValueError
-        If any rotation-table relation exceeds ``tol`` — the matrix is
-        then not assembled consistently with this generator set.
+        If any rotation-table relation exceeds ``tol`` or is NaN — the
+        matrix is then not assembled consistently with this generator set.
     """
     lambda1 = gens["A2"].commutator(lambda3)
     lambda2 = gens["A3"].commutator(lambda1)
-    rows = _table_rows("A", {1: lambda1, 2: lambda2, 3: lambda3}, gens, "")
-    worst = max(rows, key=rows.get)
-    if rows[worst] > tol:
+    rows = relation_residuals(
+        _relations("A", {1: lambda1, 2: lambda2, 3: lambda3}, gens, ""))
+    # A NaN row (an overflowed matrix) fails too, and is named first.
+    worst = max(rows, key=lambda label: (math.isnan(rows[label]), rows[label]))
+    if not rows[worst] <= tol:
         raise ValueError(
             f"rotation table inconsistency: {worst} has residual "
             f"{rows[worst]:.3e}"
@@ -356,9 +356,13 @@ class GYSystem:
 
 
 def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):
-    """Assemble both longitudinal matrices and recover both triples."""
-    if kappa_dot is None:
-        kappa_dot = kappa
+    """Assemble both longitudinal matrices and recover both triples; a
+    non-finite mass ``kappa`` or ``kappa_dot`` is a ValueError."""
+    kappa = complex(kappa)
+    kappa_dot = kappa if kappa_dot is None else complex(kappa_dot)
+    for name, value in (("kappa", kappa), ("kappa_dot", kappa_dot)):
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     lambda3, lambda3c = assemble_lambda3(chain, coeffs)
     gens = chain_generators(chain)
     lambda1, lambda2 = lambda12_from_commutators(lambda3, gens)
@@ -372,25 +376,32 @@ def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):
         lambda1c,
         lambda2c,
         lambda3c,
-        complex(kappa),
-        complex(kappa_dot),
+        kappa,
+        kappa_dot,
     )
 
 
 def verify_invariance(system: GYSystem, tol=1e-10):
-    """Residuals of all 36 table relations plus the ladder identities.
+    """Residuals of all 36 table relations plus the ten ladder identities.
 
     Covers the rotation and boost tables in the plain sector, their
     conjugate-sector counterparts, the five ladder-form relations the
     longitudinal matrix satisfies in each sector (commutation with the
     whole opposite family and the double-commutator reproduction), and
     returns every residual alongside the list of violations.
+
+    The rows are not independent.  B = iA, At = -A and Bt = iA on the
+    chain carrier, so the B and Bt tables restate A and At (on the
+    compare chains all four print the same residuals).  X vanishes in
+    the plain sector and Y in the conjugate one, so the six rows
+    [lambda3, X*] and [lambda3c, Y*t] read exactly 0.0 whatever the
+    coefficients, as do [lambda3, Y3] and [lambda3c, X3t] (m-diagonal
+    against m-preserving blocks).  None of the rows can tell a physical
+    coefficient table from a wrong one.
     """
     gens = chain_generators(system.chain)
-    residuals = {}
-    for family, lambdas, tag in _sectors(system):
-        residuals.update(_table_rows(family, lambdas, gens, tag))
-
+    rows = [row for family, lambdas, tag in _sectors(system)
+            for row in _relations(family, lambdas, gens, tag)]
     # The plain sector's lambda3 is a Y-family vector operator and commutes
     # with X; the conjugate sector's swaps the roles.
     lad = chain_ladders(gens)
@@ -399,13 +410,11 @@ def verify_invariance(system: GYSystem, tol=1e-10):
         (system.lambda3c, "c", "X", "Y", "t"),
     ):
         name = f"lambda3{tag}"
-        double = lad[f"{own}+{t}"].commutator(l3.commutator(lad[f"{own}-{t}"]))
-        residuals[f"[{own}+{t},[{name},{own}-{t}]]=2*{name}"] = (
-            double - l3 * 2.0
-        ).norm_inf()
-        for key in (f"{own}3{t}", f"{other}-{t}", f"{other}+{t}", f"{other}3{t}"):
-            residuals[f"[{name},{key}]=0"] = l3.commutator(lad[key]).norm_inf()
-
+        rows.append((f"[{own}+{t},[{name},{own}-{t}]]=2*{name}", lad[f"{own}+{t}"],
+                     l3.commutator(lad[f"{own}-{t}"]), l3 * 2.0))
+        rows += [(f"[{name},{key}]=0", l3, lad[key], None) for key in
+                 (f"{own}3{t}", f"{other}-{t}", f"{other}+{t}", f"{other}3{t}")]
+    residuals = relation_residuals(rows)
     max_residual = max(residuals.values())
     return {
         "residuals": residuals,

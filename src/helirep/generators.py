@@ -243,10 +243,10 @@ def basis_change(gn):
         "X-": 0.5 * (fm - 1j * hm),
         "X3": 0.5 * (f3 - 1j * h3),
     }
+    c = _FLAVORS["antihermitian"][1]
     for fam in ("X", "Y"):
-        plus, minus = out[f"{fam}+"], out[f"{fam}-"]
-        out[f"{fam}1"] = 0.5 * (plus + minus)
-        out[f"{fam}2"] = -0.5j * (plus - minus)
+        cart = _cartesian(out[f"{fam}+"], out[f"{fam}-"], out[f"{fam}3"], c)
+        out[f"{fam}1"], out[f"{fam}2"] = cart["1"], cart["2"]
     out.update(ab_from_families(out))
     return out
 
@@ -286,44 +286,65 @@ _LORENTZ_RELATIONS = (
 )
 
 
-def _zero_like(mat):
-    return CMatrix.zeros(mat.row_labels, mat.col_labels)
+def relation_residuals(rows):
+    """{label: max |[a, b] - want|} over rows (label, a, b, want).
+
+    A ``want`` of None means the commutator must vanish.  This is the one
+    place a commutator becomes a table residual; every relation table of
+    the package only builds its rows.
+    """
+    out = {}
+    for label, a, b, want in rows:
+        comm = a.commutator(b)
+        out[label] = comm.norm_inf() if want is None else comm.residual_vs(want)
+    return out
 
 
-def _relation_residual(ops, a, b, rhs, coef):
-    A, B = _require(ops, a, b)
-    want = _zero_like(A) if rhs is None else coef * _require(ops, rhs)[0]
-    return A.commutator(B).residual_vs(want)
+# Ladder flavor -> (s, c, right-hand-side labels): [X3, X+] = s X+,
+# [X3, X-] = -s X- and [X+, X-] = 2s X3, and the Cartesian factor
+# c = -i/s that turns the family to the anti-Hermitian convention.  An
+# all-zero family ("degenerate") is read as the anti-Hermitian one.
+_FLAVORS = {
+    "hermitian": (1, -1j, ("+{}+", "-{}-", "2{}3")),
+    "antihermitian": (-1j, 1, ("-i{}+", "+i{}-", "-2i{}3")),
+}
+_FLAVORS["degenerate"] = _FLAVORS["antihermitian"]
 
 
 def _ladder_flavor(x3, xp):
     """Classify [X3, X+] as +X+ (hermitian) or -iX+ (antihermitian)."""
     scale = max(xp.norm_inf(), 1e-30)
     comm = x3.commutator(xp)
-    r_h = comm.residual_vs(xp) / scale
-    r_a = comm.residual_vs(-1j * xp) / scale
+    r_h, r_a = (comm.residual_vs(_FLAVORS[f][0] * xp) / scale
+                for f in ("hermitian", "antihermitian"))
     if xp.norm_inf() < 1e-14 and x3.norm_inf() < 1e-14:
         return "degenerate"
     return "hermitian" if r_h <= r_a else "antihermitian"
 
 
+def _cartesian(plus, minus, three, c):
+    """Cartesian components c(X+ + X-)/2, -ic(X+ - X-)/2 and cX3."""
+    return {"1": 0.5 * c * (plus + minus), "2": -0.5j * c * (plus - minus),
+            "3": c * three}
+
+
 def _cartesianize(ops, fam):
-    """Cartesian components of one ladder family, anti-Hermitian flavor."""
+    """Cartesian components of one family, anti-Hermitian flavor."""
     if f"{fam}1" in ops and f"{fam}2" in ops and f"{fam}3" in ops:
         return {k: ops[f"{fam}{k}"] for k in "123"}, "cartesian"
     plus, minus, three = _require(ops, f"{fam}+", f"{fam}-", f"{fam}3")
     flavor = _ladder_flavor(three, plus)
-    if flavor == "hermitian":
-        return {
-            "1": -0.5j * (plus + minus),
-            "2": -0.5 * (plus - minus),
-            "3": -1j * three,
-        }, flavor
-    return {
-        "1": 0.5 * (plus + minus),
-        "2": -0.5j * (plus - minus),
-        "3": three,
-    }, flavor
+    return _cartesian(plus, minus, three, _FLAVORS[flavor][1]), flavor
+
+
+def _lorentz_rows(ops):
+    for a, b, rhs, coef in _LORENTZ_RELATIONS:
+        A, B = _require(ops, a, b)
+        want = None if rhs is None else coef * _require(ops, rhs)[0]
+        yield f"[{a},{b}]={'-' if coef < 0 else ''}{rhs or 0}", A, B, want
+
+
+_PRINTED = "printed [X2,X1]=X2"
 
 
 def commutator_report(ops, relation_set):
@@ -340,64 +361,41 @@ def commutator_report(ops, relation_set):
         commutators, with flavor detection.
     """
     report = {"relation_set": relation_set, "residuals": {}}
-    res = report["residuals"]
     if relation_set == "lorentz":
-        for a, b, rhs, coef in _LORENTZ_RELATIONS:
-            label = f"[{a},{b}]" + (f"={'-' if coef < 0 else ''}{rhs}" if rhs else "=0")
-            res[label] = _relation_residual(ops, a, b, rhs, coef)
+        rows = _lorentz_rows(ops)
     elif relation_set == "su2_pair":
-        x, xf = _cartesianize(ops, "X")
-        y, yf = _cartesianize(ops, "Y")
+        (x, xf), (y, yf) = _cartesianize(ops, "X"), _cartesianize(ops, "Y")
         report["flavor"] = {"X": xf, "Y": yf}
-        for fam, c in (("X", x), ("Y", y)):
-            trip = {f"{fam}{k}": v for k, v in c.items()}
-            for a, b, r in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-                res[f"[{fam}{a},{fam}{b}]={fam}{r}"] = _relation_residual(
-                    trip, f"{fam}{a}", f"{fam}{b}", f"{fam}{r}", 1
-                )
-        for i in "123":
-            for j in "123":
-                res[f"[X{i},Y{j}]=0"] = (
-                    x[i].commutator(y[j]).residual_vs(_zero_like(x[i]))
-                )
+        rows = [(f"[{fam}{a},{fam}{b}]={fam}{r}", c[a], c[b], c[r])
+                for fam, c in (("X", x), ("Y", y))
+                for a, b, r in ("123", "231", "312")]
+        rows += [(f"[X{i},Y{j}]=0", x[i], y[j], None) for i in "123" for j in "123"]
         # The doubtful printed variant of the third closure relation,
         # evaluated alongside the cyclic one it is suspected to be.
-        printed = x["2"].commutator(x["1"]).residual_vs(x["2"])
+        rows.append((_PRINTED, x["2"], x["1"], x["2"]))
+    elif relation_set == "ladder":
+        fams = {fam: _require(ops, f"{fam}3", f"{fam}+", f"{fam}-") for fam in "XY"}
+        report["flavor"] = {fam: _ladder_flavor(three, plus)
+                            for fam, (three, plus, _) in fams.items()}
+        rows = []
+        for fam, (three, plus, minus) in fams.items():
+            s, _, (up, down, cross) = _FLAVORS[report["flavor"][fam]]
+            rows += [(f"[{fam}3,{fam}+]={up.format(fam)}", three, plus, s * plus),
+                     (f"[{fam}3,{fam}-]={down.format(fam)}", three, minus, -s * minus),
+                     (f"[{fam}+,{fam}-]={cross.format(fam)}", plus, minus, 2 * s * three)]
+        rows += [(f"[{a},{b}]=0", ops[a], ops[b], None)
+                 for a in ("X3", "X+", "X-") for b in ("Y3", "Y+", "Y-")]
+    else:
+        raise ValueError(f"unknown relation set {relation_set!r}")
+    res = report["residuals"] = relation_residuals(rows)
+    if relation_set == "su2_pair":
+        printed = res.pop(_PRINTED)
         cyclic = res["[X3,X1]=X2"]
         report["third_relation"] = {
-            "printed [X2,X1]=X2": printed,
+            _PRINTED: printed,
             "cyclic [X3,X1]=X2": cyclic,
             "holds": "cyclic" if cyclic <= printed else "printed",
         }
-    elif relation_set == "ladder":
-        x3, xp, xm = _require(ops, "X3", "X+", "X-")
-        y3, yp, ym = _require(ops, "Y3", "Y+", "Y-")
-        xf = _ladder_flavor(x3, xp)
-        yf = _ladder_flavor(y3, yp)
-        report["flavor"] = {"X": xf, "Y": yf}
-        for fam, (three, plus, minus, fl) in (
-            ("X", (x3, xp, xm, xf)),
-            ("Y", (y3, yp, ym, yf)),
-        ):
-            if fl == "hermitian":
-                pairs = (
-                    (f"[{fam}3,{fam}+]=+{fam}+", three.commutator(plus), plus),
-                    (f"[{fam}3,{fam}-]=-{fam}-", three.commutator(minus), -1 * minus),
-                    (f"[{fam}+,{fam}-]=2{fam}3", plus.commutator(minus), 2 * three),
-                )
-            else:
-                pairs = (
-                    (f"[{fam}3,{fam}+]=-i{fam}+", three.commutator(plus), -1j * plus),
-                    (f"[{fam}3,{fam}-]=+i{fam}-", three.commutator(minus), 1j * minus),
-                    (f"[{fam}+,{fam}-]=-2i{fam}3", plus.commutator(minus), -2j * three),
-                )
-            for label, got, want in pairs:
-                res[label] = got.residual_vs(want)
-        for a, am in (("X3", x3), ("X+", xp), ("X-", xm)):
-            for b, bm in (("Y3", y3), ("Y+", yp), ("Y-", ym)):
-                res[f"[{a},{b}]=0"] = am.commutator(bm).residual_vs(_zero_like(am))
-    else:
-        raise ValueError(f"unknown relation set {relation_set!r}")
     report["max_residual"] = max(res.values()) if res else 0.0
     return report
 

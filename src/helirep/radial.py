@@ -186,8 +186,7 @@ _DONE = "The solver successfully reached the end of the integration interval."
 
 @dataclass(frozen=True)
 class IVPResult:
-    """Samples ``y[:, i]`` at ``t[i]``: the ``t_eval`` points, or every
-    accepted step (the start included) without them."""
+    """Samples ``y[:, i]`` at the ``t_eval`` points ``t[i]`` reached."""
 
     t: np.ndarray
     y: np.ndarray
@@ -202,7 +201,7 @@ def _rms(x):
     return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, interval, max_step, rtol, atol):
+def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
     """Hairer, Norsett & Wanner's starting step (Sec. II.4), as RK45 picks it."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
@@ -218,47 +217,39 @@ def _initial_step(fun, t0, y0, f0, interval, max_step, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    return min(100 * h0, h1, interval, max_step)
+    return min(100 * h0, h1, interval)
 
 
-def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6,
-              first_step=None, max_step=np.inf):
+def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y) forward
-    over ``t_span``, with RK45's step control, error norm and dense output.
+    over ``t_span``, with RK45's step control, error norm and dense output
+    at the ``t_eval`` points.
 
-    Both integrators below call it by this module attribute.  An overflow
-    on the way ends in a stall, non-finite samples or a non-finite order
-    estimate, each reported by the caller, so numpy's warnings during
-    the solve say nothing more."""
+    `integrate` calls it by this module attribute.  An overflow on the
+    way ends in a stall or non-finite samples, each reported by the
+    caller, so numpy's warnings during the solve say nothing more."""
     t, t_bound = map(float, t_span)
     if not t_bound > t:
         raise ValueError("solve_ivp integrates forward only; need t1 > t0")
     y = np.asarray(y0, dtype=float)
-    if t_eval is not None:
-        t_eval = np.asarray(t_eval)
+    t_eval = np.asarray(t_eval)
     if rtol < _MIN_RTOL:
         rtol = np.maximum(rtol, _MIN_RTOL)
     n = y.size
     K = np.empty((len(_C) + 1, n))
     stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
     K_steps, K_all = K[:-1].T, K.T
-    samples_t, samples_y = ([], []) if t_eval is not None else ([t], [y])
+    samples_t, samples_y = [], []
     done = 0
     y_abs = np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
         f = fun(t, y)
-        nfev = 1
-        if first_step is None:
-            h_abs = _initial_step(fun, t, y, f, t_bound - t, max_step, rtol, atol)
-            nfev += 1
-        else:
-            h_abs = first_step
+        h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
+        nfev = 2
         status = None
         while status is None:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
+            if h_abs < min_step:
                 h_abs = min_step
             rejected = False
             while True:
@@ -299,10 +290,6 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6,
             t_old, y_old, t, y, f, y_abs = t, y, t_new, y_new, f_new, y_new_abs
             if t - t_bound >= 0:
                 status = 0
-            if t_eval is None:
-                samples_t.append(t)
-                samples_y.append(y)
-                continue
             # Shampine's quartic through the step, at the t_eval points
             # in (t_old, t].
             stop = t_eval.searchsorted(t, side="right")
@@ -315,9 +302,7 @@ def solve_ivp(fun, t_span, y0, t_eval=None, rtol=1e-3, atol=1e-6,
                 samples_t.append(t_eval[done:stop])
                 samples_y.append(dense)
                 done = stop
-    if t_eval is None:
-        t_out, y_out = np.array(samples_t), np.vstack(samples_y).T
-    elif samples_t:
+    if samples_t:
         t_out, y_out = np.hstack(samples_t), np.hstack(samples_y)
     else:
         t_out, y_out = np.empty(0), np.empty((n, 0))
@@ -395,33 +380,36 @@ def residual(system: RadialSystem, solution: RadialSolution):
     return float(np.max(np.abs(defect))) if defect.size else 0.0
 
 
+def _dp5_steps(fun, t0, y0, h, n):
+    """``n`` plain Dormand-Prince 5 steps of size ``h`` from ``t0``: the
+    stages of step i sit at t0 + i*h + c*h, and ``fun`` is called 6n + 1
+    times (each step's last stage is the next one's first)."""
+    y = y0
+    K = np.empty((len(_C), y.size))
+    f = fun(t0, y)
+    for i in range(n):
+        t = t0 + i * h
+        K[0] = f
+        for c, a in _STAGES:
+            K[len(a)] = fun(t + c * h, y + np.dot(K[:len(a)].T, a) * h)
+        y = y + h * np.dot(K.T, _B)
+        f = fun(t + h, y)
+    return y
+
+
 def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
-    """Richardson order estimate from step-capped fixed-step runs."""
+    """Richardson order estimate from three fixed-step Dormand-Prince runs
+    of base_steps, twice and four times as many steps."""
     base_steps = _int_arg("base_steps", base_steps)
     if base_steps < 1:
         raise ValueError(f"base_steps must be an integer >= 1, got {base_steps!r}")
     _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
-
-    def endpoint(n):
-        h = (r1 - r0) / n
-        result = solve_ivp(
-            rhs,
-            (r0, r1),
-            start,
-            first_step=h,
-            max_step=h,
-            rtol=1e6,
-            atol=1e6,
-        )
-        return result.y[:, -1]
-
-    y1 = endpoint(base_steps)
-    y2 = endpoint(2 * base_steps)
-    y3 = endpoint(4 * base_steps)
-    # Runs that overflowed give infinite or NaN differences, and so a
-    # non-finite order, which is the report; the norms need not warn.
+    # Runs that overflow give infinite or NaN differences, and so a
+    # non-finite order, which is the report; the runs need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
+        y1, y2, y3 = (_dp5_steps(rhs, r0, start, (r1 - r0) / n, n)
+                      for n in (base_steps, 2 * base_steps, 4 * base_steps))
         d12 = float(np.linalg.norm(y1 - y2))
         d23 = float(np.linalg.norm(y2 - y3))
     order = math.log2(d12 / d23) if d23 > 0 else float("inf")

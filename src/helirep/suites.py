@@ -63,6 +63,12 @@ def _check(rows, name, value, tol):
     )
 
 
+def _checks(rows, prefix, residuals, tol):
+    """One check per labeled residual, named ``prefix + label``."""
+    for label, value in residuals.items():
+        _check(rows, prefix + label, value, tol)
+
+
 def _flag(rows, name, ok, tol):
     _check(rows, name, 0.0 if ok else 1.0, tol)
 
@@ -84,21 +90,17 @@ def suite_commutators(tol):
     rows = []
     for l in lrange("1/2", 3):
         report = commutator_report(helicity_ops(l), "lorentz")
-        for label, value in report["residuals"].items():
-            _check(rows, f"helicity l={l} {label}", value, tol)
+        _checks(rows, f"helicity l={l} ", report["residuals"], tol)
     for l, ldot in (("1/2", "0"), ("0", "1/2"), ("1/2", "1/2"), ("1", "1/2")):
         ladders = waerden_ops(l, ldot)
-        report = commutator_report(ladders, "ladder")
-        for label, value in report["residuals"].items():
-            _check(rows, f"two-sided ({l},{ldot}) {label}", value, tol)
-        report = commutator_report(ab_from_families(ladders), "lorentz")
-        for label, value in report["residuals"].items():
-            _check(rows, f"two-sided ({l},{ldot}) {label}", value, tol)
+        for ops, relation_set in ((ladders, "ladder"),
+                                  (ab_from_families(ladders), "lorentz")):
+            report = commutator_report(ops, relation_set)
+            _checks(rows, f"two-sided ({l},{ldot}) ", report["residuals"], tol)
     for l0, p in (("0", 2), ("1/2", 2), ("1", 2)):
         mapped = basis_change(gn_ops(GNRepLabel(l0, p)))
         report = commutator_report(mapped, "lorentz")
-        for label, value in report["residuals"].items():
-            _check(rows, f"tower ({l0},p={p}) {label}", value, tol)
+        _checks(rows, f"tower ({l0},p={p}) ", report["residuals"], tol)
         pair = commutator_report(mapped, "su2_pair")
         _check(rows, f"tower ({l0},p={p}) family split",
                pair["max_residual"], tol)
@@ -216,9 +218,7 @@ def suite_schur(tol):
 def suite_gy(tol, system=None):
     system = dirac_system() if system is None else system
     rows = []
-    report = verify_invariance(system, tol=tol)
-    for label, value in report["residuals"].items():
-        _check(rows, label, value, tol)
+    _checks(rows, "", verify_invariance(system, tol=tol)["residuals"], tol)
     blocks = extract_spin_blocks(system.lambda3, system.chain)
     back = reassemble_spin_blocks(blocks, system.chain)
     _check(rows, "spin-block round trip",

@@ -432,6 +432,33 @@ class TestVerifyRadialTotality:
         )
 
 
+class TestNonFiniteChainConfig:
+    """A NaN coefficient or mass in a chain file is a usage error (exit 2)
+    on every command that loads one, not an SVD failure, a stalled solve
+    or NaN matrices."""
+
+    @pytest.mark.parametrize("command", [["verify", "gy"], ["gy-build"], ["radial"]],
+                             ids=["verify-gy", "gy-build", "radial"])
+    @pytest.mark.parametrize("config", [
+        {**DIRAC_CONFIG, "coeffs": [{**DIRAC_CONFIG["coeffs"][0], "re": math.nan},
+                                    DIRAC_CONFIG["coeffs"][1]]},
+        {**DIRAC_CONFIG, "kappa": [math.nan, 0.0]},
+        {**DIRAC_CONFIG, "kappa_dot": [1.0, math.inf]},
+    ], ids=["coefficient", "kappa", "kappa_dot"])
+    def test_usage_error(self, capsys, tmp_path, command, config):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        out = tmp_path / "out"
+        code = main(command + ["--chain", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"helirep: invalid chain config {str(path)!r}: ")
+        assert "finite" in captured.err
+        assert captured.err.count("\n") == 1
+
+
 class TestDeterminism:
     def test_zfun_bytes_stable(self, capsys):
         argv = ["zfun", "--l", "2", "--grid", "0:1:50", "--tau", "0.3"]

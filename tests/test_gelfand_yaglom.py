@@ -333,3 +333,49 @@ class TestConfigRoundTrip:
         }
         system = system_from_config(cfg)
         assert np.array_equal(system.lambda3c.data, system.lambda3.data)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite coefficient or mass is refused when the chain is
+    built; JSON configs can spell NaN, and it used to reach the solvers."""
+
+    KEY = (0, 1, half(1), half(1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
+    @pytest.mark.parametrize("sector", ["undotted", "dotted"])
+    def test_coefficient_rejected(self, bad, sector):
+        with pytest.raises(ValueError, match="not finite"):
+            CoeffTable(**{sector: {self.KEY: bad}})
+
+    @pytest.mark.parametrize("masses", [
+        {"kappa": float("nan")},
+        {"kappa": complex(1, float("inf"))},
+        {"kappa": 1.0, "kappa_dot": float("nan")},
+        {"kappa": 1.0, "kappa_dot": -float("inf")},
+    ])
+    def test_mass_rejected(self, masses):
+        name = "kappa_dot" if "kappa_dot" in masses else "kappa"
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dirac_system(**masses)
+
+    def test_config_rows_rejected(self):
+        cfg = system_to_config(dirac_system())
+        cfg["coeffs"][0]["re"] = float("nan")
+        with pytest.raises(ValueError, match="not finite"):
+            system_from_config(cfg)
+        cfg = system_to_config(dirac_system())
+        cfg["kappa"] = [float("nan"), 0.0]
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            system_from_config(cfg)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_postcondition_fails_a_nan_row(self, bad):
+        # NaN is never greater than the tolerance; the rotation-table
+        # postcondition must still refuse it.
+        system = dirac_system()
+        data = system.lambda3.data.copy()
+        data[0, 2] = bad
+        lambda3 = CMatrix(data, system.lambda3.row_labels)
+        with pytest.raises(ValueError, match="rotation table inconsistency.*nan"), \
+                np.errstate(invalid="ignore"):
+            lambda12_from_commutators(lambda3, chain_generators(system.chain))

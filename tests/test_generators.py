@@ -8,6 +8,7 @@ import pytest
 from helirep.core import CMatrix
 from helirep.generators import (
     GNRepLabel,
+    _cartesianize,
     _tower_link,
     ab_from_families,
     basis_change,
@@ -18,6 +19,7 @@ from helirep.generators import (
     gn_ops,
     helicity_ab_op,
     helicity_ops,
+    relation_residuals,
     split_families,
     waerden_op,
     waerden_ops,
@@ -311,6 +313,49 @@ class TestCommutatorReport:
     def test_unknown_relation_set_rejected(self):
         with pytest.raises(ValueError):
             commutator_residual({}, "poincare")
+
+
+class TestRelationResiduals:
+    def test_rows_in_order_none_means_vanish(self):
+        a, b = helicity_ab_op("A1", half(2)), helicity_ab_op("A2", half(2))
+        c = helicity_ab_op("A3", half(2))
+        got = relation_residuals([("closes", a, b, c), ("vanishes", a, b, None),
+                                  ("self", a, a, None)])
+        assert list(got) == ["closes", "vanishes", "self"]
+        assert got["closes"] == a.commutator(b).residual_vs(c)
+        assert got["vanishes"] == a.commutator(b).norm_inf() > 0.5
+        assert got["self"] == 0.0
+
+
+class TestFlavorTable:
+    """The two ladder flavors differ only by the scale s in [X3, X+] = s X+;
+    the Cartesian components do not see which one a family carries."""
+
+    @pytest.mark.parametrize("tl, tld", [(1, 1), (1, 2), (2, 1), (3, 2), (4, 4)])
+    def test_minus_i_times_a_hermitian_family(self, tl, tld):
+        ops = waerden_ops(half(tl), half(tld))
+        scaled = {k: -1j * v for k, v in ops.items()}
+        for relation_set in ("ladder", "su2_pair"):
+            assert commutator_report(ops, relation_set)["flavor"] == {
+                "X": "hermitian", "Y": "hermitian"}
+            report = commutator_report(scaled, relation_set)
+            assert report["flavor"] == {"X": "antihermitian", "Y": "antihermitian"}
+            assert report["max_residual"] <= 1e-13
+        labels = commutator_report(scaled, "ladder")["residuals"]
+        assert list(labels)[:3] == ["[X3,X+]=-iX+", "[X3,X-]=+iX-", "[X+,X-]=-2iX3"]
+        for fam in "XY":
+            plain, _ = _cartesianize(ops, fam)
+            rotated, _ = _cartesianize(scaled, fam)
+            for k in "123":
+                assert np.array_equal(rotated[k].data, plain[k].data)
+
+    def test_all_zero_family_is_degenerate(self):
+        z = CMatrix.zeros([half(1), half(-1)], [half(1), half(-1)])
+        ops = {k: z for k in ("X+", "X-", "X3", "Y+", "Y-", "Y3")}
+        for relation_set in ("ladder", "su2_pair"):
+            report = commutator_report(ops, relation_set)
+            assert report["flavor"] == {"X": "degenerate", "Y": "degenerate"}
+            assert report["max_residual"] == 0.0
 
 
 # (twice l, step) of every source tower up to l = 3 with a target tower.

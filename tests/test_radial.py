@@ -450,14 +450,6 @@ class TestSolverMatchesScipy:
         self.check(rs, DIRAC_INIT, 0.5, 60.0,
                    t_eval=np.linspace(0.5, 60.0, 10001), rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("steps", [200, 400, 800])
-    def test_fixed_step_runs(self, steps):
-        # the three runs of convergence_order(rs, 0.5, 10.0, ..., base_steps=200)
-        h = 9.5 / steps
-        ours = self.check(dirac_radial(), DIRAC_INIT, 0.5, 10.0, first_step=h,
-                          max_step=h, rtol=1e6, atol=1e6)
-        assert ours.success and ours.t[-1] == 10.0
-
     @pytest.mark.parametrize("kappa", [[0.0, 400.0], [1e300, 1e300]],
                              ids=["kappa400", "kappa1e300"])
     def test_stall_and_overflow(self, kappa):
@@ -484,6 +476,63 @@ class TestSolverMatchesScipy:
         floor = self.check(dirac_radial(), DIRAC_INIT, 0.5, 20.0, t_eval=grid,
                            rtol=100 * np.finfo(float).eps, atol=1e-12)
         assert low.success and low.y.tobytes() == floor.y.tobytes()
+
+
+class TestFixedStepLoop:
+    """The order runs of ``convergence_order``: plain Dormand-Prince 5
+    steps of one size, with no step control."""
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_calls_and_stage_radii(self, n):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        radial._dp5_steps(rhs, 0.5, np.ones(3), 0.25, n)
+        assert len(calls) == 6 * n + 1
+        # five stages, then the end point, whose slope the next step reuses
+        c = [1/5, 3/10, 4/5, 8/9, 1, 1]
+        want = [0.5] + [0.5 + i * 0.25 + ci * 0.25 for i in range(n) for ci in c]
+        assert calls == want
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_matches_the_stability_polynomial(self, n):
+        # On y' = A y one step is y -> R(hA) y with the DP5 stability
+        # polynomial R(z) = sum_{k<=5} z^k/k! + z^6/600.
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4))
+        y0 = rng.normal(size=4)
+        h = 0.05
+        z = h * a
+        power, r = np.eye(4), np.eye(4)
+        for k in range(1, 6):
+            power = power @ z / k
+            r = r + power
+        r = r + np.linalg.matrix_power(z, 6) / 600
+        want = np.linalg.matrix_power(r, n) @ y0
+        got = radial._dp5_steps(lambda t, y: a @ y, 0.0, y0, h, n)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_order_runs_make_6n_plus_1_calls_each(self, monkeypatch):
+        counts = []
+        steps = radial._dp5_steps
+
+        def counted(fun, t0, y0, h, n):
+            calls = []
+
+            def rhs(t, y):
+                calls.append(t)
+                return fun(t, y)
+
+            out = steps(rhs, t0, y0, h, n)
+            counts.append((n, len(calls)))
+            return out
+
+        monkeypatch.setattr(radial, "_dp5_steps", counted)
+        convergence_order(dirac_radial(), 0.5, 10.0, DIRAC_INIT, base_steps=200)
+        assert counts == [(200, 1201), (400, 2401), (800, 4801)]
 
 
 class TestConjugateSector:

@@ -13,7 +13,9 @@ configs whose solves overflow and on chain4, ``zfun`` points and
 sweeps, ``radial`` on Dirac and on chain3 and chain4 (the conjugate
 sector with the alt variant, and raised ansatz weights, so the 1/r
 assembly is compared beyond Dirac; chain5, whose derivative matrix is
-singular, keeps the error path), and four usage errors.  Every call runs twice, once to
+singular, keeps the error path), ``verify gy``, ``gy-build`` and
+``radial`` on a Dirac config with a NaN coefficient and on one with a
+NaN mass, and four usage errors.  Every call runs twice, once to
 stdout and once with ``--out``.  The script compares stdout, the ``--out`` files
 (every file ``gy-build`` writes) and the exit code, prints one line per
 call, and exits 1 if any call differs, unless the call is named with
@@ -91,6 +93,10 @@ def configs():
            for i, reps in enumerate(CHAINS)}
     out["kappa400.json"] = {**DIRAC, "kappa": [0.0, 400.0]}
     out["kappa1e300.json"] = {**DIRAC, "kappa": [1e300, 1e300]}
+    # json.dump spells these NaN, which json.load reads back.
+    out["nancoeff.json"] = {**DIRAC, "coeffs": [{**DIRAC["coeffs"][0], "re": float("nan")},
+                                                DIRAC["coeffs"][1]]}
+    out["nankappa.json"] = {**DIRAC, "kappa": [float("nan"), 0.0]}
     return out
 
 
@@ -142,6 +148,11 @@ def calls():
         out.append((f"radial {c} l0=7/2 l0-dot=5/2",
                     ["radial", "--chain", f"{c}.json", "--l0", "7/2",
                      "--l0-dot", "5/2", "--grid", "0.5:10:200"]))
+    for cfg in ("nancoeff", "nankappa"):
+        out += [(f"verify gy {cfg}", ["verify", "gy", "--chain", f"{cfg}.json"]),
+                (f"gy-build {cfg}", ["gy-build", "--chain", f"{cfg}.json"]),
+                (f"radial {cfg}", ["radial", "--chain", f"{cfg}.json",
+                                   "--grid", "0.5:10:200"])]
     out += [
         ("usage: verify without suite", ["verify"]),
         ("usage: zfun bad l", ["zfun", "--l", "1/3"]),
