@@ -12,7 +12,8 @@ plus data rows.  Spin labels parse and print as fraction strings
 ("3/2"), complex numbers serialize as ``[re, im]`` pairs (paired
 ``_re``/``_im`` columns in CSV).  Identical invocations produce
 byte-identical output.  Exit codes: 0 success, 1 verification failure,
-2 usage or parse error.
+2 usage, parse or input error, or an ``--out`` that cannot be written;
+``main`` is the one place that maps an error to exit 2.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .suites import DEFAULT_TOLERANCES, SUITES, run_suite
 TOL_ENV = "HELIREP_TOL"
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad invocation or unparseable input; maps to exit code 2."""
 
 
@@ -153,11 +154,8 @@ def cmd_zfun(args):
     # on the way say nothing more.
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = np.linspace(*grid) if grid else np.array([theta])
-        try:
-            series = z_series_grid(l, m, n, thetas, [tau])[:, 0]
-            factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        series = z_series_grid(l, m, n, thetas, [tau])[:, 0]
+        factorized = z_grid(l, m, n, thetas, [tau])[:, 0]
     # Python floats, each column converted once; + 0.0 prints a negative
     # zero as 0.0.  The discrepancy is taken on Python complexes: numpy's
     # vectorized complex abs can differ from hypot in the last bit.
@@ -213,10 +211,7 @@ def cmd_verify(args):
     system = None
     if suite in ("gy", "radial") and args.chain:
         system = _load_system(args.chain)
-    try:
-        suite_report = run_suite(suite, tol=tol, system=system)
-    except (ValueError, RuntimeError) as exc:  # no normal form, or a stalled solve
-        raise UsageError(str(exc))
+    suite_report = run_suite(suite, tol=tol, system=system)
     checks = suite_report["checks"]
     if args.format == "csv":
         text = _csv(["suite", "check", "residual", "tol", "ok"], [
@@ -281,10 +276,7 @@ def cmd_radial(args):
     top = system.chain.top_spin
     l0 = _half(args.l0, "--l0") if args.l0 else top
     l0_dot = _half(args.l0_dot, "--l0-dot") if args.l0_dot else top
-    try:
-        rs = assemble_rfs(system, l0, l0_dot, variant=args.variant)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rs = assemble_rfs(system, l0, l0_dot, variant=args.variant)
     block = rs.block(args.sector)
     if args.init:
         init = _parse_init(args.init, block.dim)
@@ -292,10 +284,7 @@ def cmd_radial(args):
         init = np.zeros(block.dim, dtype=complex)
         init[0] = 1.0
     start, stop, steps = _parse_grid(args.grid)
-    try:
-        sol = integrate(rs, start, stop, init, steps, sector=args.sector)
-    except (ValueError, RuntimeError) as exc:  # bad input, or a stalled solve
-        raise UsageError(str(exc))
+    sol = integrate(rs, start, stop, init, steps, sector=args.sector)
     labels = [str(label) for label in sol.labels]
     if args.format == "csv":
         header = ["r"]
@@ -410,9 +399,11 @@ def main(argv=None):
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(_attach_negative_values(argv, parser))
+    # The one exit-2 boundary: a usage error or a library ValueError (bad
+    # input), a RuntimeError (a stalled solve), an OSError from --out.
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"helirep: {exc}", file=sys.stderr)
         return 2
 

@@ -77,23 +77,14 @@ def brauer_weyl(n):
     doubled as X + X and the sigma_3 chain with opposite block signs,
     which makes the two summands inequivalent.
     """
-    n = _int_arg("rank", n)
-    if not 1 <= n <= _MAX_RANK:
-        raise ValueError(f"rank must be between 1 and {_MAX_RANK}, got {n}")
+    n = _int_arg("rank", n, 1, _MAX_RANK)
     m, odd = divmod(n, 2)
-    if not odd:
-        gens = [_chain(1, i, m) for i in range(m)]
-        gens += [_chain(2, j, m) for j in range(m)]
-        return CliffordBasis(n, tuple(gens))
-    even = [_chain(1, i, m) for i in range(m)] + [
-        _chain(2, j, m) for j in range(m)
-    ]
-    zero = np.zeros((2 ** m, 2 ** m), dtype=complex)
-    gens = [np.block([[e, zero], [zero, e]]) for e in even]
-    chain = np.eye(1, dtype=complex)
-    for _ in range(m):
-        chain = np.kron(chain, _SIGMA[3])
-    gens.append(np.block([[chain, zero], [zero, -chain]]))
+    gens = [_chain(1, i, m) for i in range(m)]
+    gens += [_chain(2, j, m) for j in range(m)]
+    if odd:
+        # X + X is 1 x X; the sigma_3 chain of all m factors is _chain(3, m, m)
+        gens = [np.kron(np.eye(2), e) for e in gens]
+        gens.append(np.kron(_SIGMA[3], _chain(3, m, m)))
     return CliffordBasis(n, tuple(gens))
 
 
@@ -305,9 +296,7 @@ def odd_direct_sum(m):
     central with opposite scalars in the two blocks, and that selecting
     one summand is multiplicative on random algebra elements.
     """
-    m = _int_arg("m", m)
-    if not 1 <= m <= 5:
-        raise ValueError(f"direct-sum report capped at m = 5, got {m}")
+    m = _int_arg("m", m, 1, 5)
     basis = brauer_weyl(2 * m + 1)
     products = _subset_products(basis.generators)
     half_dim = basis.dim // 2
@@ -395,9 +384,7 @@ def schur_transpositions(m):
     vanishes at k = 1, so t_1 = -E_1.  The realized scalar signs of the
     square/braid/far-commutation relations are attached.
     """
-    m = _int_arg("m", m)
-    if not 2 <= m <= 10:
-        raise ValueError(f"transposition set needs 2 <= m <= 10, got {m}")
+    m = _int_arg("m", m, 2, 10)
     # E_k is built as t_k needs it; holding only E_{k-1} keeps the
     # family out of the peak memory of the relation products below.
     ts, prev = [], None
@@ -478,9 +465,7 @@ def transposition_homomorphism_report(m, max_word_len=4):
     underlying transpositions (k, k+1) on m+1 points; all matrix words
     landing on the same permutation must agree up to an overall sign.
     """
-    max_word_len = _int_arg("max_word_len", max_word_len)
-    if max_word_len < 1:
-        raise ValueError(f"max_word_len must be at least 1, got {max_word_len}")
+    max_word_len = _int_arg("max_word_len", max_word_len, 1)
     gens = schur_transpositions(m)
     m = gens.m
     points = m + 1

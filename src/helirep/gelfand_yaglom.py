@@ -24,7 +24,8 @@ import numpy as np
 from .core import CMatrix
 from .generators import (_tower_link, helicity_ab_op, relation_residuals,
                          split_families)
-from .halfint import HalfInt, half, lrange, mrange
+from .halfint import HalfInt, _weights, half, lrange, mrange
+from .kernels import _finite, _int_arg
 from .tensordec import RepLabel
 
 
@@ -135,9 +136,7 @@ def spin_block_members(chain: RepChain, s):
 
     Admission is the double inequality |l1 - l2| <= s <= l1 + l2.
     """
-    s = HalfInt(s)
-    if s.twice < 0:
-        raise ValueError("spin must be nonnegative")
+    (s,) = _weights(s)
 
     def admits(rep):
         return (
@@ -175,10 +174,8 @@ class CoeffTable:
                     "more than one step apart"
                 )
             value = complex(value)
-            if not cmath.isfinite(value):
-                raise ValueError(f"coefficient ({kp}, {k}, {lp}, {l}) is not "
-                                 f"finite: {value}")
-            out[(int(kp), int(k), lp, l)] = value
+            _finite(f"coefficient ({kp}, {k}, {lp}, {l})", value, dtype=complex)
+            out[(_int_arg("rep", kp, 0), _int_arg("rep", k, 0), lp, l)] = value
         return out
 
 
@@ -186,7 +183,7 @@ def _check_table(chain, table, sector):
     """Reject a coefficient whose reps or towers the chain cannot carry."""
     nreps = len(chain.reps)
     for kp, k, lp, l in table:
-        if not (0 <= kp < nreps and 0 <= k < nreps):
+        if max(kp, k) >= nreps:  # rep numbers are counts (CoeffTable)
             raise ValueError(f"{sector} coefficient names rep {max(kp, k)}, "
                              f"chain has {nreps}")
         if kp != k and not is_interlocking(chain.reps[kp], chain.reps[k]):
@@ -312,13 +309,16 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
 
     The first is the commutator with the second rotation generator,
     the second the commutator of the third with the first.  The whole
-    nine-relation rotation table is then verified as a postcondition.
+    nine-relation rotation table is then verified as a postcondition,
+    relative to the largest entry of ``lambda3`` once that passes 1: the
+    round-off of a consistent table grows with its coefficients.
 
     Raises
     ------
     ValueError
-        If any rotation-table relation exceeds ``tol`` or is NaN — the
-        matrix is then not assembled consistently with this generator set.
+        If any rotation-table relation exceeds ``tol`` times
+        max(1, max|lambda3|) or is NaN — the matrix is then not assembled
+        consistently with this generator set.
     """
     lambda1 = gens["A2"].commutator(lambda3)
     lambda2 = gens["A3"].commutator(lambda1)
@@ -326,7 +326,7 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
         _relations("A", {1: lambda1, 2: lambda2, 3: lambda3}, gens, ""))
     # A NaN row (an overflowed matrix) fails too, and is named first.
     worst = max(rows, key=lambda label: (math.isnan(rows[label]), rows[label]))
-    if not rows[worst] <= tol:
+    if not rows[worst] <= tol * max(1.0, lambda3.norm_inf()):
         raise ValueError(
             f"rotation table inconsistency: {worst} has residual "
             f"{rows[worst]:.3e}"
@@ -352,7 +352,9 @@ class GYSystem:
     def lambda_triple(self, sector="plain"):
         if sector == "plain":
             return (self.lambda1, self.lambda2, self.lambda3)
-        return (self.lambda1c, self.lambda2c, self.lambda3c)
+        if sector == "conjugate":
+            return (self.lambda1c, self.lambda2c, self.lambda3c)
+        raise ValueError(f"unknown sector {sector!r}")
 
 
 def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):
@@ -360,9 +362,8 @@ def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):
     non-finite mass ``kappa`` or ``kappa_dot`` is a ValueError."""
     kappa = complex(kappa)
     kappa_dot = kappa if kappa_dot is None else complex(kappa_dot)
-    for name, value in (("kappa", kappa), ("kappa_dot", kappa_dot)):
-        if not cmath.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _finite("kappa", kappa, dtype=complex)
+    _finite("kappa_dot", kappa_dot, dtype=complex)
     lambda3, lambda3c = assemble_lambda3(chain, coeffs)
     gens = chain_generators(chain)
     lambda1, lambda2 = lambda12_from_commutators(lambda3, gens)
@@ -573,8 +574,8 @@ def _parse_coeff_rows(rows):
     table = {}
     for row in rows:
         key = (
-            int(row["to"]) - 1,
-            int(row["from"]) - 1,
+            _int_arg("to", row["to"], 1) - 1,
+            _int_arg("from", row["from"], 1) - 1,
             HalfInt(row["lp"]),
             HalfInt(row["l"]),
         )
@@ -590,6 +591,9 @@ def system_from_config(cfg: dict):
     rep numbers), optional ``dotted`` rows (default: same as coeffs),
     optional ``kappa``/``kappa_dot`` as [re, im] pairs.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(
+            f"chain config must be a JSON object, got {type(cfg).__name__}")
     if not cfg.get("reps"):
         raise ValueError("chain config needs a nonempty 'reps' list")
     chain = RepChain(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CMatrix, enumerate_basis
-from .halfint import HalfInt, lrange, mrange
+from .halfint import HalfInt, _weights, lrange, mrange
 from .kernels import _int_arg
 
 
@@ -136,12 +136,8 @@ class GNRepLabel:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "l0", HalfInt(self.l0))
-        if self.l0 < 0:
-            raise ValueError("l0 must be non-negative")
-        object.__setattr__(self, "p", _int_arg("p", self.p))
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
+        object.__setattr__(self, "l0", _weights(self.l0)[0])
+        object.__setattr__(self, "p", _int_arg("p", self.p, 1))
 
     @property
     def l1(self):

@@ -154,11 +154,24 @@ def half(p):
     return HalfInt.from_twice(p)
 
 
+def _weights(l, *projections):
+    """The one gate of spin labels: (l, m, ...) as HalfInts, where l is a
+    non-negative spin label and each m one of its projections."""
+    l = HalfInt(l)
+    if l.twice < 0:
+        raise ValueError(f"spin label {l} must be non-negative")
+    out = [l]
+    for m in projections:
+        m = HalfInt(m)
+        if abs(m.twice) > l.twice or (l.twice - m.twice) % 2:
+            raise ValueError(f"projection {m} invalid for spin {l}")
+        out.append(m)
+    return out
+
+
 def mrange(l):
     """Projection labels l, l-1, ..., -l in descending order."""
-    l = HalfInt(l)
-    if l < 0:
-        raise ValueError("spin label must be non-negative")
+    (l,) = _weights(l)
     return [HalfInt.from_twice(t) for t in range(l.twice, -l.twice - 1, -2)]
 
 

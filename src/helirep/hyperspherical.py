@@ -24,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
-from .halfint import HalfInt, mrange
-from .kernels import _Memo, _horner, _powers, _stack, ipow, ln_factorial
-from .su2 import _finite, _jac_vec, _sph_vec, _weights
+from .halfint import HalfInt, _weights, mrange
+from .kernels import (_Memo, _finite, _horner, _powers, _stack, ipow,
+                      ln_factorial)
+from .su2 import _ANGLES, _jac_vec, _sph_vec
 
 _CELLS = 1 << 14  # cells per evaluated block of a table and its label rows
 
@@ -168,7 +169,7 @@ def z_series(l, m, n, theta, tau):
     """Z^l_mn at one point by the series route: the one-point view of
     ``z_series_grid``."""
     l, m, n = _weights(l, m, n)
-    _finite(theta, tau)
+    _finite(_ANGLES, theta, tau)
     return complex(_series_table(l.twice, m.twice, n.twice, [theta], [tau])[0, 0])
 
 
@@ -180,7 +181,7 @@ def z_series_grid(l, m, n, thetas, taus):
     edges.
     """
     l, m, n = _weights(l, m, n)
-    _finite(thetas, taus)
+    _finite(_ANGLES, thetas, taus)
     return _series_table(l.twice, m.twice, n.twice, thetas, taus)
 
 
@@ -200,7 +201,7 @@ def z_grid(l, m, n, thetas, taus):
     the angle axes.
     """
     l, m, n = _weights(l, m, n)
-    _finite(thetas, taus)
+    _finite(_ANGLES, thetas, taus)
     tl, tm, tn = l.twice, m.twice, n.twice
     thetas = np.asarray(thetas, dtype=float).ravel()
     taus = np.asarray(taus, dtype=float).ravel()
@@ -226,7 +227,7 @@ def z_matrix(l, theta, tau):
     symmetric, so its row k is the tabulation of label k.
     """
     (l,) = _weights(l)
-    _finite(theta, tau)
+    _finite(_ANGLES, theta, tau)
     ms = mrange(l)
     tl, ts = l.twice, [m.twice for m in ms]
     rot = np.array([_sph_vec(tl, tm, [theta])[:, 0] for tm in ts])
@@ -237,7 +238,7 @@ def z_matrix(l, theta, tau):
 def m_function(l, m, n, g: GroupPoint):
     """Phase-dressed matrix element of the six-parameter group element."""
     l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
-    _finite(*g.as_tuple())
+    _finite(_ANGLES, *g.as_tuple())
     left = cmath.exp(-float(m) * (g.eps + 1j * g.phi))
     right = cmath.exp(-float(n) * (g.veps + 1j * g.psi))
     return left * z_factorized(l, m, n, g.theta, g.tau) * right
@@ -246,7 +247,7 @@ def m_function(l, m, n, g: GroupPoint):
 def m_matrix(l, g: GroupPoint):
     """Full representation matrix at spin l, rows labeled m descending."""
     l = HalfInt(l)
-    _finite(*g.as_tuple())
+    _finite(_ANGLES, *g.as_tuple())
     ms = mrange(l)
     zc = z_matrix(l, g.theta, g.tau)
     left = np.array([cmath.exp(-float(m) * (g.eps + 1j * g.phi)) for m in ms])

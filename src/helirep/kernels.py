@@ -25,12 +25,26 @@ class PoleError(ArithmeticError):
     """A denominator parameter vanishes before the series terminates."""
 
 
-def _int_arg(name, value):
-    """``value`` as an int: any integral number (numpy ints too), but no
-    bool and nothing non-integral, so nothing is silently truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _int_arg(name, value, lo, hi=None):
+    """The one gate of counts: ``value`` as an int with lo <= value
+    (<= hi, if given): any integral number (numpy ints too), but no bool
+    and nothing non-integral, so nothing is silently truncated."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if ok:
+        value = int(value)
+        ok = lo <= value and (hi is None or value <= hi)
+    if not ok:
+        bounds = f">= {lo}" if hi is None else f"between {lo} and {hi}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return value
+
+
+def _finite(what, *values, dtype=float):
+    """The one finiteness gate of inputs: every value (a number or an
+    array of them, read as ``dtype``) must be finite, or ValueError."""
+    for value in values:
+        if not np.isfinite(np.asarray(value, dtype=dtype)).all():
+            raise ValueError(f"{what} must be finite")
 
 
 def ipow(k):

@@ -25,9 +25,8 @@ import numpy as np
 
 from .gelfand_yaglom import GYSystem, RepChain, _check_table
 from .generators import _alpha, _tower_link
-from .halfint import HalfInt
-from .kernels import _int_arg
-from .su2 import _weights
+from .halfint import HalfInt, _weights
+from .kernels import _finite, _int_arg
 
 _VARIANTS = ("printed", "alt")
 
@@ -220,6 +219,25 @@ def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
+def _dp5_stepper(n):
+    """Stage storage K for an n-component system, and the one Dormand-Prince
+    5 step that fills it: ``advance(fun, t, y, f, h)`` with f = fun(t, y)
+    leaves the six stage slopes in K[:6] and returns (y_new, fun(t + h,
+    y_new)).  The views each stage reads are made once, here."""
+    K = np.empty((len(_C) + 1, n))
+    stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
+    K_steps = K[:-1].T
+
+    def advance(fun, t, y, f, h):
+        K[0] = f
+        for c, k, a in stages:
+            K[len(a)] = fun(t + c * h, y + np.dot(k, a) * h)
+        y_new = y + h * np.dot(K_steps, _B)
+        return y_new, fun(t + h, y_new)
+
+    return K, advance
+
+
 def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y) forward
     over ``t_span``, with RK45's step control, error norm and dense output
@@ -236,9 +254,8 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     if rtol < _MIN_RTOL:
         rtol = np.maximum(rtol, _MIN_RTOL)
     n = y.size
-    K = np.empty((len(_C) + 1, n))
-    stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
-    K_steps, K_all = K[:-1].T, K.T
+    K, advance = _dp5_stepper(n)
+    K_all = K.T
     samples_t, samples_y = [], []
     done = 0
     y_abs = np.abs(y)
@@ -263,11 +280,7 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
                     t_new = t_bound
                 h = t_new - t
                 h_abs = np.abs(h)
-                K[0] = f
-                for c, k, a in stages:
-                    K[len(a)] = fun(t + c * h, y + np.dot(k, a) * h)
-                y_new = y + h * np.dot(K_steps, _B)
-                f_new = fun(t + h, y_new)
+                y_new, f_new = advance(fun, t, y, f, h)
                 K[-1] = f_new
                 nfev += 6
                 y_new_abs = np.abs(y_new)
@@ -319,8 +332,7 @@ def _prepare(system, r0, r1, init, sector):
     radii, and the real-split initial vector and normal-form right side."""
     block = system.block(sector)
     r0, r1 = float(r0), float(r1)
-    if not (math.isfinite(r0) and math.isfinite(r1)):
-        raise ValueError(f"radii must be finite, got r0 = {r0}, r1 = {r1}")
+    _finite("radii", r0, r1)
     if r0 <= 0:
         raise ValueError("the radial origin is singular; need r0 > 0")
     if r1 <= r0:
@@ -330,8 +342,7 @@ def _prepare(system, r0, r1, init, sector):
         raise ValueError(f"initial vector must have {block.dim} components")
     # A non-finite component makes every step size NaN, which the solver
     # could only report as a stall; it is an input error.
-    if not np.isfinite(init).all():
-        raise ValueError("initial vector components must be finite")
+    _finite("initial vector components", init, dtype=complex)
     over_r_s, constant_s = map(_real_split, _normal_form(block))
 
     def rhs(r, z):
@@ -344,9 +355,7 @@ def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
               rtol=1e-10, atol=1e-12):
     """Adaptive 4th/5th-order integration on a uniform output grid."""
     block, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
-    steps = _int_arg("steps", steps)
-    if steps < 100:
-        raise ValueError("need at least 100 steps")
+    steps = _int_arg("steps", steps, 100)
     grid = np.linspace(r0, r1, steps + 1)
     result = solve_ivp(rhs, (r0, r1), start, t_eval=grid, rtol=rtol, atol=atol)
     if not result.success:
@@ -384,16 +393,10 @@ def _dp5_steps(fun, t0, y0, h, n):
     """``n`` plain Dormand-Prince 5 steps of size ``h`` from ``t0``: the
     stages of step i sit at t0 + i*h + c*h, and ``fun`` is called 6n + 1
     times (each step's last stage is the next one's first)."""
-    y = y0
-    K = np.empty((len(_C), y.size))
-    f = fun(t0, y)
+    _, advance = _dp5_stepper(y0.size)
+    y, f = y0, fun(t0, y0)
     for i in range(n):
-        t = t0 + i * h
-        K[0] = f
-        for c, a in _STAGES:
-            K[len(a)] = fun(t + c * h, y + np.dot(K[:len(a)].T, a) * h)
-        y = y + h * np.dot(K.T, _B)
-        f = fun(t + h, y)
+        y, f = advance(fun, t0 + i * h, y, f, h)
     return y
 
 
@@ -401,9 +404,7 @@ def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
     """Richardson order estimate from three fixed-step Dormand-Prince runs
     of base_steps, twice and four times as many steps."""
-    base_steps = _int_arg("base_steps", base_steps)
-    if base_steps < 1:
-        raise ValueError(f"base_steps must be an integer >= 1, got {base_steps!r}")
+    base_steps = _int_arg("base_steps", base_steps, 1)
     _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
     # Runs that overflow give infinite or NaN differences, and so a
     # non-finite order, which is the report; the runs need not warn.

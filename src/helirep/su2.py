@@ -9,9 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfint import HalfInt
+from .halfint import HalfInt, _weights
 from .kernels import (
     _Memo,
+    _finite,
     _horner,
     _powers,
     _stack,
@@ -22,27 +23,10 @@ from .kernels import (
 )
 
 
-def _weights(l, *projections):
-    """Coerce and validate (l, m, ...) spin labels."""
-    l = HalfInt(l)
-    if l.twice < 0:
-        raise ValueError(f"spin label {l} must be non-negative")
-    out = [l]
-    for m in projections:
-        m = HalfInt(m)
-        if abs(m.twice) > l.twice or (l.twice - m.twice) % 2:
-            raise ValueError(f"projection {m} invalid for spin {l}")
-        out.append(m)
-    return out
-
-
-def _finite(*angles):
-    """Reject a non-finite angle or rapidity (scalar or array) before any
-    evaluation: the rotation tabulator would reflect a NaN angle forever,
-    and a NaN rapidity would come back as a NaN value."""
-    for values in angles:
-        if not np.isfinite(np.asarray(values, dtype=float)).all():
-            raise ValueError("angles and rapidities must be finite")
+# What the finiteness gate names when an angle or rapidity is not finite:
+# the rotation tabulator would reflect a NaN angle forever, and a NaN
+# rapidity would come back as a NaN value.
+_ANGLES = "angles and rapidities"
 
 
 def _series_coeffs(tl, ta, tb):
@@ -169,21 +153,21 @@ def sph_p(l, m, n, theta):
     rotation tabulator, which reflects angles past the equator.
     """
     tl, tm, tn = (x.twice for x in _weights(l, m, n))
-    _finite(theta)
+    _finite(_ANGLES, theta)
     return complex(_sph_vec(tl, tm, [theta])[_row(tl, tn), 0])
 
 
 def jac_p(l, m, n, tau):
     """Boost matrix element; real, and symmetric under m <-> n."""
     tl, tm, tn = (x.twice for x in _weights(l, m, n))
-    _finite(tau)
+    _finite(_ANGLES, tau)
     return float(_jac_vec(tl, tn, [tau])[_row(tl, tm), 0])
 
 
 def wigner_d(l, m, n, theta):
     """Standard real rotation element d^l_{mn}; no phase conventions to pick."""
     tl, tm, tn = (x.twice for x in _weights(l, m, n))
-    _finite(theta)
+    _finite(_ANGLES, theta)
     value = ipow((tm - tn) // 2) * _sph_vec(tl, tm, [theta])[_row(tl, tn), 0]
     return float(value.real)
 
@@ -191,13 +175,12 @@ def wigner_d(l, m, n, theta):
 def _cg_labels(l1, l2, l, m1, m2, m):
     """The gate of both CG routes: the six labels as twice-ints, or None
     where a selection rule (m = m1+m2, triangle, integer l1+l2+l,
-    projection range and parity) zeroes the coefficient.  A negative spin
-    label raises ValueError.  Past the gate every label combination the
+    projection range and parity) zeroes the coefficient.  The three spins
+    pass the spin-label gate.  Past the gate every label combination the
     routes halve is even."""
-    labels = tuple(HalfInt(x).twice for x in (l1, l2, l, m1, m2, m))
-    tl1, tl2, tl, tm1, tm2, tm = labels
-    if min(tl1, tl2, tl) < 0:
-        raise ValueError("spin labels must be non-negative")
+    tl1, tl2, tl = (_weights(x)[0].twice for x in (l1, l2, l))
+    tm1, tm2, tm = (HalfInt(x).twice for x in (m1, m2, m))
+    labels = (tl1, tl2, tl, tm1, tm2, tm)
     pairs = ((tl1, tm1), (tl2, tm2), (tl, tm))
     zero = (
         tm != tm1 + tm2

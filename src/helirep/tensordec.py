@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import CMatrix, enumerate_basis
 from .generators import waerden_op
-from .halfint import HalfInt, half, lrange, mrange
+from .halfint import HalfInt, _weights, half, lrange, mrange
 from .kernels import _int_arg
-from .su2 import _weights, cg_su2
+from .su2 import cg_su2
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,8 @@ class RepLabel:
     l2: HalfInt
 
     def __post_init__(self):
-        object.__setattr__(self, "l1", HalfInt(self.l1))
-        object.__setattr__(self, "l2", HalfInt(self.l2))
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError("spin labels must be non-negative")
+        object.__setattr__(self, "l1", _weights(self.l1)[0])
+        object.__setattr__(self, "l2", _weights(self.l2)[0])
 
     @property
     def dim(self):
@@ -137,9 +135,7 @@ def bilinear_form(k, r, lam):
     alternation makes the matrix symmetric when (r+k)/2 is even and
     skew-symmetric when it is odd.
     """
-    k, r = _int_arg("k", k), _int_arg("r", r)
-    if k < 0 or r < 0:
-        raise ValueError("tensor ranks must be non-negative")
+    k, r = _int_arg("k", k, 0), _int_arg("r", r, 0)
     if (k + r) % 2:
         raise ValueError(f"k + r must be even, got {k} + {r}")
     n = (k + r) // 2 + 1
@@ -152,9 +148,7 @@ def bilinear_form(k, r, lam):
 
 def sym_dimension(k, r):
     """Dimension (k+1)(r+1) of the symmetric carrier of rank (k, r)."""
-    k, r = _int_arg("k", k), _int_arg("r", r)
-    if k < 0 or r < 0:
-        raise ValueError("tensor ranks must be non-negative")
+    k, r = _int_arg("k", k, 0), _int_arg("r", r, 0)
     return (k + 1) * (r + 1)
 
 
@@ -190,13 +184,7 @@ def symmetrizer_one_row(m):
     partial-average recursion S_j = (S_{j-1} x 1) (1 + sum_k T_{k,j})/j
     so the cost stays polynomial.  Idempotent with rank m + 1.
     """
-    m = _int_arg("m", m)
-    if m < 1:
-        raise ValueError("need at least one tensor factor")
-    if m > _SYMMETRIZER_CAP:
-        raise ValueError(
-            f"symmetrizer capped at {_SYMMETRIZER_CAP} factors, got {m}"
-        )
+    m = _int_arg("m", m, 1, _SYMMETRIZER_CAP)
     proj = np.eye(2)
     for j in range(2, m + 1):
         proj = np.kron(proj, np.eye(2))

@@ -459,6 +459,52 @@ class TestNonFiniteChainConfig:
         assert captured.err.count("\n") == 1
 
 
+class TestExitTwoBoundary:
+    """``main`` maps every library or output error to exit 2 with one
+    ``helirep:`` line; exit 1 stays a failed suite."""
+
+    def check(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("helirep: ")
+        assert captured.err.count("\n") == 1
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        # FileNotFoundError
+        self.check(capsys, ["verify", "cg", "--out",
+                            str(tmp_path / "nonexistent" / "x.json")])
+
+    def test_out_under_a_file(self, capsys, tmp_path):
+        # NotADirectoryError
+        (tmp_path / "afile").write_text("")
+        self.check(capsys, ["zfun", "--l", "1", "--out",
+                            str(tmp_path / "afile" / "x")])
+
+    def test_gy_build_out_is_a_file(self, capsys, tmp_path):
+        # FileExistsError
+        (tmp_path / "afile").write_text("")
+        self.check(capsys, ["gy-build", "--chain", "dirac", "--out",
+                            str(tmp_path / "afile")])
+
+    @pytest.mark.parametrize("command", [["verify", "gy"], ["gy-build"], ["radial"]],
+                             ids=["verify-gy", "gy-build", "radial"])
+    def test_config_that_is_not_an_object(self, capsys, tmp_path, command):
+        path = tmp_path / "chain.json"
+        path.write_text("[1, 2]")
+        self.check(capsys, command + ["--chain", str(path),
+                                      "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("rep", [2.9, True], ids=["float", "bool"])
+    def test_rep_number_that_is_not_a_count(self, capsys, tmp_path, rep):
+        config = {**DIRAC_CONFIG, "coeffs": [{**DIRAC_CONFIG["coeffs"][0], "from": rep},
+                                             DIRAC_CONFIG["coeffs"][1]]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config))
+        self.check(capsys, ["verify", "gy", "--chain", str(path)])
+
+
 class TestDeterminism:
     def test_zfun_bytes_stable(self, capsys):
         argv = ["zfun", "--l", "2", "--grid", "0:1:50", "--tau", "0.3"]

@@ -18,6 +18,7 @@ from helirep.clifford import (
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMAS = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
 
 
 class TestBrauerWeyl:
@@ -50,6 +51,35 @@ class TestBrauerWeyl:
             basis = brauer_weyl(n)
             assert len(basis.generators) == n
             assert basis.dim == 2 ** ((n + 1) // 2)
+
+    def test_matrices_as_first_spelled(self):
+        # Generator by generator against the construction as first spelled:
+        # E_i = sigma_3 x ... x sigma_1 (sigma_2) at factor i x 1 x ...; for
+        # odd n = 2m+1 each even generator X doubled as the block diagonal
+        # (X, X), then (chain, -chain) for the sigma_3 chain of m factors.
+        def chain(kind, i, m):
+            out = np.eye(1, dtype=complex)
+            for t in range(m):
+                factor = SIGMA3 if t < i else SIGMAS[kind] if t == i else np.eye(2)
+                out = np.kron(out, factor.astype(complex))
+            return out
+
+        def spelled(n):
+            m, odd = divmod(n, 2)
+            zero = np.zeros((2 ** m, 2 ** m), dtype=complex)
+            for kind in (1, 2):
+                for i in range(m):
+                    e = chain(kind, i, m)
+                    yield np.block([[e, zero], [zero, e]]) if odd else e
+            if odd:
+                top = chain(3, m, m)
+                yield np.block([[top, zero], [zero, -top]])
+
+        for n in range(1, 21):
+            gens = brauer_weyl(n).generators
+            assert len(gens) == n
+            for got, want in zip(gens, spelled(n), strict=True):
+                assert np.array_equal(got, want)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

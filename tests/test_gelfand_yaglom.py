@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,6 +34,15 @@ from helirep.halfint import half, mrange
 from helirep.tensordec import RepLabel
 
 SEED = 20260822
+
+
+def _compare_configs():
+    """The seeded chain configs of ``tools/compare_outputs.py``."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.configs()
 
 
 def random_table(chain, rng):
@@ -146,6 +158,12 @@ class TestAssembly:
         with pytest.raises(ValueError, match="absent"):
             assemble_lambda3(dirac_chain(), table)
 
+    @pytest.mark.parametrize("rep", [0.9, True, -1])
+    def test_table_rep_numbers_are_counts(self, rep):
+        # 0.9 used to be truncated to rep 0
+        with pytest.raises(ValueError, match=f"^rep must be an integer >= 0, got {rep}$"):
+            CoeffTable(undotted={(rep, 1, half(1), half(1)): 1.0})
+
 
 class TestDiracSystem:
     def test_triple_is_half_the_gamma_triple(self):
@@ -163,6 +181,10 @@ class TestDiracSystem:
         assert report["max_residual"] == 0.0
         assert report["violations"] == []
         assert len(report["residuals"]) == 46
+
+    def test_unknown_sector_rejected(self):
+        with pytest.raises(ValueError, match="unknown sector 'bogus'"):
+            dirac_system().lambda_triple("bogus")
 
     def test_similarity_to_gamma_triple(self):
         report = gamma_similarity(dirac_system().lambda_triple(), weyl_gamma_triple())
@@ -226,6 +248,16 @@ class TestRandomTables:
         lambda1, lambda2 = lambda12_from_commutators(zero, gens)
         assert lambda1.norm_inf() == 0.0
         assert lambda2.norm_inf() == 0.0
+
+    @pytest.mark.parametrize("name", ["chain4", "chain6"])
+    def test_postcondition_is_relative_to_the_coefficients(self, name):
+        # The compare tool's seeded chains, every coefficient times 1e5:
+        # consistent, with round-off residuals of 2.3e-10 and 1.0e-10.
+        cfg = _compare_configs()[f"{name}.json"]
+        cfg["coeffs"] = [{**row, "re": row["re"] * 1e5, "im": row["im"] * 1e5}
+                         for row in cfg["coeffs"]]
+        system = system_from_config(cfg)
+        assert system.lambda3.norm_inf() > 1e4
 
     def test_inconsistent_matrix_raises(self):
         chain = dirac_chain()
@@ -323,6 +355,19 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match="reps"):
             system_from_config({"reps": []})
 
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object, got list"):
+            system_from_config([1, 2])
+
+    @pytest.mark.parametrize("field", ["from", "to"])
+    @pytest.mark.parametrize("bad", [2.9, True, 0, "2"])
+    def test_rep_numbers_are_counts(self, field, bad):
+        # 2.9 used to be read as rep 2 and true as rep 1
+        cfg = system_to_config(dirac_system())
+        cfg["coeffs"][0][field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            system_from_config(cfg)
+
     def test_dotted_rows_default_to_plain(self):
         cfg = {
             "reps": [{"l1": "1/2", "l2": "0"}, {"l1": "0", "l2": "1/2"}],
@@ -344,7 +389,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
     @pytest.mark.parametrize("sector", ["undotted", "dotted"])
     def test_coefficient_rejected(self, bad, sector):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="coefficient .* must be finite"):
             CoeffTable(**{sector: {self.KEY: bad}})
 
     @pytest.mark.parametrize("masses", [
@@ -361,7 +406,7 @@ class TestNonFiniteInputs:
     def test_config_rows_rejected(self):
         cfg = system_to_config(dirac_system())
         cfg["coeffs"][0]["re"] = float("nan")
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="coefficient .* must be finite"):
             system_from_config(cfg)
         cfg = system_to_config(dirac_system())
         cfg["kappa"] = [float("nan"), 0.0]

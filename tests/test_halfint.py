@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helirep.halfint import HalfInt, half, lrange, mrange
+from helirep.gelfand_yaglom import dirac_chain, spin_block_members
+from helirep.generators import GNRepLabel
+from helirep.halfint import HalfInt, _weights, half, lrange, mrange
+from helirep.hyperspherical import z_grid, z_matrix
+from helirep.su2 import cg_su2, cg_su2_hyp, sph_p
+from helirep.tensordec import RepLabel
 
 
 class TestConstruction:
@@ -131,3 +136,33 @@ class TestRanges:
 
     def test_lrange_empty_when_inverted(self):
         assert lrange(1, 0) == []
+
+
+class TestSpinLabelGate:
+    def test_label_and_projections(self):
+        assert _weights("3/2", "1/2", "-3/2") == [half(3), half(1), half(-3)]
+        assert _weights(0) == [HalfInt(0)]
+
+    @pytest.mark.parametrize("m", ["3/2", "1/2", "-2"])
+    def test_projection_out_of_range_or_parity(self, m):
+        with pytest.raises(ValueError, match=f"^projection {m} invalid for spin 1$"):
+            _weights(1, m)
+
+    # Every entry point that takes a spin label, with -1/2 in that place.
+    ENTRY_POINTS = {
+        "mrange": lambda l: mrange(l),
+        "RepLabel l1": lambda l: RepLabel(l, 0),
+        "RepLabel l2": lambda l: RepLabel(0, l),
+        "GNRepLabel l0": lambda l: GNRepLabel(l, 1),
+        "spin_block_members": lambda l: spin_block_members(dirac_chain(), l),
+        "cg_su2": lambda l: cg_su2(1, l, "1/2", 0, 0, 0),
+        "cg_su2_hyp": lambda l: cg_su2_hyp(l, 1, "1/2", 0, 0, 0),
+        "sph_p": lambda l: sph_p(l, 0, 0, 0.5),
+        "z_grid": lambda l: z_grid(l, 0, 0, [0.5], [0.5]),
+        "z_matrix": lambda l: z_matrix(l, 0.5, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_negative_label_refused_in_one_wording(self, name):
+        with pytest.raises(ValueError, match="^spin label -1/2 must be non-negative$"):
+            self.ENTRY_POINTS[name]("-1/2")

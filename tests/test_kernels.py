@@ -6,12 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helirep.clifford import (
+    brauer_weyl,
+    odd_direct_sum,
+    schur_transpositions,
+    transposition_homomorphism_report,
+)
 from helirep.gelfand_yaglom import dirac_system
 from helirep.generators import GNRepLabel
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
+    _finite,
     _horner,
+    _int_arg,
     _powers,
     _stack,
     fact,
@@ -185,3 +193,73 @@ def test_integer_arguments_are_never_truncated(name):
         with pytest.raises(ValueError, match="must be an integer"):
             call(bad)
     call(np.int64(good))
+
+
+# A count outside its range at each entry point, and the gate's wording.
+OUT_OF_RANGE = {
+    "GNRepLabel p": (lambda n: GNRepLabel("0", n), 0, "p must be an integer >= 1"),
+    "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), -2,
+                        "k must be an integer >= 0"),
+    "sym_dimension r": (lambda n: sym_dimension(1, n), -1,
+                        "r must be an integer >= 0"),
+    "symmetrizer_one_row m": (symmetrizer_one_row, 11,
+                              "m must be an integer between 1 and 10"),
+    "brauer_weyl rank": (brauer_weyl, 21, "rank must be an integer between 1 and 20"),
+    "odd_direct_sum m": (odd_direct_sum, 6, "m must be an integer between 1 and 5"),
+    "schur_transpositions m": (schur_transpositions, 1,
+                               "m must be an integer between 2 and 10"),
+    "transposition_homomorphism_report max_word_len": (
+        lambda n: transposition_homomorphism_report(2, n), 0,
+        "max_word_len must be an integer >= 1"),
+    "integrate steps": (
+        lambda n: integrate(_dirac_radial(), 0.5, 1.0, DIRAC_INIT, n), 99,
+        "steps must be an integer >= 100"),
+    "convergence_order base_steps": (
+        lambda n: convergence_order(_dirac_radial(), 0.5, 1.0, DIRAC_INIT,
+                                    base_steps=n), 0,
+        "base_steps must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_counts_out_of_range_share_one_wording(name):
+    call, bad, message = OUT_OF_RANGE[name]
+    with pytest.raises(ValueError, match=f"^{message}, got {bad}$"):
+        call(bad)
+
+
+class TestCountGate:
+    def test_bounds_are_inclusive(self):
+        assert _int_arg("n", 1, 1, 3) == 1
+        assert _int_arg("n", np.int64(3), 1, 3) == 3
+        assert type(_int_arg("n", np.int64(3), 1)) is int
+
+    @pytest.mark.parametrize("bad", [0, 4, 2.0, True, "2", None])
+    def test_refusals_name_the_range(self, bad):
+        with pytest.raises(ValueError, match=r"^n must be an integer between 1 and 3, got "):
+            _int_arg("n", bad, 1, 3)
+
+    def test_lower_bound_only(self):
+        assert _int_arg("n", 10**30, 1) == 10**30
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got -5$"):
+            _int_arg("n", -5, 1)
+
+
+class TestFiniteGate:
+    def test_finite_numbers_and_arrays_pass(self):
+        _finite("x", 0.0, -1e308, [1.0, 2.0], np.zeros((2, 3)), "1.5")
+        _finite("z", 1 + 2j, np.ones(3, dtype=complex), dtype=complex)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, [0.0, math.inf], None])
+    def test_non_finite_real_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be finite$"):
+            _finite("x", 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [complex(0, math.nan), complex(math.inf, 0)])
+    def test_non_finite_complex_refused(self, bad):
+        with pytest.raises(ValueError, match=r"^z must be finite$"):
+            _finite("z", bad, dtype=complex)
+
+    def test_a_complex_value_is_not_read_as_real(self):
+        with pytest.raises(TypeError):
+            _finite("x", 1j)

@@ -215,7 +215,7 @@ class TestIntegrate:
         for r0, r1 in ((0.5, float("nan")), (float("nan"), 1.0), (0.5, float("inf"))):
             with pytest.raises(ValueError, match="finite"):
                 integrate(rs, r0, r1, DIRAC_INIT, 100)
-        with pytest.raises(ValueError, match="100 steps"):
+        with pytest.raises(ValueError, match="steps must be an integer >= 100"):
             integrate(rs, 0.5, 1.0, DIRAC_INIT, 50)
         with pytest.raises(ValueError, match="components"):
             integrate(rs, 0.5, 1.0, np.ones(3), 100)
