@@ -99,7 +99,7 @@ def _load_system(source):
         raise UsageError(f"chain file {source!r} is not valid JSON: {exc}")
     try:
         return system_from_config(config)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"invalid chain config {source!r}: {exc}")
 
 

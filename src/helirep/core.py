@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .halfint import HalfInt, mrange
-
-_TWO_PI = 2.0 * math.pi
+from .kernels import _ANGLES, _finite
 
 
 class BasisIndex(NamedTuple):
@@ -23,10 +21,6 @@ class BasisIndex(NamedTuple):
 
     def __str__(self):
         return f"({self.l},{self.m};{self.ldot},{self.mdot})"
-
-
-def basis_index(l, m, ldot=0, mdot=0):
-    return BasisIndex(HalfInt(l), HalfInt(m), HalfInt(ldot), HalfInt(mdot))
 
 
 def enumerate_basis(l, ldot=0):
@@ -102,14 +96,6 @@ class CMatrix:
     def identity(cls, labels):
         labels = tuple(labels)
         return cls(np.eye(len(labels), dtype=complex), labels, labels)
-
-    @classmethod
-    def from_entries(cls, row_labels, col_labels, entries):
-        """Build from a {(row_label, col_label): value} mapping."""
-        out = cls.zeros(row_labels, col_labels)
-        for (r, c), v in entries.items():
-            out.data[out._rindex[r], out._cindex[c]] = v
-        return out
 
     # -- lookups ----------------------------------------------------------
     @property
@@ -216,7 +202,7 @@ class GroupPoint:
     side, ``psi`` and ``veps`` the pair acting on the column side, with
     ``theta`` (rotation) and ``tau`` (boost) in between.  The complex
     combinations phi - i*eps, theta - i*tau, psi - i*veps play the role
-    of complexified angles.
+    of complexified angles.  Every coordinate must be finite.
     """
 
     phi: float = 0.0
@@ -226,37 +212,8 @@ class GroupPoint:
     psi: float = 0.0
     veps: float = 0.0
 
+    def __post_init__(self):
+        _finite(_ANGLES, *self.as_tuple())
+
     def as_tuple(self):
         return (self.phi, self.eps, self.theta, self.tau, self.psi, self.veps)
-
-    def normalized(self):
-        """Equivalent parameters with angles in canonical ranges.
-
-        Returns a point with 0 <= theta <= pi, 0 <= phi < 2*pi and
-        -2*pi <= psi < 2*pi that maps to the same fundamental matrix.
-        Rapidities are untouched except for the sign flip of ``tau``
-        that accompanies a theta reflection.
-        """
-        phi, eps, theta, tau, psi, veps = self.as_tuple()
-        theta = theta % (2 * _TWO_PI)
-        if theta >= _TWO_PI:
-            # theta -> theta - 2*pi flips the overall sign; a 2*pi shift
-            # of psi flips it back.
-            theta -= _TWO_PI
-            psi += _TWO_PI
-        if theta > math.pi:
-            # Reflect theta about pi by conjugating with a half-turn of
-            # phi/psi; the conjugation also reverses tau, and the
-            # leftover sign is absorbed into psi.
-            theta = _TWO_PI - theta
-            tau = -tau
-            phi += math.pi
-            psi += math.pi
-        wraps = math.floor(phi / _TWO_PI)
-        phi -= wraps * _TWO_PI
-        if wraps % 2:
-            psi += _TWO_PI
-        psi = (psi + _TWO_PI) % (2 * _TWO_PI) - _TWO_PI
-        return replace(
-            self, phi=phi, eps=eps, theta=theta, tau=tau, psi=psi, veps=veps
-        )

@@ -425,25 +425,6 @@ def verify_invariance(system: GYSystem, tol=1e-10):
     }
 
 
-def finite_invariance_check(system: GYSystem, xi=1e-4):
-    """First-order spot check with finite group elements.
-
-    Conjugates each matrix by exp(xi * generator) and compares against
-    the matrix plus xi times the table right-hand side; the deviation
-    must shrink like xi^2.
-    """
-    from scipy.linalg import expm  # at call time: only this check needs scipy
-
-    gens = chain_generators(system.chain)
-    worst = 0.0
-    for family, lambdas, tag in _sectors(system):
-        for _, gen, lam, rhs in _relations(family, lambdas, gens, tag):
-            moved = expm(xi * gen.data) @ lam.data @ expm(-xi * gen.data)
-            first_order = lam.data if rhs is None else lam.data + xi * rhs.data
-            worst = max(worst, float(np.max(np.abs(moved - first_order))))
-    return {"xi": xi, "max_deviation": worst, "second_order": worst <= 100.0 * xi * xi}
-
-
 def extract_spin_blocks(mat: CMatrix, chain: RepChain):
     """Projection blocks of an m-preserving chain matrix.
 
@@ -568,18 +549,64 @@ def dirac_system(kappa=1.0, kappa_dot=None):
 
 # ---------------------------------------------------------------------------
 # Config-file round trip (reps/coeffs schema; "from"/"to" are 1-based).
+# The schema gate: every malformed shape is a ValueError naming its field.
 
 
-def _parse_coeff_rows(rows):
+def _typed(value, kinds, where, expected):
+    """``value`` if it is one of ``kinds`` (never a bool), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{where} must be {expected}, got {type(value).__name__}")
+    return value
+
+
+def _field(row, key, where):
+    if key not in row:
+        raise ValueError(f"{where} needs {key!r}")
+    return row[key]
+
+
+def _entries(cfg, key):
+    """The list ``cfg[key]`` of JSON objects; a missing key reads as []."""
+    rows = _typed(cfg.get(key, []), list, f"'{key}'", "a list")
+    for i, row in enumerate(rows):
+        _typed(row, dict, f"{key}[{i}]", "a JSON object")
+    return rows
+
+
+def _label(row, key, where):
+    value = _typed(_field(row, key, where), (str, int, float), f"{where}.{key}",
+                   "a half-integer string or number")
+    try:
+        return HalfInt(value)
+    except (ValueError, OverflowError) as exc:  # "1/3", NaN, Infinity
+        raise ValueError(f"{where}.{key}: {exc}") from None
+
+
+def _real(value, where):
+    value = _typed(value, (int, float), where, "a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} is too large for a float") from None
+
+
+def _pair(cfg, key):
+    """The [re, im] mass pair ``cfg[key]`` as a complex number."""
+    pair = cfg[key]
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ValueError(f"'{key}' must be a list [re, im] of two real numbers")
+    return complex(_real(pair[0], f"{key}[0]"), _real(pair[1], f"{key}[1]"))
+
+
+def _parse_coeff_rows(cfg, name):
     table = {}
-    for row in rows:
-        key = (
-            _int_arg("to", row["to"], 1) - 1,
-            _int_arg("from", row["from"], 1) - 1,
-            HalfInt(row["lp"]),
-            HalfInt(row["l"]),
-        )
-        table[key] = complex(float(row.get("re", 0.0)), float(row.get("im", 0.0)))
+    for i, row in enumerate(_entries(cfg, name)):
+        where = f"{name}[{i}]"
+        key = (_int_arg(f"{where}.to", _field(row, "to", where), 1) - 1,
+               _int_arg(f"{where}.from", _field(row, "from", where), 1) - 1,
+               _label(row, "lp", where), _label(row, "l", where))
+        table[key] = complex(_real(row.get("re", 0.0), f"{where}.re"),
+                             _real(row.get("im", 0.0), f"{where}.im"))
     return table
 
 
@@ -589,21 +616,20 @@ def system_from_config(cfg: dict):
     Schema: ``reps`` (list of {"l1", "l2"} as half-integer strings),
     ``coeffs`` (rows {"from", "to", "lp", "l", "re", "im"} with 1-based
     rep numbers), optional ``dotted`` rows (default: same as coeffs),
-    optional ``kappa``/``kappa_dot`` as [re, im] pairs.
+    optional ``kappa``/``kappa_dot`` as [re, im] pairs.  A config of
+    any other shape is a ValueError that names the offending field.
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(
-            f"chain config must be a JSON object, got {type(cfg).__name__}")
+    _typed(cfg, dict, "chain config", "a JSON object")
     if not cfg.get("reps"):
         raise ValueError("chain config needs a nonempty 'reps' list")
-    chain = RepChain(
-        tuple(RepLabel(HalfInt(r["l1"]), HalfInt(r["l2"])) for r in cfg["reps"])
-    )
-    undotted = _parse_coeff_rows(cfg.get("coeffs", []))
-    dotted_rows = cfg.get("dotted")
-    dotted = _parse_coeff_rows(dotted_rows) if dotted_rows is not None else dict(undotted)
-    kappa = complex(*cfg.get("kappa", [1.0, 0.0]))
-    kappa_dot = complex(*cfg["kappa_dot"]) if "kappa_dot" in cfg else kappa
+    chain = RepChain(tuple(
+        RepLabel(_label(rep, "l1", f"reps[{i}]"), _label(rep, "l2", f"reps[{i}]"))
+        for i, rep in enumerate(_entries(cfg, "reps"))))
+    undotted = _parse_coeff_rows(cfg, "coeffs")
+    dotted = (_parse_coeff_rows(cfg, "dotted") if cfg.get("dotted") is not None
+              else dict(undotted))
+    kappa = _pair(cfg, "kappa") if "kappa" in cfg else 1.0
+    kappa_dot = _pair(cfg, "kappa_dot") if "kappa_dot" in cfg else kappa
     return build_system(chain, CoeffTable(undotted, dotted), kappa, kappa_dot)
 
 

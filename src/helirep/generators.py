@@ -247,16 +247,6 @@ def basis_change(gn):
     return out
 
 
-def basis_change_inverse(xy):
-    """Recover the (H, F) tower pair from the two families exactly."""
-    out = {}
-    for a in ("+", "-", "3"):
-        x, y = _require(xy, f"X{a}", f"Y{a}")
-        out[f"F{a}"] = x - y
-        out[f"H{a}"] = 1j * (x + y)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Relation checking
 
@@ -394,11 +384,6 @@ def commutator_report(ops, relation_set):
         }
     report["max_residual"] = max(res.values()) if res else 0.0
     return report
-
-
-def commutator_residual(ops, relation_set):
-    """Max residual over every relation in the chosen set."""
-    return commutator_report(ops, relation_set)["max_residual"]
 
 
 def ab_from_families(ops):

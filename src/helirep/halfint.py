@@ -69,9 +69,6 @@ class HalfInt:
             raise ValueError(f"{self} is not an integer")
         return self.twice // 2
 
-    def as_fraction(self):
-        return Fraction(self.twice, 2)
-
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         return HalfInt.from_twice(self.twice + _twice_of(other))

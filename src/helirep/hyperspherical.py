@@ -25,9 +25,9 @@ import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, _weights, mrange
-from .kernels import (_Memo, _finite, _horner, _powers, _stack, ipow,
-                      ln_factorial)
-from .su2 import _ANGLES, _jac_vec, _sph_vec
+from .kernels import (_ANGLES, _Memo, _finite, _horner, _powers, _stack,
+                      ipow, ln_factorial)
+from .su2 import _jac_vec, _sph_vec
 
 _CELLS = 1 << 14  # cells per evaluated block of a table and its label rows
 
@@ -238,7 +238,6 @@ def z_matrix(l, theta, tau):
 def m_function(l, m, n, g: GroupPoint):
     """Phase-dressed matrix element of the six-parameter group element."""
     l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
-    _finite(_ANGLES, *g.as_tuple())
     left = cmath.exp(-float(m) * (g.eps + 1j * g.phi))
     right = cmath.exp(-float(n) * (g.veps + 1j * g.psi))
     return left * z_factorized(l, m, n, g.theta, g.tau) * right
@@ -247,7 +246,6 @@ def m_function(l, m, n, g: GroupPoint):
 def m_matrix(l, g: GroupPoint):
     """Full representation matrix at spin l, rows labeled m descending."""
     l = HalfInt(l)
-    _finite(_ANGLES, *g.as_tuple())
     ms = mrange(l)
     zc = z_matrix(l, g.theta, g.tau)
     left = np.array([cmath.exp(-float(m) * (g.eps + 1j * g.phi)) for m in ms])

@@ -39,6 +39,12 @@ def _int_arg(name, value, lo, hi=None):
     return value
 
 
+# What the finiteness gate names when an angle or rapidity is not finite:
+# the rotation tabulator would reflect a NaN angle forever, and a NaN
+# rapidity would come back as a NaN value.
+_ANGLES = "angles and rapidities"
+
+
 def _finite(what, *values, dtype=float):
     """The one finiteness gate of inputs: every value (a number or an
     array of them, read as ``dtype``) must be finite, or ValueError."""

@@ -11,6 +11,7 @@ import numpy as np
 
 from .halfint import HalfInt, _weights
 from .kernels import (
+    _ANGLES,
     _Memo,
     _finite,
     _horner,
@@ -21,12 +22,6 @@ from .kernels import (
     hyp3f2_unit,
     ipow,
 )
-
-
-# What the finiteness gate names when an angle or rapidity is not finite:
-# the rotation tabulator would reflect a NaN angle forever, and a NaN
-# rapidity would come back as a NaN value.
-_ANGLES = "angles and rapidities"
 
 
 def _series_coeffs(tl, ta, tb):

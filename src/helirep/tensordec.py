@@ -55,16 +55,6 @@ def cg_series(a: RepLabel, b: RepLabel):
     ]
 
 
-def cg_sl2c(l1, l2, l, j, k, m, l1p, l2p, lp, jp, kp, mp):
-    """Product-group coupling coefficient in factorized form.
-
-    The coefficient is the product of the two independent spin
-    couplings; every selection rule (projection sums, triangle
-    conditions) is inherited from the factors and yields an exact 0.
-    """
-    return cg_su2(l1, l2, l, j, k, m) * cg_su2(l1p, l2p, lp, jp, kp, mp)
-
-
 @dataclass(frozen=True)
 class CoupledVector:
     """One coupled basis vector inside a product carrier.

@@ -470,6 +470,7 @@ class TestExitTwoBoundary:
         assert captured.out == ""
         assert captured.err.startswith("helirep: ")
         assert captured.err.count("\n") == 1
+        return captured.err
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         # FileNotFoundError
@@ -503,6 +504,16 @@ class TestExitTwoBoundary:
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(config))
         self.check(capsys, ["verify", "gy", "--chain", str(path)])
+
+    @pytest.mark.parametrize("command", [["verify", "gy"], ["gy-build"], ["radial"]],
+                             ids=["verify-gy", "gy-build", "radial"])
+    def test_schema_error_names_the_field(self, capsys, tmp_path, command):
+        # A rep without "l2" used to print the bare KeyError text "'l2'".
+        config = {**DIRAC_CONFIG, "reps": [DIRAC_CONFIG["reps"][0], {"l1": "0"}]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(config))
+        err = self.check(capsys, command + ["--chain", str(path)])
+        assert err == f"helirep: invalid chain config {str(path)!r}: reps[1] needs 'l2'\n"
 
 
 class TestDeterminism:

@@ -9,6 +9,8 @@ from helirep.gelfand_yaglom import (
     ChainIndex,
     CoeffTable,
     RepChain,
+    _relations,
+    _sectors,
     assemble_lambda3,
     build_system,
     chain_generators,
@@ -17,7 +19,6 @@ from helirep.gelfand_yaglom import (
     dirac_chain,
     dirac_system,
     extract_spin_blocks,
-    finite_invariance_check,
     gamma_similarity,
     is_interlocking,
     lambda12_from_commutators,
@@ -43,6 +44,24 @@ def _compare_configs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.configs()
+
+
+def finite_invariance_check(system, xi=1e-4):
+    """First-order spot check with finite group elements.
+
+    Conjugates each matrix by exp(xi * generator) and compares against
+    the matrix plus xi times the table right-hand side; the deviation
+    must shrink like xi^2.  The exponential is scipy's, not the library's.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
+    gens = chain_generators(system.chain)
+    worst = 0.0
+    for family, lambdas, tag in _sectors(system):
+        for _, gen, lam, rhs in _relations(family, lambdas, gens, tag):
+            moved = expm(xi * gen.data) @ lam.data @ expm(-xi * gen.data)
+            first_order = lam.data if rhs is None else lam.data + xi * rhs.data
+            worst = max(worst, float(np.max(np.abs(moved - first_order))))
+    return {"xi": xi, "max_deviation": worst, "second_order": worst <= 100.0 * xi * xi}
 
 
 def random_table(chain, rng):
@@ -366,6 +385,32 @@ class TestConfigRoundTrip:
         cfg = system_to_config(dirac_system())
         cfg["coeffs"][0][field] = bad
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            system_from_config(cfg)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cfg: cfg.update(reps=[5, 6]), r"reps\[0\]"),
+        (lambda cfg: cfg.update(reps="ab"), "'reps'"),
+        (lambda cfg: cfg["reps"][1].pop("l2"), r"reps\[1\] needs 'l2'"),
+        (lambda cfg: cfg.update(coeffs=[3]), r"coeffs\[0\]"),
+        (lambda cfg: cfg["coeffs"][1].pop("from"), r"coeffs\[1\] needs 'from'"),
+        (lambda cfg: cfg["dotted"][0].pop("lp"), r"dotted\[0\] needs 'lp'"),
+        (lambda cfg: cfg.update(kappa=[1, 2, 3]), "'kappa'"),
+        (lambda cfg: cfg.update(kappa_dot=1.0), "'kappa_dot'"),
+        (lambda cfg: cfg["reps"][0].update(l1=["1/2"]), r"reps\[0\]\.l1"),
+        (lambda cfg: cfg["reps"][0].update(l1=True), r"reps\[0\]\.l1"),
+        (lambda cfg: cfg["reps"][0].update(l2=float("inf")), r"reps\[0\]\.l2"),
+        (lambda cfg: cfg["coeffs"][0].update(l=None), r"coeffs\[0\]\.l\b"),
+        (lambda cfg: cfg["coeffs"][0].update(lp="1/3"), r"coeffs\[0\]\.lp"),
+        (lambda cfg: cfg["coeffs"][0].update(re="1.0"), r"coeffs\[0\]\.re"),
+    ], ids=["reps-ints", "reps-string", "rep-without-l2", "coeffs-int",
+            "row-without-from", "dotted-without-lp", "kappa-triple",
+            "kappa_dot-scalar", "label-list", "label-bool", "label-inf",
+            "label-null", "label-third", "re-string"])
+    def test_schema_errors_name_the_field(self, edit, field):
+        # These used to escape as a raw KeyError or TypeError ("'l2'").
+        cfg = system_to_config(dirac_system())
+        edit(cfg)
+        with pytest.raises(ValueError, match=field):
             system_from_config(cfg)
 
     def test_dotted_rows_default_to_plain(self):

@@ -117,7 +117,6 @@ class TestQueriesAndOrder:
     def test_conversions(self):
         assert float(half(3)) == 1.5
         assert int(half(4)) == 2
-        assert half(5).as_fraction() == Fraction(5, 2)
 
 
 class TestRanges:

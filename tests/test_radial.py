@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import j0
 
 from helirep.gelfand_yaglom import (
     CoeffTable,
@@ -310,6 +309,7 @@ class TestBesselProbe:
         assert abs(report["envelope_exponent"] - 0.5) < 1e-6
 
     def test_bessel_j0_oracle_passes(self):
+        j0 = pytest.importorskip("scipy.special").j0
         r = np.linspace(0.5, 60.0, 4000)
         sol = RadialSolution(r, j0(r).astype(complex)[:, None], ("j0",), "plain", "printed")
         report = bessel_probe(sol)

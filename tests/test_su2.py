@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from helirep.halfint import half, lrange, mrange
 from helirep.kernels import PoleError
 from helirep.su2 import cg_su2, cg_su2_hyp, jac_p, sph_p, wigner_d
+
+
+def expm(a):
+    """Matrix exponential oracle (scipy); a test that needs it skips without it."""
+    return pytest.importorskip("scipy.linalg").expm(a)
 
 
 def standard_spin_matrices(l):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from helirep.halfint import half, mrange
+from helirep.su2 import cg_su2
 from helirep.tensordec import (
     RepLabel,
     bilinear_form,
     cg_series,
-    cg_sl2c,
     coupled_vector,
     product_basis,
     sym_dimension,
@@ -44,26 +44,25 @@ class TestSeries:
 
 
 class TestProductCoupling:
+    """A coupled-vector amplitude on (1/2, 0) x (1/2, 0) is the product of
+    the two slots' su(2) couplings; selection rules come from the factors."""
+
+    def amplitude(self, l, m1, m2, m):
+        a = RepLabel(half(1), 0)
+        pair = next((u, v) for u, v in product_basis(a, a) if (u.m, v.m) == (m1, m2))
+        product = cg_su2(half(1), half(1), l, m1, m2, m) * cg_su2(0, 0, 0, 0, 0, 0)
+        assert coupled_vector(a, a, l, 0, m, 0).amplitudes.get(pair, 0.0) == product
+        return product
+
     def test_all_stretch_is_one(self):
-        v = cg_sl2c(
-            half(1), half(1), half(2), half(1), half(1), half(2),
-            0, 0, 0, 0, 0, 0,
-        )
-        assert v == 1.0
+        assert self.amplitude(half(2), half(1), half(1), half(2)) == 1.0
 
     def test_factorized_value(self):
-        v = cg_sl2c(
-            half(1), half(1), half(0), half(1), half(-1), half(0),
-            0, 0, 0, 0, 0, 0,
-        )
+        v = self.amplitude(half(0), half(1), half(-1), half(0))
         assert v == pytest.approx(1 / math.sqrt(2), abs=1e-15)
 
     def test_selection_rule_zero(self):
-        v = cg_sl2c(
-            half(1), half(1), half(2), half(1), half(1), half(0),
-            0, 0, 0, 0, 0, 0,
-        )
-        assert v == 0.0
+        assert self.amplitude(half(2), half(1), half(1), half(0)) == 0.0
 
 
 class TestCoupledVector:
