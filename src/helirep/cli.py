@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -381,11 +382,20 @@ def _value_options(parser):
     return out
 
 
-def _attach_negative_values(argv, parser):
-    """``--theta -1e-3`` as ``--theta=-1e-3`` for every option that takes a
-    value; argparse reads such a value as an option (unless it is a plain
-    negative number)."""
-    takes_value = _value_options(parser)
+@functools.cache
+def _parser():
+    """The parser and its value-taking option strings, built once per
+    process.  Parsing leaves no state on the tree (each call gets a fresh
+    namespace), and every handler reads its defaults and $HELIREP_TOL at
+    call time, so a reused tree prints what a fresh one would."""
+    parser = _build_parser()
+    return parser, frozenset(_value_options(parser))
+
+
+def _attach_negative_values(argv, takes_value):
+    """``--theta -1e-3`` as ``--theta=-1e-3`` for every option in
+    ``takes_value``; argparse reads such a value as an option (unless it
+    is a plain negative number)."""
     out = []
     for token in argv:
         if out and out[-1] in takes_value and _NEGATIVE_VALUE.match(token):
@@ -396,9 +406,9 @@ def _attach_negative_values(argv, parser):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, takes_value = _parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv, parser))
+    args = parser.parse_args(_attach_negative_values(argv, takes_value))
     # The one exit-2 boundary: a usage error or a library ValueError (bad
     # input), a RuntimeError (a stalled solve), an OSError from --out.
     try:

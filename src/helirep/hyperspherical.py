@@ -18,6 +18,7 @@ six-factor product.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
@@ -258,6 +259,29 @@ _HALF_DOWN = HalfInt.from_twice(-1)
 _ASCENDING = (_HALF_DOWN, _HALF_UP)
 
 
+def _finite_element(build):
+    """``build(g)`` for a 2x2 element whose entries must fit a float: an
+    entry past the float range (an OverflowError from cmath or math, or an
+    inf or NaN from the numpy products) is a ValueError naming the
+    overflow."""
+
+    @functools.wraps(build)
+    def checked(g: GroupPoint):
+        try:
+            with np.errstate(all="ignore"):
+                out = build(g)
+        except OverflowError:
+            out = None
+        if out is None or not np.isfinite(out.data).all():
+            raise ValueError(
+                f"{build.__name__}: an entry of the element at {g} "
+                "overflows a float")
+        return out
+
+    return checked
+
+
+@_finite_element
 def fundamental_matrix(g: GroupPoint):
     """The 2x2 group element in closed form.
 
@@ -280,6 +304,7 @@ def fundamental_matrix(g: GroupPoint):
     return CMatrix(left[:, None] * core * right[None, :], _ASCENDING, _ASCENDING)
 
 
+@_finite_element
 def euler_product(g: GroupPoint):
     """Same 2x2 element as a product of six one-parameter factors."""
 

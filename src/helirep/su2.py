@@ -192,7 +192,10 @@ def cg_su2(l1, l2, l, m1, m2, m):
     Evaluated from the closed single-sum form with exact rational
     arithmetic and one final square root.  Selection-rule violations
     (m != m1+m2, triangle failures, out-of-range projections) return
-    exactly 0.
+    exactly 0.  At high spin the squared norm passes 2^1000 and the sum
+    falls below 2^-1000; each is then scaled into float range by an exact
+    power of 4 (norm) or 2 (sum), undone by ldexp, as in ``_pair_norm``,
+    so a value that fits a float unscaled keeps its bits.
     """
     labels = _cg_labels(l1, l2, l, m1, m2, m)
     if labels is None:
@@ -217,7 +220,13 @@ def cg_su2(l1, l2, l, m1, m2, m):
             * fact(d + z) * fact(e + z)
         )
         total += Fraction(-1 if z % 2 else 1, den)
-    return float(total) * math.sqrt(norm2)
+    p, q = norm2.numerator, norm2.denominator
+    s = (max(0, p.bit_length() - q.bit_length() - 1000) + 1) // 2
+    r = max(0, total.denominator.bit_length()
+            - total.numerator.bit_length() - 1000)
+    root = math.sqrt(Fraction(p, q << 2 * s))
+    return math.ldexp(float(Fraction(total.numerator << r,
+                                     total.denominator)) * root, s - r)
 
 
 def cg_su2_hyp(l1, l2, l, m1, m2, m):
@@ -229,6 +238,8 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
     down.  Raises PoleError on keys where the series hits a denominator
     zero before terminating (such keys are skipped and counted by the
     verification suite).  Selection rules and label checks as ``cg_su2``.
+    Where a factor overflows or underflows a float (high spin; ``cg_su2``
+    still evaluates there) it raises ValueError naming the overflow.
     """
     labels = _cg_labels(l1, l2, l, m1, m2, m)
     if labels is None:
@@ -236,18 +247,28 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
     t1, t2, t, u1, u2, u = labels
 
     sign = -1.0 if (t1 - u1) // 2 % 2 else 1.0
-    ratio = gamma_ratio_int((t1 + t2 - u) // 2 + 1, (t2 - t1 + u) // 2 + 1)
-    sq = Fraction(
-        fact((t + t2 - t1) // 2) * fact((t1 + u1) // 2) * fact((t2 + u2) // 2)
-        * fact((t + u) // 2) * (t + 1),
-        fact((t - u) // 2) * fact((t1 - t2 + t) // 2) * fact((t1 + t2 - t) // 2)
-        * fact((t1 + t2 + t) // 2) * fact((t1 - u1) // 2) * fact((t2 - u2) // 2),
-    )
-    series = hyp3f2_unit(
-        (t + u) // 2 + 1,
-        (u - t) // 2,
-        (u1 - t1) // 2,
-        (u - t1 - t2) // 2,
-        (t2 - t1 + u) // 2 + 1,
-    )
-    return sign * ratio * math.sqrt(sq) * float(series)
+    try:
+        ratio = gamma_ratio_int((t1 + t2 - u) // 2 + 1, (t2 - t1 + u) // 2 + 1)
+        sq = Fraction(
+            fact((t + t2 - t1) // 2) * fact((t1 + u1) // 2)
+            * fact((t2 + u2) // 2) * fact((t + u) // 2) * (t + 1),
+            fact((t - u) // 2) * fact((t1 - t2 + t) // 2)
+            * fact((t1 + t2 - t) // 2) * fact((t1 + t2 + t) // 2)
+            * fact((t1 - u1) // 2) * fact((t2 - u2) // 2),
+        )
+        series = hyp3f2_unit(
+            (t + u) // 2 + 1,
+            (u - t) // 2,
+            (u1 - t1) // 2,
+            (u - t1 - t2) // 2,
+            (t2 - t1 + u) // 2 + 1,
+        )
+        value = sign * ratio * math.sqrt(sq) * float(series)
+        # sq > 0, so a zero from a nonzero ratio and series is an underflow.
+        if not math.isfinite(value) or (value == 0 and ratio and series):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(
+            f"cg_su2_hyp{(l1, l2, l, m1, m2, m)}: the gamma-ratio route "
+            "overflows or underflows a float at these labels") from None
+    return value

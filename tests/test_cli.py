@@ -1,5 +1,6 @@
 """Tests for the batch command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -557,6 +558,53 @@ def child_env():
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls only parse
+    and dispatch, and print what a fresh process prints."""
+
+    def test_no_parser_built_after_the_first_call(self, capsys, monkeypatch,
+                                                 tmp_path):
+        main(["zfun", "--l", "1/2"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(argv) for argv in (
+            ["zfun", "--l", "3/2", "--theta", "-0.2"],
+            ["verify", "cg", "--format", "csv"],
+            ["zfun", "--l", "1", "--grid", "0:1:4", "--out",
+             str(tmp_path / "sweep.json")],
+            ["radial", "--chain", "dirac", "--grid", "0.5:2:100"],
+            ["verify"],
+        )]
+        capsys.readouterr()
+        assert codes == [0, 0, 0, 0, 2]
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("HELIREP_TOL", raising=False)
+        out = tmp_path / "F"
+        assert main(["zfun", "--l", "2", "--grid", "0:1:3", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("l,m,n,theta,")
+        assert main(["verify", "cg", "--tol", "1e-3"]) == 0
+        assert main(["verify"]) == 2
+        capsys.readouterr()
+        for argv in (["zfun", "--l", "1/2", "--theta", "0.3"],
+                     ["verify", "cg"]):
+            code = main(argv)
+            got = capsys.readouterr().out
+            fresh = subprocess.run(
+                [sys.executable, "-m", "helirep.cli", *argv],
+                capture_output=True, text=True, env=child_env(),
+            )
+            assert (code, got) == (fresh.returncode, fresh.stdout), argv
 
 
 class TestEntryPoints:

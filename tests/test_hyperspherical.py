@@ -244,6 +244,42 @@ class TestNonFiniteAngles:
                 self.CALLS[entry](value)
 
 
+class TestOverflowingElements:
+    """A finite rapidity whose 2x2 entries pass the float range is a
+    ValueError naming the overflow: no OverflowError, no inf or NaN
+    matrix, no numpy warning.  Up to |rapidity| = 1400 the entries fit
+    and the two forms still agree."""
+
+    CALLS = {"fundamental_matrix": fundamental_matrix,
+             "euler_product": euler_product}
+
+    @pytest.mark.parametrize("value", [2000.0, -2000.0, 1500.0, -1500.0])
+    @pytest.mark.parametrize("coord", ["tau", "eps", "veps"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_refused(self, name, coord, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                self.CALLS[name](GroupPoint(**{coord: value}))
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_product_of_fitting_factors_refused(self, name):
+        # Each factor fits a float; the product of the two does not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows a float"):
+                self.CALLS[name](GroupPoint(eps=1400.0, tau=1400.0))
+
+    @pytest.mark.parametrize("value", [1400.0, -1400.0])
+    @pytest.mark.parametrize("coord", ["tau", "eps", "veps"])
+    def test_fits_up_to_1400(self, coord, value):
+        g = GroupPoint(theta=0.3, **{coord: value})
+        fm, ep = fundamental_matrix(g), euler_product(g)
+        assert np.isfinite(fm.data).all() and np.isfinite(ep.data).all()
+        scale = np.abs(fm.data).max()
+        assert np.abs(fm.data - ep.data).max() <= 1e-13 * scale
+
+
 class TestSeriesGridEvaluation:
     """The series grid against the factorized route, scalar and grid."""
 

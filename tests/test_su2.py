@@ -1,6 +1,7 @@
 """Tests for single-spin rotation/boost functions and coupling coefficients."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -273,6 +274,64 @@ class TestCouplingAgainstSympy:
             scale = math.sqrt(float(l1 + l2 + l) + 1.0)
             assert got == pytest.approx(want * scale, abs=1e-12), key
         assert evaluated > len(reference) // 2
+
+
+def _signed_root(sign, square, bits=160):
+    """sign * sqrt(square) for an exact rational square, rounded once:
+    an integer square root at ``bits`` fractional bits."""
+    root = math.isqrt((square.numerator << 2 * bits) // square.denominator)
+    return sign * float(Fraction(root, 1 << bits))
+
+
+def _cg_closed_form(l1, l2, l, m1):
+    """<l1 m1; l2 m2 | l m> from a closed form that shares no code with
+    either route (integer spins): l = 0, or m1 = m2 = 0 (with l1 + l2 + l
+    even; the stretched case l = l1 + l2 is one of these)."""
+    f = math.factorial
+    if l == 0:  # (-1)^(l1-m1) / sqrt(2 l1 + 1), with l2 = l1, m2 = -m1
+        return _signed_root((-1) ** (l1 - m1), Fraction(1, 2 * l1 + 1))
+    assert m1 == 0 and (l1 + l2 + l) % 2 == 0
+    j = l1 + l2 + l
+    g = j // 2
+    square = Fraction((2 * l + 1) * f(j - 2 * l1) * f(j - 2 * l2) * f(j - 2 * l),
+                      f(j + 1)) * Fraction(
+        f(g), f(g - l1) * f(g - l2) * f(g - l)) ** 2
+    return _signed_root((-1) ** (g - l), square)
+
+
+class TestCouplingAtHighSpin:
+    """Where the squared norm passes the float range, ``cg_su2`` scales it
+    (and the sum) by exact powers of two; the value is finite, below 1 and
+    agrees with a closed form in exact arithmetic.  The gamma-ratio route
+    refuses these labels with a ValueError that names the overflow."""
+
+    KEYS = [
+        (100, 100, 200, 0), (200, 200, 400, 0), (400, 400, 800, 0),
+        (150, 250, 200, 0), (60, 60, 120, 0),
+        (300, 300, 0, 1), (400, 400, 0, -7),
+    ]
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_condon_shortley_route_matches_closed_form(self, key):
+        l1, l2, l, m1 = key
+        got = cg_su2(l1, l2, l, m1, -m1 if l == 0 else 0, 0)
+        want = _cg_closed_form(l1, l2, l, m1)
+        assert math.isfinite(got) and abs(got) < 1
+        assert got == pytest.approx(want, rel=1e-14, abs=0), key
+
+    @pytest.mark.parametrize("key", KEYS, ids=str)
+    def test_series_route_refuses_with_value_error(self, key):
+        l1, l2, l, m1 = key
+        with pytest.raises(ValueError, match="overflows or underflows a float"):
+            cg_su2_hyp(l1, l2, l, m1, -m1 if l == 0 else 0, 0)
+
+    def test_closed_form_agrees_at_low_spin(self):
+        # The oracle itself, on labels where both routes fit a float.
+        for key in ((1, 1, 2, 0), (2, 1, 1, 0), (3, 2, 3, 0), (2, 2, 0, 1)):
+            l1, l2, l, m1 = key
+            want = _cg_closed_form(l1, l2, l, m1)
+            got = cg_su2(l1, l2, l, m1, -m1 if l == 0 else 0, 0)
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-15), key
 
 
 def _bits(value):
