@@ -10,15 +10,18 @@ coefficient, normalization or reflection code, so each checks the other:
   and boost tabulators of ``su2`` (``z_grid``).
 
 Each route has one evaluator; ``z_series`` and ``z_factorized`` are the
-one-point views of the two tables.  On top sit the phase-dressed matrix
-elements, the representation matrices, and the 2x2 closed form with its
-six-factor product.
+one-point views of the two tables.  Both hand their factors to one
+blocked k-sum (``_ksum_table``), which adds in k order and knows no
+coefficient.  On top sit the phase-dressed matrix elements, the
+representation matrices, and the 2x2 closed form with its six-factor
+product, each refusing a point whose value overflows a float.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 from typing import NamedTuple
 
@@ -26,11 +29,11 @@ import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, _weights, mrange
-from .kernels import (_ANGLES, _Memo, _finite, _horner, _powers, _stack,
-                      ipow, ln_factorial)
+from .kernels import (_ANGLES, _Memo, _finite, _horner, _ksum, _powers,
+                      _stack, ipow, ln_factorial)
 from .su2 import _jac_vec, _sph_vec
 
-_CELLS = 1 << 14  # cells per evaluated block of a table and its label rows
+_CELLS = 1 << 14  # cells per block: labels x angles, and labels x thetas x taus
 
 
 def _ln_pref(tl, ta, tb):
@@ -141,29 +144,37 @@ def _angle_blocks(size, width):
     return [slice(lo, lo + step) for lo in range(0, size, step)]
 
 
+def _ksum_table(rows, rotation, boost, thetas, taus):
+    """The theta x tau table of sum_k rotation(thetas)[k] boost(taus)[k]
+    for tabulators of ``rows`` labels, which take 1-D float angles.
+
+    The tabulators run block by block along both axes, on rows x angles
+    cells, and each k-sum on rows x thetas x taus products; ``_ksum``
+    adds them in k order (a matmul would reorder the sum).
+    """
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    taus = np.asarray(taus, dtype=float).ravel()
+    out = np.empty((thetas.size, taus.size), dtype=complex)
+    for cols in _angle_blocks(taus.size, rows):
+        boosts = boost(taus[cols])
+        for cells in _angle_blocks(thetas.size, rows):
+            rot, part = rotation(thetas[cells]), out[cells, cols]
+            for sums in _angle_blocks(rot.shape[1], rows * boosts.shape[1]):
+                part[sums] = _ksum(rot[:, sums], boosts)
+    return out
+
+
 def _series_table(tl, tm, tn, thetas, taus):
     """Z^l_mn on a theta x tau table by the direct sum (twice-int labels).
 
     Each internal label k adds the outer product of a rotation and a
     boost factor, each a log-factorial prefactor times a terminating
-    Gauss series.  Both factors are tabulated for all k at once, block
-    by block along the angle axes.
+    Gauss series, tabulated for all k at once.
     """
-    thetas = np.asarray(thetas, dtype=float).ravel()
-    taus = np.asarray(taus, dtype=float).ravel()
     rot_block, boost_block = _series_block(tl, tm), _series_block(tl, tn)
-    rows = tl + 1
-    out = np.empty((thetas.size, taus.size), dtype=complex)
-    for cols in _angle_blocks(taus.size, rows):
-        boost = _series_boost(tl, boost_block, taus[cols])
-        for cells in _angle_blocks(thetas.size, max(rows, boost.shape[1])):
-            rot = _series_rotation(tl, rot_block, thetas[cells])
-            # One += per label, in k order: a matmul would reorder the sum.
-            acc = np.zeros((rot.shape[1], boost.shape[1]), dtype=complex)
-            for r, b in zip(rot[:, :, None], boost):
-                acc += r * b
-            out[cells, cols] = acc
-    return out
+    return _ksum_table(tl + 1, functools.partial(_series_rotation, tl, rot_block),
+                       functools.partial(_series_boost, tl, boost_block),
+                       thetas, taus)
 
 
 def z_series(l, m, n, theta, tau):
@@ -204,19 +215,8 @@ def z_grid(l, m, n, thetas, taus):
     l, m, n = _weights(l, m, n)
     _finite(_ANGLES, thetas, taus)
     tl, tm, tn = l.twice, m.twice, n.twice
-    thetas = np.asarray(thetas, dtype=float).ravel()
-    taus = np.asarray(taus, dtype=float).ravel()
-    rows = tl + 1
-    out = np.empty((thetas.size, taus.size), dtype=complex)
-    for cols in _angle_blocks(taus.size, rows):
-        boost = _jac_vec(tl, tn, taus[cols])
-        for cells in _angle_blocks(thetas.size, max(rows, boost.shape[1])):
-            rot = _sph_vec(tl, tm, thetas[cells])
-            acc = np.zeros((rot.shape[1], boost.shape[1]), dtype=complex)
-            for r, b in zip(rot[:, :, None], boost):  # in k order, as above
-                acc += r * b
-            out[cells, cols] = acc
-    return out
+    return _ksum_table(tl + 1, functools.partial(_sph_vec, tl, tm),
+                       functools.partial(_jac_vec, tl, tn), thetas, taus)
 
 
 def z_matrix(l, theta, tau):
@@ -236,6 +236,30 @@ def z_matrix(l, theta, tau):
     return CMatrix(rot @ boost, ms, ms)
 
 
+def _finite_element(build):
+    """``build(..., g)`` for a matrix element or matrix of the group element
+    ``g`` whose entries must fit a float: an entry past the float range
+    (an OverflowError from cmath or math, or an inf or NaN from the numpy
+    products) is a ValueError naming the overflow, with no numpy warning."""
+
+    @functools.wraps(build)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                out = build(*args, **kwargs)
+        except OverflowError:
+            out = None
+        if out is None or not np.isfinite(getattr(out, "data", out)).all():
+            g = inspect.signature(build).bind(*args, **kwargs).arguments["g"]
+            raise ValueError(
+                f"{build.__name__}: an entry of the element at {g} "
+                "overflows a float")
+        return out
+
+    return checked
+
+
+@_finite_element
 def m_function(l, m, n, g: GroupPoint):
     """Phase-dressed matrix element of the six-parameter group element."""
     l, m, n = HalfInt(l), HalfInt(m), HalfInt(n)
@@ -244,6 +268,7 @@ def m_function(l, m, n, g: GroupPoint):
     return left * z_factorized(l, m, n, g.theta, g.tau) * right
 
 
+@_finite_element
 def m_matrix(l, g: GroupPoint):
     """Full representation matrix at spin l, rows labeled m descending."""
     l = HalfInt(l)
@@ -257,28 +282,6 @@ def m_matrix(l, g: GroupPoint):
 _HALF_UP = HalfInt.from_twice(1)
 _HALF_DOWN = HalfInt.from_twice(-1)
 _ASCENDING = (_HALF_DOWN, _HALF_UP)
-
-
-def _finite_element(build):
-    """``build(g)`` for a 2x2 element whose entries must fit a float: an
-    entry past the float range (an OverflowError from cmath or math, or an
-    inf or NaN from the numpy products) is a ValueError naming the
-    overflow."""
-
-    @functools.wraps(build)
-    def checked(g: GroupPoint):
-        try:
-            with np.errstate(all="ignore"):
-                out = build(g)
-        except OverflowError:
-            out = None
-        if out is None or not np.isfinite(out.data).all():
-            raise ValueError(
-                f"{build.__name__}: an entry of the element at {g} "
-                "overflows a float")
-        return out
-
-    return checked
 
 
 @_finite_element
@@ -334,6 +337,7 @@ def euler_product(g: GroupPoint):
     return CMatrix(out, _ASCENDING, _ASCENDING)
 
 
+@_finite_element
 def rep_matrix(l, ldot, g: GroupPoint):
     """Representation matrix on the (l, ldot) carrier.
 

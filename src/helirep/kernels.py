@@ -181,6 +181,20 @@ def _horner(coeffs, spans, y):
     return acc
 
 
+def _ksum(rot, boost):
+    """sum_k of the outer products of row k of ``rot`` (K, T), complex,
+    and row k of ``boost`` (K, U), real: a (T, U) complex array whose
+    every cell is added in k order from +0j, as a loop of += would.
+
+    The products are summed through their float view: its inner axis of
+    length at least 2 keeps numpy adding whole rows one after another,
+    where a complex reduce to a single cell would sum pairwise.  The
+    explicit start keeps a sum of -0.0 at +0.0 whatever numpy starts from.
+    """
+    prod = rot[:, :, None] * boost.astype(complex)[:, None, :]
+    return np.add.reduce(prod.view(float), axis=0, initial=0.0).view(complex)
+
+
 def _powers(x, exponents):
     """x ** e for a row of bases ``x`` and a (rows, 1) column of integer
     exponents: a (rows, len(x)) array.

@@ -1,5 +1,6 @@
 """Tests for the complexified-rotation matrix functions."""
 
+import cmath
 import math
 import warnings
 
@@ -280,6 +281,64 @@ class TestOverflowingElements:
         assert np.abs(fm.data - ep.data).max() <= 1e-13 * scale
 
 
+class TestOverflowingMatrices:
+    """The phase-dressed element and the representation matrices refuse a
+    point whose value or entries pass the float range as the 2x2 elements
+    do, with a ValueError naming the overflow and no numpy warning; a
+    phase or a rotation never overflows."""
+
+    CALLS = {
+        "m_function": lambda g: m_function(half(2), half(2), half(-2), g),
+        "m_matrix": lambda g: m_matrix(half(2), g),
+        "rep_matrix": lambda g: rep_matrix(half(1), half(2), g),
+    }
+
+    @staticmethod
+    def _overflows(name, coord, value):
+        if coord in ("phi", "theta", "psi"):
+            return False
+        # The element (m, n) = (1, -1) carries exp(-eps) and exp(veps);
+        # the matrices carry both signs of every rapidity.
+        if name == "m_function" and coord != "tau":
+            return (value < 0) == (coord == "eps")
+        return True
+
+    @pytest.mark.parametrize("value", [2000.0, -2000.0])
+    @pytest.mark.parametrize("coord", ["phi", "eps", "theta", "tau", "psi", "veps"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_refused_where_it_overflows(self, name, coord, value):
+        g = GroupPoint(**{coord: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if self._overflows(name, coord, value):
+                with pytest.raises(ValueError, match="overflows a float"):
+                    self.CALLS[name](g)
+            else:
+                out = self.CALLS[name](g)
+                assert np.isfinite(getattr(out, "data", out)).all()
+
+    @pytest.mark.parametrize("name, call, g", [
+        ("m_function", lambda g: m_function(half(1), half(1), half(-1), g),
+         GroupPoint(eps=-1400.0, tau=1400.0)),
+        ("m_matrix", lambda g: m_matrix(half(1), g), GroupPoint(eps=-1400.0, tau=1400.0)),
+        # Each spin-1/2 factor of the Kronecker product fits; their product does not.
+        ("rep_matrix", lambda g: rep_matrix(half(1), half(1), g), GroupPoint(eps=-1400.0)),
+    ])
+    def test_product_of_fitting_factors_refused(self, name, call, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name}: .* overflows a float"):
+                call(g)
+
+    def test_fitting_points_keep_their_values(self):
+        g = GroupPoint(phi=0.2, eps=-700.0, theta=0.3, tau=0.4, psi=0.5, veps=0.6)
+        z = z_factorized(half(1), half(1), half(-1), 0.3, 0.4)
+        left, right = cmath.exp(-0.5 * (-700.0 + 0.2j)), cmath.exp(0.5 * (0.6 + 0.5j))
+        assert m_function(half(1), half(1), half(-1), g) == left * z * right
+        assert np.isfinite(m_matrix(half(1), g).data).all()
+        assert np.isfinite(rep_matrix(half(1), half(1), GroupPoint(eps=-700.0)).data).all()
+
+
 class TestSeriesGridEvaluation:
     """The series grid against the factorized route, scalar and grid."""
 
@@ -419,24 +478,41 @@ class TestRouteIndependence:
 
 
 class TestTablesKeepTheirBits:
-    """Tabulating all internal labels at once and cutting the angle axes
-    into blocks change no bit: a table equals its pieces, and each
-    one-point view equals its table's entry."""
+    """Tabulating all internal labels at once, cutting the angle axes
+    into tabulator blocks and those into k-sum blocks change no bit: a
+    table equals its pieces, and each one-point view equals its table's
+    entry."""
 
     TWICE = (40, 2, -6)
+    ROWS = TWICE[0] + 1  # labels k in each k-sum
 
     @staticmethod
-    def _long(table_rows):
+    def _blocks(size, width):
+        """Blocks of an axis of ``size`` angles, each angle ``width`` cells."""
         import helirep.hyperspherical as hs
 
-        return 2 * (hs._CELLS // table_rows) + 7  # three blocks of angles
+        return len(hs._angle_blocks(size, width))
+
+    @classmethod
+    def _step(cls):
+        """Angles in one tabulator block."""
+        import helirep.hyperspherical as hs
+
+        return hs._CELLS // cls.ROWS
+
+    @classmethod
+    def _long(cls):
+        return 2 * cls._step() + 7  # three tabulator blocks of angles
 
     @pytest.mark.parametrize("table", [z_grid, z_series_grid])
     def test_theta_sweep_equals_its_points(self, table):
         args = tuple(half(t) for t in self.TWICE)
-        thetas = np.linspace(0.05, 3.1, self._long(self.TWICE[0] + 1))
+        thetas = np.linspace(0.05, 3.1, self._long())
         taus = np.array([-0.7, 0.0, 1.3])
         assert thetas[0] < math.pi / 2 < thetas[-1]
+        # Three tabulator blocks of thetas, each cut into k-sums.
+        assert self._blocks(thetas.size, self.ROWS) >= 3
+        assert self._blocks(self._step(), self.ROWS * taus.size) >= 3
         got = table(*args, thetas, taus)
         pieces = np.vstack([table(*args, [th], taus) for th in thetas])
         assert np.array_equal(got, pieces)
@@ -445,7 +521,8 @@ class TestTablesKeepTheirBits:
     def test_tau_sweep_equals_its_points(self, table):
         args = tuple(half(t) for t in self.TWICE)
         thetas = np.array([0.4, 2.9])
-        taus = np.linspace(-2.5, 2.5, self._long(self.TWICE[0] + 1))
+        taus = np.linspace(-2.5, 2.5, self._long())
+        assert self._blocks(taus.size, self.ROWS) >= 3
         got = table(*args, thetas, taus)
         pieces = np.hstack([table(*args, thetas, [ta]) for ta in taus])
         assert np.array_equal(got, pieces)
@@ -454,7 +531,11 @@ class TestTablesKeepTheirBits:
     def test_table_blocked_on_both_axes_equals_its_rows(self, table):
         args = tuple(half(t) for t in self.TWICE)
         thetas = np.linspace(-1.0, 4.0, 90)
-        taus = np.linspace(-2.0, 2.0, self._long(self.TWICE[0] + 1) // 2)
+        taus = np.linspace(-2.0, 2.0, self._long())
+        # Three tabulator blocks of taus; a full one leaves each k-sum
+        # room for one theta.
+        assert self._blocks(taus.size, self.ROWS) >= 3
+        assert self._blocks(thetas.size, self.ROWS * self._step()) >= 3
         got = table(*args, thetas, taus)
         pieces = np.vstack([table(*args, [th], taus) for th in thetas])
         assert np.array_equal(got, pieces)

@@ -20,6 +20,7 @@ from helirep.kernels import (
     _finite,
     _horner,
     _int_arg,
+    _ksum,
     _powers,
     _stack,
     fact,
@@ -131,6 +132,42 @@ class TestStackedRows:
             for value in reversed(c[:-1]):
                 acc = acc * y + value
             assert np.array_equal(table[row].view(np.uint64), acc.view(np.uint64))
+
+    @staticmethod
+    def _parts(rng, shape):
+        """Floats over 16 decades, one in ten replaced by one of +-0.0,
+        +-1e-300 and +-1e300."""
+        out = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        special = rng.random(shape) < 0.1
+        out[special] = rng.choice([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300],
+                                  special.sum())
+        return out
+
+    @staticmethod
+    def _loop(rot, boost):
+        """The k-sum as one += per label, in k order from +0j."""
+        acc = np.zeros((rot.shape[1], boost.shape[1]), dtype=complex)
+        for r, b in zip(rot[:, :, None], boost):
+            acc += r * b
+        return acc
+
+    def test_ksum_adds_in_k_order_from_plus_zero(self):
+        rng = np.random.default_rng(11)
+        cases = [(k, t, u) for k in range(1, 82) for t, u in ((1, 1), (1, 9), (9, 1))]
+        cases.append((41, 40, 40))  # one block of 65 600 products
+        for k, t, u in cases:
+            rot = np.empty((k, t), dtype=complex)
+            rot.real, rot.imag = self._parts(rng, (k, t)), self._parts(rng, (k, t))
+            boost = self._parts(rng, (k, u))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _ksum(rot, boost), self._loop(rot, boost)
+            assert got.shape == (t, u)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (k, t, u)
+
+    def test_ksum_of_negative_zeros_is_plus_zero(self):
+        rot, boost = np.full((3, 1), complex(-0.0, -0.0)), np.ones((3, 1))
+        for acc in (_ksum(rot, boost), self._loop(rot, boost)):
+            assert acc.view(np.uint64).tolist() == [[0, 0]]
 
 
 class TestMemo:

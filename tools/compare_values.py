@@ -1,0 +1,157 @@
+"""Compare the Z^l_mn values of two source trees, array by array, bit for bit.
+
+Usage:
+
+    python tools/compare_values.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are directories holding a ``helirep`` package
+(a checkout's ``src/``).  Each tree is imported in its own subprocess,
+which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
+
+- for every key (l, m, n) with 2l <= 40, ``z_grid`` and ``z_series_grid``
+  on one seeded 7 x 4 grid, and ``z_series`` and ``z_factorized`` at five
+  seeded points; the angles include 0, pi/2 and pi, one on the reflected
+  side (pi/2 < theta < pi), one past pi and one below 0;
+- both tables at the shapes the ``tabulate`` benchmark evaluates: 240 x 240
+  tables at 2l = 4, 12, 24, 40 and 10 000-angle theta sweeps at one tau at
+  2l = 3, 10, 20, 40, plus one 10 000-rapidity tau sweep at 2l = 40.
+
+The script then compares the two files array by array (one array per
+function and key, or per table): equal means the same shape, dtype and
+bytes, so a changed sign of zero or NaN payload counts.  It prints each
+differing array and the count, and exits 1 if any differs (2 if a tree
+fails to evaluate).  Needs numpy; the two subprocesses run at once.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+SEED = 20261019
+MAX_TWICE_L = 40
+TABLE_SPINS = (4, 12, 24, 40)   # 2l of the 240 x 240 tables
+TABLE_EDGE = 240
+SWEEP_SPINS = (3, 10, 20, 40)   # 2l of the theta sweeps
+SWEEP_ANGLES = 10_000
+
+
+def _angles():
+    """The key grid (thetas, taus) and the key points [(theta, tau)]."""
+    rng = np.random.default_rng(SEED)
+    pi = np.pi
+    thetas = np.array([0.0, pi / 2, pi, rng.uniform(0.1, pi / 2),
+                       rng.uniform(pi / 2, pi), rng.uniform(pi, 2 * pi),
+                       rng.uniform(-pi, 0.0)])
+    taus = np.array([0.0, rng.uniform(-3.0, -0.1), rng.uniform(0.1, 3.0),
+                     rng.uniform(-3.0, 3.0)])
+    points = [(0.0, taus[1]), (pi / 2, taus[2]), (pi, 0.0),
+              (thetas[4], taus[3]), (thetas[6], taus[1])]
+    return thetas, taus, points
+
+
+def _keys():
+    return [(tl, tm, tn) for tl in range(MAX_TWICE_L + 1)
+            for tm in range(tl, -tl - 1, -2) for tn in range(tl, -tl - 1, -2)]
+
+
+def _shapes():
+    """(name, twice labels, thetas, taus) of the benchmark-shaped tables."""
+    rng = np.random.default_rng(SEED + 1)
+
+    def label(tl):
+        return tl - 2 * int(rng.integers(0, tl + 1))
+
+    out = []
+    for tl in TABLE_SPINS:
+        out.append((f"table 2l={tl}", (tl, label(tl), label(tl)),
+                    np.linspace(0.0, rng.uniform(2.6, 3.1), TABLE_EDGE),
+                    np.linspace(-2.0, 2.0, TABLE_EDGE)))
+    for tl in SWEEP_SPINS:
+        out.append((f"theta sweep 2l={tl}", (tl, label(tl), label(tl)),
+                    np.linspace(0.0, rng.uniform(2.6, 3.1), SWEEP_ANGLES),
+                    np.array([rng.uniform(-2.0, 2.0)])))
+    out.append(("tau sweep 2l=40", (40, label(40), label(40)),
+                np.array([0.4, 2.9]), np.linspace(-2.5, 2.5, SWEEP_ANGLES)))
+    return out
+
+
+def dump(src, path):
+    """Evaluate every array under the tree ``src`` and save them to ``path``."""
+    sys.path.insert(0, os.path.abspath(src))
+    from helirep.halfint import HalfInt
+    from helirep.hyperspherical import z_factorized, z_grid, z_series, z_series_grid
+
+    half = HalfInt.from_twice
+    thetas, taus, points = _angles()
+    keys = _keys()
+    arrays = {name: [] for name in ("z_grid", "z_series_grid", "z_series", "z_factorized")}
+    for tl, tm, tn in keys:
+        args = (half(tl), half(tm), half(tn))
+        arrays["z_grid"].append(z_grid(*args, thetas, taus))
+        arrays["z_series_grid"].append(z_series_grid(*args, thetas, taus))
+        arrays["z_series"].append([z_series(*args, *p) for p in points])
+        arrays["z_factorized"].append([z_factorized(*args, *p) for p in points])
+    out = {f"key {name}": np.array(rows, dtype=complex) for name, rows in arrays.items()}
+    for name, (tl, tm, tn), th, ta in _shapes():
+        args = (half(tl), half(tm), half(tn), th, ta)
+        out[f"z_grid {name}"] = z_grid(*args)
+        out[f"z_series_grid {name}"] = z_series_grid(*args)
+    np.savez(path, **out)
+
+
+def _label(twice):
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+def _differing(name, a, b):
+    """Where the saved entry ``name`` differs between the trees: one line
+    per differing key of a per-key stack, one for a differing table."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return [f"{name}: shape or dtype"]
+    rows = a.view(np.uint64) != b.view(np.uint64)
+    if not name.startswith("key "):
+        return [name] if rows.any() else []
+    rows = rows.reshape(len(a), -1).any(axis=1)
+    return [f"{name[4:]} at (l, m, n) = ({', '.join(map(_label, _keys()[i]))})"
+            for i in np.flatnonzero(rows)]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--dump"]:  # the subprocess of one tree
+        dump(*argv[1:])
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src")
+    parser.add_argument("change_src")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        files = [os.path.join(tmp, f"{side}.npz") for side in ("parent", "change")]
+        procs = [subprocess.Popen([sys.executable, os.path.abspath(__file__),
+                                   "--dump", src, path])
+                 for src, path in zip((args.parent_src, args.change_src), files)]
+        if any([proc.wait() for proc in procs]):
+            print("a tree failed to evaluate its arrays", file=sys.stderr)
+            return 2
+        with np.load(files[0]) as parent, np.load(files[1]) as change:
+            if sorted(parent.files) != sorted(change.files):
+                print("the trees saved different arrays", file=sys.stderr)
+                return 2
+            total, differ = 0, []
+            for name in parent.files:
+                total += len(_keys()) if name.startswith("key ") else 1
+                differ += _differing(name, parent[name], change[name])
+    for line in differ:
+        print(f"DIFFERS   {line}")
+    print(f"{total} arrays, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
