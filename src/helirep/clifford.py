@@ -4,16 +4,17 @@ matrices built from them.
 Even rank n = 2m gives the classic tensor-product basis of sigma
 matrices on a 2^m-dimensional space; odd rank appends the sigma_3 chain
 and doubles into two inequivalent summands.  All generator entries are
-Gaussian integers, so every algebra check here is exact — no tolerance.
+Gaussian integers, so every algebra check here is exact — no tolerance;
+floating point is used only where it is exact on such entries.
 Every subset product of the generators is monomial: one nonzero per
 row, a phase in {1, i, -1, -i}.  The products are kept in that normal
 form (a column per row and a phase exponent mod 4), and the dimension
 of their span is an exact rank over the Gaussian integers, taken group
 by group over products that share positions.  The transposition
-matrices mix two adjacent generators with sqrt weights and get verified
-against their expected scalar relations; their entries are real, so the
-relation products run in float64 (a generator with a nonzero imaginary
-part keeps complex arithmetic).
+matrices mix two adjacent generators with sqrt weights, and
+``verify_tn_relations`` reports the scalars their relations realize;
+their entries are real, so the relation products run in float64 (a
+generator with a nonzero imaginary part keeps complex arithmetic).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _int_arg
+from .kernels import _finite, _int_arg
 
 _SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -174,17 +175,25 @@ def _subset_products(gens):
 def _subset_span_dim(products):
     """Exact dimension of the span of the subset products.
 
-    A product occupies the positions (i, cols[i]), so products with
-    different column maps are orthogonal in the trace inner product
-    unless their maps agree on some row; groups that share a position
-    are merged.  The span dimension is the sum over merged groups of
-    the rank of their phase vectors.  An integer Gram matrix equal to
-    dim times the identity proves a group's rank full (the Brauer-Weyl
-    case); any other Gram falls back to fraction-free elimination over
-    the Gaussian integers.  No floating point, no tolerance.
+    Products with equal column maps form a group, found by one lexsort
+    of the maps and a compare of adjacent rows.  A product occupies the
+    positions (i, cols[i]), so products with different column maps are
+    orthogonal in the trace inner product unless their maps agree on
+    some row; groups that share a position are merged.  The span
+    dimension is the sum over merged groups of the rank of their phase
+    vectors.  A Gram matrix equal to dim times the identity proves a
+    group's rank full (the Brauer-Weyl case).  It is one complex
+    product, exact in float64: every entry is 0 or a unit of Z[i], so
+    every partial sum is a Gaussian integer of size at most 2 dim.  Any
+    other Gram falls back to fraction-free elimination over the
+    Gaussian integers in Python ints.  No tolerance anywhere.
     """
-    maps, group = np.unique(products.cols, axis=0, return_inverse=True)
-    group = group.reshape(-1)
+    order = np.lexsort(products.cols.T[::-1])
+    ordered = products.cols[order]
+    starts = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
+    maps = ordered[starts]
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
     root = list(range(len(maps)))
 
     def find(g):
@@ -203,26 +212,20 @@ def _subset_span_dim(products):
 
     dim = products.cols.shape[1]
     entries = _PHASES[products.phase]
-    re_part = entries.real.astype(np.int64)
-    im_part = entries.imag.astype(np.int64)
     flat = np.arange(dim) * dim + products.cols
     span = 0
     for c in np.unique(component):
         members = np.flatnonzero(component == c)
         positions, where = np.unique(flat[members], return_inverse=True)
         where = where.reshape(len(members), dim)
-        rows = np.arange(len(members))[:, None]
-        a = np.zeros((len(members), len(positions)), dtype=np.int64)
-        b = np.zeros_like(a)
-        a[rows, where] = re_part[members]
-        b[rows, where] = im_part[members]
-        # Gram matrix minus dim times the identity, real and imaginary part.
-        off_re = a @ a.T + b @ b.T - dim * np.eye(len(members), dtype=np.int64)
-        off_im = b @ a.T - a @ b.T
-        if not off_re.any() and not off_im.any():
+        z = np.zeros((len(members), len(positions)), dtype=complex)
+        z[np.arange(len(members))[:, None], where] = entries[members]
+        if np.array_equal(z @ z.conj().T, dim * np.eye(len(members))):
             span += len(members)
         else:
-            span += _gaussian_rank(a.tolist(), b.tolist())
+            span += _gaussian_rank(
+                z.real.astype(np.int64).tolist(), z.imag.astype(np.int64).tolist()
+            )
     return span
 
 
@@ -368,11 +371,10 @@ def _random_element(products, rng, terms=48):
 
 @dataclass(frozen=True)
 class SchurCoverGens:
-    """Transposition matrices t_1..t_m with their realized relation signs."""
+    """Transposition matrices t_1..t_m."""
 
     m: int
     t: tuple = field(repr=False)
-    realized_signs: dict = field(default_factory=dict)
 
 
 def schur_transpositions(m):
@@ -381,12 +383,12 @@ def schur_transpositions(m):
     t_k = sqrt((k-1)/2k) E_{k-1} - sqrt((k+1)/2k) E_k for k = 1..m,
     using only the sigma_1 family E_1..E_m of the rank-2m generator
     basis (its sigma_2 half is never built); the first coefficient
-    vanishes at k = 1, so t_1 = -E_1.  The realized scalar signs of the
-    square/braid/far-commutation relations are attached.
+    vanishes at k = 1, so t_1 = -E_1.  Nothing is verified here:
+    ``verify_tn_relations`` reports the realized scalars of the
+    square/braid/far-commutation relations.
     """
     m = _int_arg("m", m, 2, 10)
-    # E_k is built as t_k needs it; holding only E_{k-1} keeps the
-    # family out of the peak memory of the relation products below.
+    # E_k is built as t_k needs it, so only E_{k-1} is held.
     ts, prev = [], None
     for k in range(1, m + 1):
         e_k = _chain(1, k - 1, m)
@@ -395,25 +397,19 @@ def schur_transpositions(m):
             t_k = math.sqrt((k - 1) / (2 * k)) * prev + t_k
         ts.append(t_k)
         prev = e_k
-    gens = SchurCoverGens(m, tuple(ts))
-    report = verify_tn_relations(gens)
-    signs = {
-        "square": report["s1"],
-        "braid": report["s2"],
-        "far_commute": report["s3"],
-    }
-    return SchurCoverGens(m, tuple(ts), signs)
+    return SchurCoverGens(m, tuple(ts))
 
 
 def _scalar_of(mat, tol=1e-12):
     """The scalar s with mat = s*Id, or None."""
     dim = mat.shape[0]
     s = complex(np.trace(mat)) / dim
-    if np.max(np.abs(mat - s * np.eye(dim))) > tol * max(1.0, abs(s)):
+    if not np.max(np.abs(mat - s * np.eye(dim))) <= tol * max(1.0, abs(s)):
         return None
     return s
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_tn_relations(gens: SchurCoverGens):
     """Realized scalars of the three transposition relation classes.
 
@@ -421,18 +417,29 @@ def verify_tn_relations(gens: SchurCoverGens):
     t_k t_l (t_l t_k)^{-1} for far pairs are each scalar and constant
     across indices, and reports the three scalars.  The report never
     reconciles them against any presentation — it only states what the
-    matrices do.  A generator whose imaginary part is all zero (every
-    matrix ``schur_transpositions`` builds) is multiplied in float64.
+    matrices do.  A class with no members (braids below two generators,
+    far pairs below three) reports None; a non-finite residual or scalar
+    fails its class.  A generator whose imaginary part is all zero
+    (every matrix ``schur_transpositions`` builds) is multiplied in
+    float64.  Raises ValueError for no generators or a non-finite entry.
     """
+    if not gens.t:
+        raise ValueError("transposition relations need at least one generator")
+    _finite("transposition matrices", *gens.t, dtype=complex)
     ts = [t.real.copy() if not t.imag.any() else t for t in gens.t]
     report = {"m": gens.m, "failures": []}
 
     def collect(label, values):
+        if not values:
+            return None
         clean = [v for v in values if v is not None]
         if len(clean) != len(values):
             report["failures"].append(f"{label} not scalar")
             return None
-        if any(abs(v - clean[0]) > 1e-12 for v in clean):
+        if not np.isfinite(clean[0]):
+            report["failures"].append(f"{label} not finite")
+            return None
+        if any(not abs(v - clean[0]) <= 1e-12 for v in clean):
             report["failures"].append(f"{label} not constant across indices")
             return None
         return complex(np.round(clean[0].real) + 1j * np.round(clean[0].imag))
@@ -449,11 +456,11 @@ def verify_tn_relations(gens: SchurCoverGens):
             ab = ts[k] @ ts[l]
             ba = ts[l] @ ts[k]
             s = complex(np.vdot(ba, ab) / np.vdot(ba, ba))
-            if np.max(np.abs(ab - s * ba)) > 1e-12:
+            if not np.max(np.abs(ab - s * ba)) <= 1e-12:
                 fars.append(None)
             else:
                 fars.append(s)
-    report["s3"] = collect("far_commute", fars) if fars else None
+    report["s3"] = collect("far_commute", fars)
     report["ok"] = not report["failures"]
     return report
 

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from helirep import clifford
 from helirep.clifford import (
     _PHASES,
     CliffordBasis,
     _random_element,
     _subset_products,
+    _subset_span_dim,
     SchurCoverGens,
     brauer_weyl,
     odd_direct_sum,
@@ -180,6 +184,49 @@ class TestExactSpan:
             assert np.array_equal(products[mask], dense)
 
 
+def _random_monomial(rng, dim):
+    """A signed permutation matrix with phases in {1, i, -1, -i}."""
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.arange(dim), rng.permutation(dim)] = _PHASES[rng.integers(0, 4, dim)]
+    return out
+
+
+def _dense_rank(products):
+    stacked = np.array([products[k].ravel() for k in range(len(products))])
+    return int(np.linalg.matrix_rank(stacked))
+
+
+class TestSpanAgainstDenseRank:
+    def test_random_monomial_generators(self, monkeypatch):
+        fallbacks, elimination = [], clifford._gaussian_rank
+
+        def counted(re_rows, im_rows):
+            fallbacks.append(len(re_rows))
+            return elimination(re_rows, im_rows)
+
+        monkeypatch.setattr(clifford, "_gaussian_rank", counted)
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            dim = int(rng.integers(1, 7))
+            gens = [_random_monomial(rng, dim) for _ in range(rng.integers(1, 7))]
+            products = _subset_products(gens)
+            assert _subset_span_dim(products) == _dense_rank(products)
+        assert fallbacks  # the elimination ran on groups the Gram could not prove full
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_conjugated_basis_is_proved_full_by_the_gram(self, n, monkeypatch):
+        def refuse(re_rows, im_rows):
+            raise AssertionError("a Brauer-Weyl group fell back to elimination")
+
+        monkeypatch.setattr(clifford, "_gaussian_rank", refuse)
+        rng = np.random.default_rng(n)
+        basis = brauer_weyl(n)
+        p = _random_monomial(rng, basis.dim)
+        gens = [p @ e @ p.conj().T for e in basis.generators]
+        products = _subset_products(gens)
+        assert _subset_span_dim(products) == _dense_rank(products) == 2 ** n
+
+
 class TestOddDirectSum:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_full_structure_report(self, m):
@@ -248,10 +295,10 @@ class TestSchurTranspositions:
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_realized_signs_stable(self, m):
-        signs = schur_transpositions(m).realized_signs
-        assert signs["square"] == 1
-        assert signs["braid"] == 1
-        assert signs["far_commute"] == -1
+        report = verify_tn_relations(schur_transpositions(m))
+        assert report["s1"] == 1
+        assert report["s2"] == 1
+        assert report["s3"] == -1
 
     @pytest.mark.parametrize("m", [2, 5, 8])
     def test_unitary_and_traceless(self, m):
@@ -261,7 +308,9 @@ class TestSchurTranspositions:
             assert np.trace(t) == 0.0
 
     def test_no_far_pairs_below_three(self):
-        assert schur_transpositions(2).realized_signs["far_commute"] is None
+        report = verify_tn_relations(schur_transpositions(2))
+        assert report["s3"] is None
+        assert report["ok"]
 
     def test_size_bounds(self):
         with pytest.raises(ValueError):
@@ -294,6 +343,34 @@ class TestTnRelations:
         report = verify_tn_relations(SchurCoverGens(m, tuple(1j * t for t in ts)))
         assert report["ok"]
         assert (report["s1"], report["s2"], report["s3"]) == (-1, -1, -1)
+
+    def test_one_generator_has_no_braid_or_far_class(self):
+        t = schur_transpositions(2).t[0]
+        report = verify_tn_relations(SchurCoverGens(1, (t,)))
+        assert report["ok"]
+        assert (report["s1"], report["s2"], report["s3"]) == (1, None, None)
+
+    def test_no_generator_is_refused(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            verify_tn_relations(SchurCoverGens(0, ()))
+
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_products_fail(self, scale):
+        # The braid cubes overflow; a NaN scalar must not pass as ok.
+        ts = schur_transpositions(4).t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_tn_relations(SchurCoverGens(4, tuple(scale * t for t in ts)))
+        assert not report["ok"]
+        assert report["s2"] is None
+        assert "braid not scalar" in report["failures"]
+
+    def test_nan_entry_is_refused(self):
+        ts = list(schur_transpositions(3).t)
+        ts[0] = ts[0].copy()
+        ts[0][0, 0] = np.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            verify_tn_relations(SchurCoverGens(3, tuple(ts)))
 
     def test_perturbed_matrix_fails_scalar_checks(self):
         gens = schur_transpositions(4)

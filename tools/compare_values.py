@@ -1,4 +1,5 @@
-"""Compare the Z^l_mn values of two source trees, array by array, bit for bit.
+"""Compare the Z^l_mn values and clifford reports of two source trees,
+array by array, bit for bit.
 
 Usage:
 
@@ -14,13 +15,20 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   side (pi/2 < theta < pi), one past pi and one below 0;
 - both tables at the shapes the ``tabulate`` benchmark evaluates: 240 x 240
   tables at 2l = 4, 12, 24, 40 and 10 000-angle theta sweeps at one tau at
-  2l = 3, 10, 20, 40, plus one 10 000-rapidity tau sweep at 2l = 40.
+  2l = 3, 10, 20, 40, plus one 10 000-rapidity tau sweep at 2l = 40;
+- the clifford reports ``verify_clifford(brauer_weyl(n))`` for n = 1..10,
+  ``odd_direct_sum(m)`` for m = 1..5 (its float
+  ``projection_homomorphism_residual`` included),
+  ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9 and
+  ``transposition_homomorphism_report(m)`` for m = 2..5, each saved as
+  the text of its ``repr``, which spells every float in its shortest
+  round-trip form (so exactly) and names numpy scalar types.
 
 The script then compares the two files array by array (one array per
-function and key, or per table): equal means the same shape, dtype and
-bytes, so a changed sign of zero or NaN payload counts.  It prints each
-differing array and the count, and exits 1 if any differs (2 if a tree
-fails to evaluate).  Needs numpy; the two subprocesses run at once.
+function and key, per table or per report): equal means the same shape,
+dtype and bytes, so a changed sign of zero or NaN payload counts.  It
+prints each differing array and the count, and exits 1 if any differs
+(2 if a tree fails to evaluate).  Needs numpy; the two subprocesses run at once.
 """
 
 from __future__ import annotations
@@ -102,7 +110,27 @@ def dump(src, path):
         args = (half(tl), half(tm), half(tn), th, ta)
         out[f"z_grid {name}"] = z_grid(*args)
         out[f"z_series_grid {name}"] = z_series_grid(*args)
+    out.update(_clifford_reports())
     np.savez(path, **out)
+
+
+def _clifford_reports():
+    """Each clifford report as a 0-d string array of its ``repr``."""
+    from helirep.clifford import (brauer_weyl, odd_direct_sum, schur_transpositions,
+                                  transposition_homomorphism_report, verify_clifford,
+                                  verify_tn_relations)
+
+    reports = {}
+    for n in range(1, 11):
+        reports[f"verify_clifford n={n}"] = verify_clifford(brauer_weyl(n))
+    for m in range(1, 6):
+        reports[f"odd_direct_sum m={m}"] = odd_direct_sum(m)
+    for m in range(2, 10):
+        reports[f"verify_tn_relations m={m}"] = verify_tn_relations(schur_transpositions(m))
+    for m in range(2, 6):
+        reports[f"transposition_homomorphism_report m={m}"] = (
+            transposition_homomorphism_report(m))
+    return {f"clifford {name}": np.array(repr(report)) for name, report in reports.items()}
 
 
 def _label(twice):
@@ -111,13 +139,14 @@ def _label(twice):
 
 def _differing(name, a, b):
     """Where the saved entry ``name`` differs between the trees: one line
-    per differing key of a per-key stack, one for a differing table."""
+    per differing key of a per-key stack, one for a differing table or
+    report."""
+    if not name.startswith("key "):
+        same = a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        return [] if same else [name]
     if a.shape != b.shape or a.dtype != b.dtype:
         return [f"{name}: shape or dtype"]
-    rows = a.view(np.uint64) != b.view(np.uint64)
-    if not name.startswith("key "):
-        return [name] if rows.any() else []
-    rows = rows.reshape(len(a), -1).any(axis=1)
+    rows = (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), -1).any(axis=1)
     return [f"{name[4:]} at (l, m, n) = ({', '.join(map(_label, _keys()[i]))})"
             for i in np.flatnonzero(rows)]
 
