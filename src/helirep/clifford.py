@@ -419,9 +419,12 @@ def verify_tn_relations(gens: SchurCoverGens):
     reconciles them against any presentation — it only states what the
     matrices do.  A class with no members (braids below two generators,
     far pairs below three) reports None; a non-finite residual or scalar
-    fails its class.  A generator whose imaginary part is all zero
-    (every matrix ``schur_transpositions`` builds) is multiplied in
-    float64.  Raises ValueError for no generators or a non-finite entry.
+    fails its class.  Every tolerance is relative to max(1, size) of what
+    it compares, a scalar or the far pair's product t_k t_l, so a scaled
+    cover passes with scaled scalars.  A generator whose imaginary part
+    is all zero (every matrix ``schur_transpositions`` builds) is
+    multiplied in float64.  Raises ValueError for no generators or a
+    non-finite entry.
     """
     if not gens.t:
         raise ValueError("transposition relations need at least one generator")
@@ -439,7 +442,8 @@ def verify_tn_relations(gens: SchurCoverGens):
         if not np.isfinite(clean[0]):
             report["failures"].append(f"{label} not finite")
             return None
-        if any(not abs(v - clean[0]) <= 1e-12 for v in clean):
+        if any(not abs(v - clean[0]) <= 1e-12 * max(1.0, abs(clean[0]))
+               for v in clean):
             report["failures"].append(f"{label} not constant across indices")
             return None
         return complex(np.round(clean[0].real) + 1j * np.round(clean[0].imag))
@@ -456,7 +460,8 @@ def verify_tn_relations(gens: SchurCoverGens):
             ab = ts[k] @ ts[l]
             ba = ts[l] @ ts[k]
             s = complex(np.vdot(ba, ab) / np.vdot(ba, ba))
-            if not np.max(np.abs(ab - s * ba)) <= 1e-12:
+            size = max(1.0, np.max(np.abs(ab)))
+            if not np.max(np.abs(ab - s * ba)) <= 1e-12 * size:
                 fars.append(None)
             else:
                 fars.append(s)

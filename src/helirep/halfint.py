@@ -154,12 +154,12 @@ def half(p):
 def _weights(l, *projections):
     """The one gate of spin labels: (l, m, ...) as HalfInts, where l is a
     non-negative spin label and each m one of its projections."""
-    l = HalfInt(l)
+    l = l if isinstance(l, HalfInt) else HalfInt(l)
     if l.twice < 0:
         raise ValueError(f"spin label {l} must be non-negative")
     out = [l]
     for m in projections:
-        m = HalfInt(m)
+        m = m if isinstance(m, HalfInt) else HalfInt(m)
         if abs(m.twice) > l.twice or (l.twice - m.twice) % 2:
             raise ValueError(f"projection {m} invalid for spin {l}")
         out.append(m)

@@ -30,7 +30,7 @@ import numpy as np
 from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
 from .halfint import HalfInt, _weights, mrange
 from .kernels import (_ANGLES, _Memo, _finite, _horner, _ksum, _powers,
-                      _stack, ipow, ln_factorial)
+                      _squares, _stack, ipow, ln_factorial)
 from .su2 import _jac_vec, _sph_vec
 
 _CELLS = 1 << 14  # cells per block: labels x angles, and labels x thetas x taus
@@ -63,15 +63,16 @@ def _gauss_float_coeffs(tl, ta, tb):
 class _SeriesBlock(NamedTuple):
     """The rows k = l, l-1, ..., -l that pair with one label x, each pair
     ordered a >= b; ``prefs``, ``scales`` and ``signs`` are (2l+1, 1)
-    columns, and ``powers`` holds four of them."""
+    columns, ``powers`` holds four of them and ``squares`` their rows
+    equal to 2."""
 
     forward: np.ndarray  # stacked ascending coefficients, see kernels._stack
     backward: np.ndarray  # each row's series reversed, stacked alike
-    spans: tuple  # the rows that reach each degree, for both stacks
     prefs: np.ndarray  # exp(_ln_pref) of each pair
     scales: np.ndarray  # i^(a-b) exp(_ln_pref), the rotation's prefactor
     signs: np.ndarray  # (-1)^degree, the sign of the reversed series
     powers: np.ndarray  # exponents of cos and sin, inner then outer
+    squares: tuple  # kernels._squares of each column of ``powers``
 
 
 @_Memo
@@ -82,8 +83,8 @@ def _series_block(tl, tx):
     """
     pairs = [(max(tx, tk), min(tx, tk)) for tk in range(tl, -tl - 1, -2)]
     series = [_gauss_float_coeffs(tl, ta, tb) for ta, tb in pairs]
-    forward, spans = _stack(series)
-    backward, _ = _stack([c[::-1] for c in series])
+    forward = _stack(series)
+    backward = _stack([c[::-1] for c in series])
     prefs = [math.exp(_ln_pref(tl, ta, tb)) for ta, tb in pairs]
     dists = [(ta - tb) // 2 for ta, tb in pairs]
     tops = [len(c) - 1 for c in series]
@@ -102,7 +103,8 @@ def _series_block(tl, tx):
         column = np.array(values)[..., None]
         column.flags.writeable = False
         columns.append(column)
-    return _SeriesBlock(forward, backward, spans, *columns)
+    return _SeriesBlock(forward, backward, *columns,
+                        tuple(map(_squares, columns[-1])))
 
 
 def _series_rotation(tl, block, thetas):
@@ -115,13 +117,14 @@ def _series_rotation(tl, block, thetas):
     """
     ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
     inner = np.abs(st) <= np.abs(ct)
-    cos_in, sin_in, cos_out, sin_out = block.powers
-    if inner.all():
-        poly = _horner(block.forward, block.spans, -((st / ct) ** 2))
-        power = _powers(ct, cos_in) * _powers(st, sin_in)
-    elif not inner.any():
-        poly = _horner(block.backward, block.spans, -((ct / st) ** 2))
-        power = block.signs * _powers(ct, cos_out) * _powers(st, sin_out)
+    count = np.count_nonzero(inner)
+    cos_in, sin_in, cos_out, sin_out = zip(block.powers, block.squares)
+    if count == thetas.size:
+        poly = _horner(block.forward, -((st / ct) ** 2))
+        power = _powers(ct, *cos_in) * _powers(st, *sin_in)
+    elif not count:
+        poly = _horner(block.backward, -((ct / st) ** 2))
+        power = block.signs * _powers(ct, *cos_out) * _powers(st, *sin_out)
     else:
         out = np.empty((tl + 1, thetas.size), dtype=complex)
         for cells in (inner, ~inner):
@@ -133,8 +136,8 @@ def _series_rotation(tl, block, thetas):
 def _series_boost(tl, block, taus):
     """The boost factors of the series route, rows k, columns tau."""
     ch, th = np.cosh(0.5 * taus), np.tanh(0.5 * taus)
-    poly = _horner(block.forward, block.spans, th * th)
-    return block.prefs * ch**tl * _powers(th, block.powers[1]) * poly
+    poly = _horner(block.forward, th * th)
+    return block.prefs * ch**tl * _powers(th, block.powers[1], block.squares[1]) * poly
 
 
 def _angle_blocks(size, width):

@@ -49,7 +49,8 @@ def _finite(what, *values, dtype=float):
     """The one finiteness gate of inputs: every value (a number or an
     array of them, read as ``dtype``) must be finite, or ValueError."""
     for value in values:
-        if not np.isfinite(np.asarray(value, dtype=dtype)).all():
+        value = np.asarray(value, dtype=dtype)
+        if np.count_nonzero(np.isfinite(value)) != value.size:
             raise ValueError(f"{what} must be finite")
 
 
@@ -148,36 +149,33 @@ class _Memo:
 
 def _stack(series):
     """Ascending coefficient lists stacked as the rows of one Horner
-    evaluation.
-
-    Returns a read-only (degree + 1, rows, 1) array, zero above each
-    row's own degree, and for each degree j the rows (lo, hi) that reach
-    it; rows outside a span hold zeros at that degree.
-    """
+    evaluation: a read-only (degree + 1, rows, 1) array, zero above each
+    row's own degree."""
     top = max(map(len, series))
     coeffs = np.zeros((top, len(series), 1))
     for row, c in enumerate(series):
         coeffs[: len(c), row, 0] = c
     coeffs.flags.writeable = False
-    spans = []
-    for j in range(top):
-        rows = [row for row, c in enumerate(series) if len(c) > j]
-        spans.append((rows[0], rows[-1] + 1))
-    return coeffs, tuple(spans)
+    return coeffs
 
 
-def _horner(coeffs, spans, y):
+def _horner(coeffs, y):
     """Every row of sum_j coeffs[j] * y**j by Horner's rule, for stacked
-    coefficients from ``_stack`` and a 1-D ``y``: a (rows, len(y)) array.
+    coefficients from ``_stack`` and a 1-D finite ``y``: a (rows, len(y))
+    array.
 
-    Each row starts from zero and joins the loop at its span, so its top
-    coefficient c enters as 0 * y + c = c, exactly as on its own.
+    Every row runs every degree, by two in-place operations on operands
+    of its own shape.  Above its own degree a row holds +0.0 and meets
+    zero coefficients, and 0 * y + 0 is +0.0 for every finite y, either
+    sign, so the row enters at its top coefficient c as 0 * y + c,
+    exactly as on its own.
     """
-    acc = np.zeros((coeffs.shape[1], y.size))
-    for c, (lo, hi) in zip(coeffs[::-1], reversed(spans)):
-        part = acc[lo:hi]
-        part *= y
-        part += c[lo:hi]
+    ys = np.empty((coeffs.shape[1], y.size))
+    ys[...] = y
+    acc = np.zeros(ys.shape)
+    for c in coeffs[::-1]:
+        acc *= ys
+        acc += c
     return acc
 
 
@@ -195,18 +193,26 @@ def _ksum(rot, boost):
     return np.add.reduce(prod.view(float), axis=0, initial=0.0).view(complex)
 
 
-def _powers(x, exponents):
+def _squares(exponents):
+    """The rows of a (rows, 1) column of integer exponents that are 2, as
+    a read-only index array for ``_powers``."""
+    rows = np.flatnonzero(exponents[:, 0] == 2)
+    rows.flags.writeable = False
+    return rows
+
+
+def _powers(x, exponents, squares):
     """x ** e for a row of bases ``x`` and a (rows, 1) column of integer
-    exponents: a (rows, len(x)) array.
+    exponents whose rows equal to 2 are ``squares`` (from ``_squares``):
+    a (rows, len(x)) array.
 
     Each row has the bits of ``x ** e`` with a scalar e.  numpy squares
     for a scalar exponent 2 but calls pow for an array exponent, and the
     two differ in the last bit, so rows with e = 2 are squared here.
     """
     out = x ** exponents
-    square = exponents[:, 0] == 2
-    if square.any():
-        out[square] = x * x
+    if squares.size:
+        out[squares] = x * x
     return out
 
 

@@ -16,6 +16,7 @@ from .kernels import (
     _finite,
     _horner,
     _powers,
+    _squares,
     _stack,
     fact,
     gamma_ratio_int,
@@ -63,7 +64,7 @@ class _Block(NamedTuple):
     ordered a >= b; the last four fields are (2l+1, 1) columns."""
 
     coeffs: np.ndarray  # stacked ascending coefficients, see kernels._stack
-    spans: tuple  # the rows that reach each degree
+    squares: np.ndarray  # the rows whose t-exponent is 2, see kernels._squares
     norms: np.ndarray  # _pair_norm of each pair
     powers: np.ndarray  # the t-exponent a - b
     phases: np.ndarray  # the helicity phase i^(a-b)
@@ -86,12 +87,14 @@ def _label_block(tl, tx):
     """
     ks = range(tl, -tl - 1, -2)
     pairs = [(max(tx, tk), min(tx, tk)) for tk in ks]
-    powers = [(ta - tb) // 2 for ta, tb in pairs]
+    dists = [(ta - tb) // 2 for ta, tb in pairs]
+    powers = _column(dists)
     return _Block(
-        *_stack([_series_coeffs(tl, ta, tb) for ta, tb in pairs]),
+        _stack([_series_coeffs(tl, ta, tb) for ta, tb in pairs]),
+        _squares(powers),
         _column([_pair_norm(tl, ta, tb) for ta, tb in pairs]),
-        _column(powers),
-        _column([ipow(d) for d in powers]),
+        powers,
+        _column([ipow(d) for d in dists]),
         _column([ipow(tl - tx - tk) for tk in ks]),
     )
 
@@ -99,8 +102,8 @@ def _label_block(tl, tx):
 def _structure(tl, block, c, t, sign):
     """c^{2l} t^{a-b} 2F1(a-l, -l-b; a-b+1; sign t^2) for every row of a
     label block: a (2l+1, len(t)) array."""
-    poly = _horner(block.coeffs, block.spans, sign * t * t)
-    return block.norms * c**tl * _powers(t, block.powers) * poly
+    poly = _horner(block.coeffs, sign * t * t)
+    return block.norms * c**tl * _powers(t, block.powers, block.squares) * poly
 
 
 def _row(tl, tk):
@@ -119,10 +122,11 @@ def _sph_vec(tl, tm, thetas):
     thetas = np.asarray(thetas, dtype=float)
     block = _label_block(tl, tm)
     direct = np.cos(thetas) >= 0.0
-    if direct.all():
+    count = np.count_nonzero(direct)
+    if count == thetas.size:
         half = 0.5 * thetas
         return block.phases * _structure(tl, block, np.cos(half), np.tan(half), -1.0)
-    if not direct.any():
+    if not count:
         return block.mirrors * _sph_vec(tl, tm, math.pi - thetas)[::-1]
     out = np.empty((tl + 1, thetas.size), dtype=complex)
     for cells in (direct, ~direct):

@@ -365,6 +365,25 @@ class TestTnRelations:
         assert report["s2"] is None
         assert "braid not scalar" in report["failures"]
 
+    @pytest.mark.parametrize("scale, s1, s2", [(10, 100, 1e6), (1000, 1e6, 1e18)])
+    def test_scaled_cover_reports_scaled_scalars(self, scale, s1, s2):
+        # Every tolerance is relative to the size of what it compares.
+        ts = schur_transpositions(5).t
+        report = verify_tn_relations(SchurCoverGens(5, tuple(scale * t for t in ts)))
+        assert report["ok"] and report["failures"] == []
+        assert report["s1"] == pytest.approx(s1, rel=1e-12)
+        assert report["s2"] == pytest.approx(s2, rel=1e-12)
+        assert report["s3"] == -1
+
+    def test_far_pair_residual_is_relative_to_the_product(self):
+        # With a phase, t_k t_l = -t_l t_k holds only up to rounding at the
+        # size of the products (about 1e6 here).
+        ts = schur_transpositions(5).t
+        c = 1000 * np.exp(0.3j)
+        report = verify_tn_relations(SchurCoverGens(5, tuple(c * t for t in ts)))
+        assert report["ok"] and report["failures"] == []
+        assert report["s3"] == -1
+
     def test_nan_entry_is_refused(self):
         ts = list(schur_transpositions(3).t)
         ts[0] = ts[0].copy()

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helirep import hyperspherical as hs
+from helirep import su2
 from helirep.clifford import (
     brauer_weyl,
     odd_direct_sum,
@@ -22,6 +24,7 @@ from helirep.kernels import (
     _int_arg,
     _ksum,
     _powers,
+    _squares,
     _stack,
     fact,
     gamma_ratio_int,
@@ -108,30 +111,62 @@ class TestStackedRows:
     ])
 
     def test_powers_match_scalar_exponents(self):
-        exponents = np.array([[2], [0], [5], [2], [1], [3], [13]])
-        table = _powers(self.XS, exponents)
-        for row, (e,) in enumerate(exponents.tolist()):
-            want = self.XS ** e
-            assert np.array_equal(table[row].view(np.uint64), want.view(np.uint64))
-            # One point at a time, as the one-point views evaluate.
-            for i in range(0, self.XS.size, 97):
-                point = _powers(self.XS[i : i + 1], exponents)[row, 0]
-                assert point.view(np.uint64) == want[i].view(np.uint64)
+        # With and without rows of exponent 2.
+        for column, rows in (([2, 0, 5, 2, 1, 3, 13], [0, 3]), ([0, 1, 3], [])):
+            exponents = np.array(column)[:, None]
+            squares = _squares(exponents)
+            assert squares.tolist() == rows and not squares.flags.writeable
+            table = _powers(self.XS, exponents, squares)
+            for row, e in enumerate(column):
+                want = self.XS ** e
+                assert np.array_equal(table[row].view(np.uint64), want.view(np.uint64))
+                # One point at a time, as the one-point views evaluate.
+                for i in range(0, self.XS.size, 97):
+                    point = _powers(self.XS[i : i + 1], exponents, squares)[row, 0]
+                    assert point.view(np.uint64) == want[i].view(np.uint64)
+
+    def test_blocks_hold_their_square_rows(self):
+        for tl in range(41):
+            for tx in range(tl, -tl - 1, -2):
+                block = su2._label_block(tl, tx)
+                want = np.flatnonzero(block.powers[:, 0] == 2)
+                assert np.array_equal(block.squares, want), (tl, tx)
+                series = hs._series_block(tl, tx)
+                assert len(series.squares) == len(series.powers) == 4
+                for squares, powers in zip(series.squares, series.powers):
+                    want = np.flatnonzero(powers[:, 0] == 2)
+                    assert np.array_equal(squares, want), (tl, tx)
+        assert "spans" not in su2._Block._fields + hs._SeriesBlock._fields
+
+    # Ys of both signs: signed zeros and tiny negatives, where a row that
+    # has not reached its degree must stay +0.0.
+    YS = np.concatenate([-(XS**2), XS, [0.0, -0.0, -1e-300, -5e-324, 5e-324]])
 
     def test_stacked_horner_matches_each_row(self):
-        # Row 1 sits inside the span of degree 1 without reaching it, and
-        # row 4 tops out in an exact zero.
-        series = [[1.0, -0.5, 0.25], [3.0], [0.7, 0.1, -2.0, 1e-3], [0.5, 1.5], [2.0, 0.0]]
-        coeffs, spans = _stack(series)
-        assert coeffs.shape == (4, 5, 1) and not coeffs.flags.writeable
-        assert spans == ((0, 5), (0, 5), (0, 3), (2, 3))
-        y = -(self.XS**2)
-        table = _horner(coeffs, spans, y)
+        # Row 1 joins only at degree 0, between rows of higher degree;
+        # row 4 tops out in an exact zero; rows 5 and 6 hold signed zeros,
+        # so a y of -0.0 gives -0.0 in row 5 and +0.0 in row 6.
+        series = [[1.0, -0.5, 0.25], [3.0], [0.7, 0.1, -2.0, 1e-3], [0.5, 1.5],
+                  [2.0, 0.0], [-0.0, 1.0], [0.0, 1.0]]
+        coeffs = _stack(series)
+        assert coeffs.shape == (4, 7, 1) and not coeffs.flags.writeable
+        for row, c in enumerate(series):
+            assert coeffs[len(c):, row, 0].view(np.uint64).tolist() == [0] * (4 - len(c))
+        y = self.YS
+        table = _horner(coeffs, y)
+        assert table.shape == (7, y.size)
         for row, c in enumerate(series):
             acc = np.zeros_like(y) + c[-1]
             for value in reversed(c[:-1]):
                 acc = acc * y + value
             assert np.array_equal(table[row].view(np.uint64), acc.view(np.uint64))
+        negative_zero = y.view(np.uint64) == np.float64(-0.0).view(np.uint64)
+        assert np.signbit(table[5, negative_zero]).all()
+        assert not np.signbit(table[6, negative_zero]).any()
+        # One point at a time, as the one-point views evaluate.
+        for i in range(0, y.size, 41):
+            point = _horner(coeffs, y[i : i + 1])[:, 0]
+            assert np.array_equal(point.view(np.uint64), table[:, i].view(np.uint64))
 
     @staticmethod
     def _parts(rng, shape):

@@ -1,5 +1,5 @@
-"""Compare the Z^l_mn values and clifford reports of two source trees,
-array by array, bit for bit.
+"""Compare the Z^l_mn values, the rotation and boost elements and the
+clifford reports of two source trees, array by array, bit for bit.
 
 Usage:
 
@@ -13,6 +13,9 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   on one seeded 7 x 4 grid, and ``z_series`` and ``z_factorized`` at five
   seeded points; the angles include 0, pi/2 and pi, one on the reflected
   side (pi/2 < theta < pi), one past pi and one below 0;
+- for the same keys, ``sph_p`` and ``wigner_d`` at the seven grid angles
+  and ``jac_p`` at the four grid rapidities, and ``z_matrix`` at the five
+  points for every 2l <= 20 (the ``grouplaw`` suite's matrices);
 - both tables at the shapes the ``tabulate`` benchmark evaluates: 240 x 240
   tables at 2l = 4, 12, 24, 40 and 10 000-angle theta sweeps at one tau at
   2l = 3, 10, 20, 40, plus one 10 000-rapidity tau sweep at 2l = 40;
@@ -43,6 +46,7 @@ import numpy as np
 
 SEED = 20261019
 MAX_TWICE_L = 40
+MAX_MATRIX_TWICE_L = 20
 TABLE_SPINS = (4, 12, 24, 40)   # 2l of the 240 x 240 tables
 TABLE_EDGE = 240
 SWEEP_SPINS = (3, 10, 20, 40)   # 2l of the theta sweeps
@@ -93,19 +97,29 @@ def dump(src, path):
     """Evaluate every array under the tree ``src`` and save them to ``path``."""
     sys.path.insert(0, os.path.abspath(src))
     from helirep.halfint import HalfInt
-    from helirep.hyperspherical import z_factorized, z_grid, z_series, z_series_grid
+    from helirep.hyperspherical import (z_factorized, z_grid, z_matrix, z_series,
+                                        z_series_grid)
+    from helirep.su2 import jac_p, sph_p, wigner_d
 
     half = HalfInt.from_twice
     thetas, taus, points = _angles()
     keys = _keys()
-    arrays = {name: [] for name in ("z_grid", "z_series_grid", "z_series", "z_factorized")}
+    arrays = {name: [] for name in ("z_grid", "z_series_grid", "z_series", "z_factorized",
+                                    "sph_p", "jac_p", "wigner_d")}
     for tl, tm, tn in keys:
         args = (half(tl), half(tm), half(tn))
         arrays["z_grid"].append(z_grid(*args, thetas, taus))
         arrays["z_series_grid"].append(z_series_grid(*args, thetas, taus))
         arrays["z_series"].append([z_series(*args, *p) for p in points])
         arrays["z_factorized"].append([z_factorized(*args, *p) for p in points])
-    out = {f"key {name}": np.array(rows, dtype=complex) for name, rows in arrays.items()}
+        arrays["sph_p"].append([sph_p(*args, theta) for theta in thetas])
+        arrays["jac_p"].append([jac_p(*args, tau) for tau in taus])
+        arrays["wigner_d"].append([wigner_d(*args, theta) for theta in thetas])
+    # np.array keeps each function's own dtype: complex, or float for
+    # jac_p and wigner_d.
+    out = {f"key {name}": np.array(rows) for name, rows in arrays.items()}
+    for tl in range(MAX_MATRIX_TWICE_L + 1):
+        out[f"z_matrix 2l={tl}"] = np.array([z_matrix(half(tl), *p).data for p in points])
     for name, (tl, tm, tn), th, ta in _shapes():
         args = (half(tl), half(tm), half(tn), th, ta)
         out[f"z_grid {name}"] = z_grid(*args)
