@@ -60,6 +60,9 @@ class RepChain:
         if not reps:
             raise ValueError("chain needs at least one representation")
         object.__setattr__(self, "reps", reps)
+        # The carrier labels, built once with the chain (see `basis`).
+        object.__setattr__(self, "_basis", tuple(
+            ChainIndex(k, l, m) for k, l in self.tower_slices() for m in mrange(l)))
 
     @property
     def links(self):
@@ -96,9 +99,13 @@ class RepChain:
         return out
 
     def basis(self):
-        """Chain carrier labels in the order of `tower_slices`."""
-        return [ChainIndex(k, l, m) for k, l in self.tower_slices()
-                for m in mrange(l)]
+        """Chain carrier labels in the order of `tower_slices`, as a list.
+
+        The labels are built once per chain: the matrices of a chain share
+        the label objects, so their products and compares match labels by
+        identity, not field by field.
+        """
+        return list(self._basis)
 
     @property
     def dim(self):

@@ -5,13 +5,16 @@ factor times a boost factor.  Two routes evaluate it, and they share no
 coefficient, normalization or reflection code, so each checks the other:
 
 - the series route sums the direct double series, with log-factorial
-  prefactors and a float coefficient recurrence (``z_series_grid``);
+  prefactors and a float coefficient recurrence (``_series_table``);
 - the factorized route sums outer products of the exact-norm rotation
-  and boost tabulators of ``su2`` (``z_grid``).
+  and boost tabulators of ``su2`` (``_factorized_table``).
 
-Each route has one evaluator; ``z_series`` and ``z_factorized`` are the
-one-point views of the two tables.  Both hand their factors to one
-blocked k-sum (``_ksum_table``), which adds in k order and knows no
+Each route has one evaluator, over sets of labels: it tabulates every
+(m, n) of a spin on a theta x tau grid as an (m, n, theta, tau) table,
+each label's factors once per angle block.  ``z_series_grid`` and
+``z_grid`` are its one-label views, and ``z_series`` and
+``z_factorized`` its one-point views.  Both routes hand their factors to
+one blocked k-sum (``_ksum_table``), which adds in k order and knows no
 coefficient.  On top sit the phase-dressed matrix elements, the
 representation matrices, and the 2x2 closed form with its six-factor
 product, each refusing a point whose value overflows a float.
@@ -107,15 +110,18 @@ def _series_block(tl, tx):
                         tuple(map(_squares, columns[-1])))
 
 
-def _series_rotation(tl, block, thetas):
-    """The rotation factors of the series route, rows k, columns theta.
+def _series_rotation(tl, tm, thetas):
+    """The rotation factors (m, k) of the series route, rows k, columns
+    theta; labels as twice-ints.
 
     cos^(2l-d) sin^d (theta/2) times the series in -tan^2(theta/2) while
     |tan(theta/2)| <= 1, and past that the reversed series in
     -cot^2(theta/2) with the powers traded accordingly, so every power
     stays bounded up to theta = pi.
     """
-    ct, st = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    block = _series_block(tl, tm)
+    half = 0.5 * thetas
+    ct, st = np.cos(half), np.sin(half)
     inner = np.abs(st) <= np.abs(ct)
     count = np.count_nonzero(inner)
     cos_in, sin_in, cos_out, sin_out = zip(block.powers, block.squares)
@@ -128,13 +134,15 @@ def _series_rotation(tl, block, thetas):
     else:
         out = np.empty((tl + 1, thetas.size), dtype=complex)
         for cells in (inner, ~inner):
-            out[:, cells] = _series_rotation(tl, block, thetas[cells])
+            out[:, cells] = _series_rotation(tl, tm, thetas[cells])
         return out
     return block.scales * power * poly
 
 
-def _series_boost(tl, block, taus):
-    """The boost factors of the series route, rows k, columns tau."""
+def _series_boost(tl, tn, taus):
+    """The boost factors (k, n) of the series route, rows k, columns tau;
+    labels as twice-ints."""
+    block = _series_block(tl, tn)
     ch, th = np.cosh(0.5 * taus), np.tanh(0.5 * taus)
     poly = _horner(block.forward, th * th)
     return block.prefs * ch**tl * _powers(th, block.powers[1], block.squares[1]) * poly
@@ -144,70 +152,88 @@ def _angle_blocks(size, width):
     """Slices of an angle axis for blocks of about _CELLS cells, where each
     angle takes ``width`` cells."""
     step = max(1, _CELLS // width)
+    if 0 < size <= step:
+        return (slice(0, size),)
     return [slice(lo, lo + step) for lo in range(0, size, step)]
 
 
-def _ksum_table(rows, rotation, boost, thetas, taus):
-    """The theta x tau table of sum_k rotation(thetas)[k] boost(taus)[k]
-    for tabulators of ``rows`` labels, which take 1-D float angles.
+def _ksum_table(rotation, boost, tl, tms, tns, thetas, taus):
+    """The (m, n, theta, tau) table of sum_k rotation(tl, m, thetas)[k]
+    boost(tl, n, taus)[k] over the twice-int labels ``tms`` and ``tns``,
+    for tabulators of all 2l+1 labels k on 1-D float angles.
 
-    The tabulators run block by block along both axes, on rows x angles
-    cells, and each k-sum on rows x thetas x taus products; ``_ksum``
-    adds them in k order (a matmul would reorder the sum).
+    Each label's tabulation runs once per angle block, whose cells count
+    every label's k x angles, and serves every cell of its row or column;
+    ``_ksum`` adds each (m, n) cell in k order (a matmul would reorder the
+    sum), on blocks of k x thetas x taus products.
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     taus = np.asarray(taus, dtype=float).ravel()
-    out = np.empty((thetas.size, taus.size), dtype=complex)
-    for cols in _angle_blocks(taus.size, rows):
-        boosts = boost(taus[cols])
-        for cells in _angle_blocks(thetas.size, rows):
-            rot, part = rotation(thetas[cells]), out[cells, cols]
-            for sums in _angle_blocks(rot.shape[1], rows * boosts.shape[1]):
-                part[sums] = _ksum(rot[:, sums], boosts)
+    _finite(_ANGLES, thetas, taus)
+    rows = tl + 1
+    out = np.empty((len(tms), len(tns), thetas.size, taus.size), dtype=complex)
+    for cols in _angle_blocks(taus.size, rows * len(tns)):
+        boosts = [boost(tl, tn, taus[cols]) for tn in tns]
+        for cells in _angle_blocks(thetas.size, rows * len(tms)):
+            for row, tm in enumerate(tms):
+                rot = rotation(tl, tm, thetas[cells])
+                blocks = _angle_blocks(rot.shape[1], rows * boosts[0].shape[1])
+                for col, factors in enumerate(boosts):
+                    part = out[row, col, cells, cols]
+                    for sums in blocks:
+                        part[sums] = _ksum(rot[:, sums], factors)
     return out
 
 
-def _series_table(tl, tm, tn, thetas, taus):
-    """Z^l_mn on a theta x tau table by the direct sum (twice-int labels).
+def _series_table(tl, tms, tns, thetas, taus):
+    """Z^l_mn by the direct sum on an (m, n, theta, tau) table (twice-int
+    labels).
 
     Each internal label k adds the outer product of a rotation and a
     boost factor, each a log-factorial prefactor times a terminating
     Gauss series, tabulated for all k at once.
     """
-    rot_block, boost_block = _series_block(tl, tm), _series_block(tl, tn)
-    return _ksum_table(tl + 1, functools.partial(_series_rotation, tl, rot_block),
-                       functools.partial(_series_boost, tl, boost_block),
-                       thetas, taus)
+    return _ksum_table(_series_rotation, _series_boost, tl, tms, tns, thetas, taus)
+
+
+def _factorized_table(tl, tms, tns, thetas, taus):
+    """Z^l_mn by the factorized route on an (m, n, theta, tau) table
+    (twice-int labels): the exact-norm rotation and boost tabulators of
+    ``su2``, each giving all k at once."""
+    return _ksum_table(_sph_vec, _jac_vec, tl, tms, tns, thetas, taus)
 
 
 def z_series(l, m, n, theta, tau):
     """Z^l_mn at one point by the series route: the one-point view of
     ``z_series_grid``."""
     l, m, n = _weights(l, m, n)
-    _finite(_ANGLES, theta, tau)
-    return complex(_series_table(l.twice, m.twice, n.twice, [theta], [tau])[0, 0])
+    table = _series_table(l.twice, [m.twice], [n.twice], [theta], [tau])
+    return complex(table[0, 0, 0, 0])
 
 
 def z_series_grid(l, m, n, thetas, taus):
-    """Z^l_mn tabulated on a theta x tau grid by the direct double sum.
+    """Z^l_mn tabulated on a theta x tau grid by the direct double sum: the
+    one-label view of the series route's table.
 
     Returns an array of shape (len(thetas), len(taus)); each internal
     label contributes an outer product, so grid cost stays linear in the
     edges.
     """
     l, m, n = _weights(l, m, n)
-    _finite(_ANGLES, thetas, taus)
-    return _series_table(l.twice, m.twice, n.twice, thetas, taus)
+    return _series_table(l.twice, [m.twice], [n.twice], thetas, taus)[0, 0]
 
 
 def z_factorized(l, m, n, theta, tau):
     """Z^l_mn at one point by the factorized route: the one-point view of
-    ``z_grid``, which validates the labels."""
-    return complex(z_grid(l, m, n, [theta], [tau])[0, 0])
+    ``z_grid``."""
+    l, m, n = _weights(l, m, n)
+    table = _factorized_table(l.twice, [m.twice], [n.twice], [theta], [tau])
+    return complex(table[0, 0, 0, 0])
 
 
 def z_grid(l, m, n, thetas, taus):
-    """Z^l_mn tabulated on a theta x tau grid by the factorized route.
+    """Z^l_mn tabulated on a theta x tau grid by the factorized route: the
+    one-label view of its table.
 
     Returns an array of shape (len(thetas), len(taus)); each internal
     label contributes an outer product of one rotation-axis and one
@@ -216,10 +242,7 @@ def z_grid(l, m, n, thetas, taus):
     the angle axes.
     """
     l, m, n = _weights(l, m, n)
-    _finite(_ANGLES, thetas, taus)
-    tl, tm, tn = l.twice, m.twice, n.twice
-    return _ksum_table(tl + 1, functools.partial(_sph_vec, tl, tm),
-                       functools.partial(_jac_vec, tl, tn), thetas, taus)
+    return _factorized_table(l.twice, [m.twice], [n.twice], thetas, taus)[0, 0]
 
 
 def z_matrix(l, theta, tau):

@@ -189,7 +189,7 @@ def _ksum(rot, boost):
     where a complex reduce to a single cell would sum pairwise.  The
     explicit start keeps a sum of -0.0 at +0.0 whatever numpy starts from.
     """
-    prod = rot[:, :, None] * boost.astype(complex)[:, None, :]
+    prod = rot[:, :, None] * boost[:, None, :]
     return np.add.reduce(prod.view(float), axis=0, initial=0.0).view(complex)
 
 

@@ -190,47 +190,57 @@ def _cg_labels(l1, l2, l, m1, m2, m):
     return None if zero else labels
 
 
+def _reduced(num, den):
+    """The fraction num/den (den > 0) in lowest terms, as a Fraction keeps it."""
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def cg_su2(l1, l2, l, m1, m2, m):
     """Clebsch-Gordan coefficient <l1 m1; l2 m2 | l m>, Condon-Shortley.
 
-    Evaluated from the closed single-sum form with exact rational
-    arithmetic and one final square root.  Selection-rule violations
-    (m != m1+m2, triangle failures, out-of-range projections) return
-    exactly 0.  At high spin the squared norm passes 2^1000 and the sum
-    falls below 2^-1000; each is then scaled into float range by an exact
-    power of 4 (norm) or 2 (sum), undone by ldexp, as in ``_pair_norm``,
-    so a value that fits a float unscaled keeps its bits.
+    Evaluated from the closed single-sum form in exact integer
+    arithmetic (each rational a numerator and a denominator in lowest
+    terms, as a Fraction holds it) and one final square root.
+    Selection-rule violations (m != m1+m2, triangle failures,
+    out-of-range projections) return exactly 0.  At high spin the squared
+    norm passes 2^1000 and the sum falls below 2^-1000; each is then
+    scaled into float range by an exact power of 4 (norm) or 2 (sum),
+    undone by ldexp, as in ``_pair_norm``, so a value that fits a float
+    unscaled keeps its bits.
     """
     labels = _cg_labels(l1, l2, l, m1, m2, m)
     if labels is None:
         return 0.0
     t1, t2, t, u1, u2, u = labels
 
-    norm2 = Fraction(t + 1) * Fraction(
-        fact((t1 + t2 - t) // 2) * fact((t1 - t2 + t) // 2)
-        * fact((t2 - t1 + t) // 2),
+    p, q = _reduced(
+        (t + 1) * fact((t1 + t2 - t) // 2) * fact((t1 - t2 + t) // 2)
+        * fact((t2 - t1 + t) // 2)
+        * fact((t1 + u1) // 2) * fact((t1 - u1) // 2) * fact((t2 + u2) // 2)
+        * fact((t2 - u2) // 2) * fact((t + u) // 2) * fact((t - u) // 2),
         fact((t1 + t2 + t) // 2 + 1),
-    ) * Fraction(
-        fact((t1 + u1) // 2) * fact((t1 - u1) // 2) * fact((t2 + u2) // 2)
-        * fact((t2 - u2) // 2) * fact((t + u) // 2) * fact((t - u) // 2)
     )
 
+    # sum_z (-1)^z / (z!(a-z)!(b-z)!(c-z)!(d+z)!(e+z)!) over one common
+    # denominator: ``den`` is a multiple of every term's denominator, and
+    # ``term`` = den / (that denominator), stepped exactly from z to z+1.
     a, b, c = (t1 + t2 - t) // 2, (t1 - u1) // 2, (t2 + u2) // 2
     d, e = (t - t2 + u1) // 2, (t - t1 - u2) // 2
-    total = Fraction(0)
-    for z in range(max(0, -d, -e), min(a, b, c) + 1):
-        den = (
-            fact(z) * fact(a - z) * fact(b - z) * fact(c - z)
-            * fact(d + z) * fact(e + z)
-        )
-        total += Fraction(-1 if z % 2 else 1, den)
-    p, q = norm2.numerator, norm2.denominator
+    lo, hi = max(0, -d, -e), min(a, b, c)
+    den = (fact(hi) * fact(a - lo) * fact(b - lo) * fact(c - lo)
+           * fact(d + hi) * fact(e + hi))
+    term = (fact(hi) // fact(lo) * (fact(d + hi) // fact(d + lo))
+            * (fact(e + hi) // fact(e + lo)))
+    num = 0
+    for z in range(lo, hi + 1):
+        num += -term if z % 2 else term
+        term = (term * ((a - z) * (b - z) * (c - z))
+                // ((z + 1) * (d + z + 1) * (e + z + 1)))
+    num, den = _reduced(num, den)
     s = (max(0, p.bit_length() - q.bit_length() - 1000) + 1) // 2
-    r = max(0, total.denominator.bit_length()
-            - total.numerator.bit_length() - 1000)
-    root = math.sqrt(Fraction(p, q << 2 * s))
-    return math.ldexp(float(Fraction(total.numerator << r,
-                                     total.denominator)) * root, s - r)
+    r = max(0, den.bit_length() - num.bit_length() - 1000)
+    return math.ldexp((num << r) / den * math.sqrt(p / (q << 2 * s)), s - r)
 
 
 def cg_su2_hyp(l1, l2, l, m1, m2, m):

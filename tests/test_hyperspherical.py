@@ -443,11 +443,15 @@ class TestRouteIndependence:
         assert z_series(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
         grid = z_series_grid(*self.ARGS, thetas, taus)
         assert grid[1, 1] == pytest.approx(want, abs=1e-12)
+        sets = hs._series_table(5, [3, -5], [5, -1], thetas, taus)
+        assert sets[0, 1, 1, 1] == grid[1, 1]
         # The patch does reach the factorized route.
         with pytest.raises(AssertionError, match="other route"):
             z_factorized(*self.ARGS, 2.8, 0.7)
         with pytest.raises(AssertionError, match="other route"):
             z_grid(*self.ARGS, thetas, taus)
+        with pytest.raises(AssertionError, match="other route"):
+            hs._factorized_table(5, [3, -5], [5, -1], thetas, taus)
 
     def test_factorized_route_without_series_helpers(self, monkeypatch):
         import helirep.hyperspherical as hs
@@ -471,10 +475,14 @@ class TestRouteIndependence:
         assert jac_p(half(5), half(3), half(-1), 0.7) == pytest.approx(
             _z_mpmath(5, 3, -1, 0.0, 0.7).real, abs=1e-12
         )
+        sets = hs._factorized_table(5, [3, -5], [5, -1], thetas, taus)
+        assert sets[0, 1, 1, 1] == grid[1, 1]
         with pytest.raises(AssertionError, match="other route"):
             z_series(*self.ARGS, 2.8, 0.7)
         with pytest.raises(AssertionError, match="other route"):
             z_series_grid(*self.ARGS, thetas, taus)
+        with pytest.raises(AssertionError, match="other route"):
+            hs._series_table(5, [3, -5], [5, -1], thetas, taus)
 
 
 class TestTablesKeepTheirBits:
@@ -539,6 +547,38 @@ class TestTablesKeepTheirBits:
         got = table(*args, thetas, taus)
         pieces = np.vstack([table(*args, [th], taus) for th in thetas])
         assert np.array_equal(got, pieces)
+
+    @pytest.mark.parametrize("route", ["series", "factorized"])
+    def test_label_set_table_equals_its_one_label_tables(self, route):
+        import helirep.hyperspherical as hs
+
+        tl, tms, tns = self.TWICE[0], (40, 2, -38), (-40, -6, 14, 40)
+        labels = {"series": (hs._series_table, z_series_grid),
+                  "factorized": (hs._factorized_table, z_grid)}
+        table, one_label = labels[route]
+        # Blocks count every label's cells: three tabulator blocks on each
+        # axis, and each k-sum of a full tau block has room for one theta.
+        theta_step = hs._CELLS // (self.ROWS * len(tms))
+        tau_step = hs._CELLS // (self.ROWS * len(tns))
+        thetas = np.linspace(-1.0, 4.0, 2 * theta_step + 7)
+        taus = np.linspace(-2.0, 2.0, 2 * tau_step + 5)
+        assert np.any((math.pi / 2 < thetas) & (thetas < math.pi))
+        assert thetas[-1] > math.pi
+        assert self._blocks(thetas.size, self.ROWS * len(tms)) == 3
+        assert self._blocks(taus.size, self.ROWS * len(tns)) == 3
+        assert self._blocks(theta_step, self.ROWS * len(tns) * tau_step) == theta_step
+        got = table(tl, tms, tns, thetas, taus)
+        assert got.shape == (len(tms), len(tns), thetas.size, taus.size)
+        for i, tm in enumerate(tms):
+            for j, tn in enumerate(tns):
+                want = one_label(half(tl), half(tm), half(tn), thetas, taus)
+                assert got[i, j].tobytes() == want.tobytes(), (tm, tn)
+
+    @pytest.mark.parametrize("table", [z_grid, z_series_grid])
+    def test_empty_axes_give_empty_tables(self, table):
+        args = tuple(half(t) for t in self.TWICE)
+        for thetas, taus in (([], [0.3]), ([0.2], []), ([], [])):
+            assert table(*args, thetas, taus).shape == (len(thetas), len(taus))
 
     def test_one_point_views_equal_table_entries(self):
         from helirep.kernels import ipow

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helirep.halfint import half, lrange, mrange
+from helirep.halfint import HalfInt, half, lrange, mrange
 from helirep.kernels import PoleError
 from helirep.su2 import cg_su2, cg_su2_hyp, jac_p, sph_p, wigner_d
 
@@ -337,6 +337,46 @@ class TestCouplingAtHighSpin:
 def _bits(value):
     """The bit patterns of a float or complex, signed zeros included."""
     return np.array([value]).view(np.uint64).tolist()
+
+
+def _cg_fraction_loop(l1, l2, l, m1, m2, m):
+    """``cg_su2`` with a Fraction per term of its z-sum and for its squared
+    norm, scaled as ``cg_su2`` scales them: the reference of the integer
+    sum (valid labels only)."""
+    f = math.factorial
+    t1, t2, t, u1, u2, u = (HalfInt(x).twice for x in (l1, l2, l, m1, m2, m))
+    norm2 = Fraction(
+        (t + 1) * f((t1 + t2 - t) // 2) * f((t1 - t2 + t) // 2) * f((t2 - t1 + t) // 2)
+        * f((t1 + u1) // 2) * f((t1 - u1) // 2) * f((t2 + u2) // 2)
+        * f((t2 - u2) // 2) * f((t + u) // 2) * f((t - u) // 2),
+        f((t1 + t2 + t) // 2 + 1))
+    a, b, c = (t1 + t2 - t) // 2, (t1 - u1) // 2, (t2 + u2) // 2
+    d, e = (t - t2 + u1) // 2, (t - t1 - u2) // 2
+    total = Fraction(0)
+    for z in range(max(0, -d, -e), min(a, b, c) + 1):
+        total += Fraction((-1) ** z, f(z) * f(a - z) * f(b - z) * f(c - z)
+                          * f(d + z) * f(e + z))
+    p, q = norm2.numerator, norm2.denominator
+    s = (max(0, p.bit_length() - q.bit_length() - 1000) + 1) // 2
+    r = max(0, total.denominator.bit_length() - total.numerator.bit_length() - 1000)
+    root = math.sqrt(Fraction(p, q << 2 * s))
+    return math.ldexp(float(Fraction(total.numerator << r, total.denominator)) * root,
+                      s - r)
+
+
+class TestCouplingSumInIntegers:
+    """``cg_su2`` adds its z-sum over one common integer denominator; a
+    Fraction per term gives the same rational, so the same bits."""
+
+    def test_low_spin_keys_keep_their_bits(self):
+        for key in _valid_cg_keys(6):
+            assert _bits(cg_su2(*key)) == _bits(_cg_fraction_loop(*key)), key
+
+    @pytest.mark.parametrize("key", TestCouplingAtHighSpin.KEYS, ids=str)
+    def test_high_spin_keys_keep_their_bits(self, key):
+        l1, l2, l, m1 = key
+        labels = (l1, l2, l, m1, -m1 if l == 0 else 0, 0)
+        assert _bits(cg_su2(*labels)) == _bits(_cg_fraction_loop(*labels))
 
 
 class TestLabelBlocksAgainstOneRowLoop:

@@ -25,7 +25,12 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9 and
   ``transposition_homomorphism_report(m)`` for m = 2..5, each saved as
   the text of its ``repr``, which spells every float in its shortest
-  round-trip form (so exactly) and names numpy scalar types.
+  round-trip form (so exactly) and names numpy scalar types;
+- ``cg_su2`` and ``cg_su2_hyp`` on every key (l1, l2, l, m1, m2, m) with
+  2l1, 2l2 <= 8 that the selection rules allow, and on the high-spin keys
+  of ``tests/test_su2.py::TestCouplingAtHighSpin``; a key each route
+  refuses (``PoleError`` or ``ValueError``) is saved as a marker, so a
+  changed refusal differs too.
 
 The script then compares the two files array by array (one array per
 function and key, per table or per report): equal means the same shape,
@@ -51,6 +56,15 @@ TABLE_SPINS = (4, 12, 24, 40)   # 2l of the 240 x 240 tables
 TABLE_EDGE = 240
 SWEEP_SPINS = (3, 10, 20, 40)   # 2l of the theta sweeps
 SWEEP_ANGLES = 10_000
+MAX_CG_TWICE_L = 8
+# (l1, l2, l, m1) of TestCouplingAtHighSpin, with m2 = -m1 if l == 0 else 0
+# and m = 0: squared norms past 2^1000, refused by the gamma-ratio route.
+CG_HIGH_SPIN = [
+    (100, 100, 200, 0), (200, 200, 400, 0), (400, 400, 800, 0),
+    (150, 250, 200, 0), (60, 60, 120, 0), (300, 300, 0, 1), (400, 400, 0, -7),
+]
+# The marker of a CG value: the value itself, or a route's refusal.
+CG_VALUE, CG_POLE, CG_VALUE_ERROR = 0.0, 1.0, 2.0
 
 
 def _angles():
@@ -70,6 +84,21 @@ def _angles():
 def _keys():
     return [(tl, tm, tn) for tl in range(MAX_TWICE_L + 1)
             for tm in range(tl, -tl - 1, -2) for tn in range(tl, -tl - 1, -2)]
+
+
+def _cg_keys():
+    """Twice-int keys (2l1, 2l2, 2l, 2m1, 2m2, 2m) of the CG comparison."""
+    out = []
+    for t1 in range(MAX_CG_TWICE_L + 1):
+        for t2 in range(MAX_CG_TWICE_L + 1):
+            for t in range(abs(t1 - t2), t1 + t2 + 1, 2):
+                for u1 in range(-t1, t1 + 1, 2):
+                    for u2 in range(-t2, t2 + 1, 2):
+                        if abs(u1 + u2) <= t:
+                            out.append((t1, t2, t, u1, u2, u1 + u2))
+    for l1, l2, l, m1 in CG_HIGH_SPIN:
+        out.append((2 * l1, 2 * l2, 2 * l, 2 * m1, -2 * m1 if l == 0 else 0, 0))
+    return out
 
 
 def _shapes():
@@ -125,7 +154,26 @@ def dump(src, path):
         out[f"z_grid {name}"] = z_grid(*args)
         out[f"z_series_grid {name}"] = z_series_grid(*args)
     out.update(_clifford_reports())
+    out.update(_cg_values(half))
     np.savez(path, **out)
+
+
+def _cg_values(half):
+    """Each CG route's [value, marker] rows over ``_cg_keys()``."""
+    from helirep.kernels import PoleError
+    from helirep.su2 import cg_su2, cg_su2_hyp
+
+    def entry(route, labels):
+        try:
+            return [route(*labels), CG_VALUE]
+        except PoleError:
+            return [0.0, CG_POLE]
+        except ValueError:
+            return [0.0, CG_VALUE_ERROR]
+
+    keys = [tuple(map(half, key)) for key in _cg_keys()]
+    return {f"cg {route.__name__}": np.array([entry(route, key) for key in keys])
+            for route in (cg_su2, cg_su2_hyp)}
 
 
 def _clifford_reports():
@@ -151,17 +199,31 @@ def _label(twice):
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
+# The per-key stacks: the prefix of their names, their keys and the names
+# of the labels.
+_STACKS = {"key ": (_keys, "(l, m, n)"), "cg ": (_cg_keys, "(l1, l2, l, m1, m2, m)")}
+
+
+def _stack_of(name):
+    """The keys and label names of a per-key stack, or None for a table or
+    report."""
+    return next((stack for prefix, stack in _STACKS.items()
+                 if name.startswith(prefix)), None)
+
+
 def _differing(name, a, b):
     """Where the saved entry ``name`` differs between the trees: one line
     per differing key of a per-key stack, one for a differing table or
     report."""
-    if not name.startswith("key "):
+    stack = _stack_of(name)
+    if stack is None:
         same = a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
         return [] if same else [name]
     if a.shape != b.shape or a.dtype != b.dtype:
         return [f"{name}: shape or dtype"]
+    keys, labels = stack[0](), stack[1]
     rows = (a.view(np.uint64) != b.view(np.uint64)).reshape(len(a), -1).any(axis=1)
-    return [f"{name[4:]} at (l, m, n) = ({', '.join(map(_label, _keys()[i]))})"
+    return [f"{name.split(' ', 1)[1]} at {labels} = ({', '.join(map(_label, keys[i]))})"
             for i in np.flatnonzero(rows)]
 
 
@@ -188,7 +250,8 @@ def main(argv=None):
                 return 2
             total, differ = 0, []
             for name in parent.files:
-                total += len(_keys()) if name.startswith("key ") else 1
+                stack = _stack_of(name)
+                total += 1 if stack is None else len(stack[0]())
                 differ += _differing(name, parent[name], change[name])
     for line in differ:
         print(f"DIFFERS   {line}")
