@@ -202,8 +202,6 @@ def cmd_verify(args):
         raise UsageError(f"verify needs a suite name; choices: {sorted(SUITES)}")
     if args.suite and args.suite_flag and args.suite != args.suite_flag:
         raise UsageError("positional suite and --suite disagree")
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
     tol = None
     if args.tol is not None:
         tol = _finite(args.tol, "--tol", positive=True)
@@ -364,51 +362,23 @@ def _build_parser():
     for cmd in (zfun, verify, build, radial):
         cmd.add_argument("--format", choices=("json", "csv"), default="json")
         cmd.add_argument("--out", help="write output to this file")
+        # Read "--theta -1e-3" as a value: argparse's own matcher takes
+        # only plain negative numbers, not "-1e-3" or "-1/2".
+        cmd._negative_number_matcher = re.compile(r"-[\d.]")
     return parser
-
-
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
-
-
-def _value_options(parser):
-    """Option strings, over every subcommand, that take one value."""
-    out = set()
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out |= _value_options(sub)
-        elif action.nargs is None:
-            out.update(action.option_strings)
-    return out
 
 
 @functools.cache
 def _parser():
-    """The parser and its value-taking option strings, built once per
-    process.  Parsing leaves no state on the tree (each call gets a fresh
-    namespace), and every handler reads its defaults and $HELIREP_TOL at
-    call time, so a reused tree prints what a fresh one would."""
-    parser = _build_parser()
-    return parser, frozenset(_value_options(parser))
-
-
-def _attach_negative_values(argv, takes_value):
-    """``--theta -1e-3`` as ``--theta=-1e-3`` for every option in
-    ``takes_value``; argparse reads such a value as an option (unless it
-    is a plain negative number)."""
-    out = []
-    for token in argv:
-        if out and out[-1] in takes_value and _NEGATIVE_VALUE.match(token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+    """The parser, built once per process.  Parsing leaves no state on the
+    tree (each call gets a fresh namespace), and every handler reads its
+    defaults and $HELIREP_TOL at call time, so a reused tree prints what a
+    fresh one would."""
+    return _build_parser()
 
 
 def main(argv=None):
-    parser, takes_value = _parser()
-    argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_negative_values(argv, takes_value))
+    args = _parser().parse_args(argv)
     # The one exit-2 boundary: a usage error or a library ValueError (bad
     # input), a RuntimeError (a stalled solve), an OSError from --out.
     try:

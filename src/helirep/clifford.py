@@ -311,25 +311,15 @@ def odd_direct_sum(m):
     }
     report["span_full"] = report["span_dim"] == 2 * 4 ** m
 
-    volume = np.eye(basis.dim, dtype=complex)
-    for g in basis.generators:
-        volume = volume @ g
+    # The product of all generators is the last subset product.
+    volume = products[len(products) - 1]
     report["volume_central"] = all(
         np.array_equal(volume @ g, g @ volume) for g in basis.generators
     )
-    scal_a = volume[0, 0]
-    scal_b = volume[half_dim, half_dim]
-    ident = np.eye(half_dim, dtype=complex)
-    scalar_ok = np.array_equal(
-        volume,
-        np.block(
-            [
-                [scal_a * ident, np.zeros_like(ident)],
-                [np.zeros_like(ident), scal_b * ident],
-            ]
-        ),
-    )
-    report["volume_scalars"] = (complex(scal_a), complex(scal_b)) if scalar_ok else None
+    # + 0.0 turns the -0.0 real part of the phase -1j into 0.0.
+    scalars = volume[0, 0] + 0.0, volume[half_dim, half_dim] + 0.0
+    scalar_ok = np.array_equal(volume, np.diag(np.repeat(scalars, half_dim)))
+    report["volume_scalars"] = tuple(map(complex, scalars)) if scalar_ok else None
 
     rng = np.random.default_rng(2 * m + 1)
     worst = 0.0
@@ -400,11 +390,11 @@ def schur_transpositions(m):
     return SchurCoverGens(m, tuple(ts))
 
 
-def _scalar_of(mat, tol=1e-12):
-    """The scalar s with mat = s*Id, or None."""
-    dim = mat.shape[0]
-    s = complex(np.trace(mat)) / dim
-    if not np.max(np.abs(mat - s * np.eye(dim))) <= tol * max(1.0, abs(s)):
+def _ratio(p, r):
+    """The scalar s with p = s r, read as vdot(r, p) / vdot(r, r), or None
+    unless max|p - s r| <= 1e-12 max(1, max|p|); a NaN fails."""
+    s = complex(np.vdot(r, p) / np.vdot(r, r))
+    if not np.max(np.abs(p - s * r)) <= 1e-12 * max(1.0, np.max(np.abs(p))):
         return None
     return s
 
@@ -413,59 +403,49 @@ def _scalar_of(mat, tol=1e-12):
 def verify_tn_relations(gens: SchurCoverGens):
     """Realized scalars of the three transposition relation classes.
 
-    Checks that t_k^2, the braid cubes (t_j t_{j+1})^3, and the ratios
-    t_k t_l (t_l t_k)^{-1} for far pairs are each scalar and constant
-    across indices, and reports the three scalars.  The report never
-    reconciles them against any presentation — it only states what the
-    matrices do.  A class with no members (braids below two generators,
-    far pairs below three) reports None; a non-finite residual or scalar
-    fails its class.  Every tolerance is relative to max(1, size) of what
-    it compares, a scalar or the far pair's product t_k t_l, so a scaled
-    cover passes with scaled scalars.  A generator whose imaginary part
-    is all zero (every matrix ``schur_transpositions`` builds) is
-    multiplied in float64.  Raises ValueError for no generators or a
-    non-finite entry.
+    Reads t_k^2 and the braid cubes (t_j t_{j+1})^3 against the identity,
+    and t_k t_l against t_l t_k for far pairs, each through one scalar
+    reader, and reports the scalar of each class when it is the same at
+    every index.  The report never reconciles the scalars against any
+    presentation: it only states what the matrices do.  A scalar within
+    its class tolerance of a Gaussian integer is reported as that
+    integer; any other is reported as it is.  A class with no members
+    (braids below two generators, far pairs below three) reports None; a
+    product that is not a finite multiple of its reference fails its
+    class.  Every tolerance is relative to max(1, size) of what it
+    compares, so a scaled cover passes with scaled scalars.  A generator
+    whose imaginary part is all zero (every matrix
+    ``schur_transpositions`` builds) is multiplied in float64.  Raises
+    ValueError for no generators or a non-finite entry.
     """
     if not gens.t:
         raise ValueError("transposition relations need at least one generator")
     _finite("transposition matrices", *gens.t, dtype=complex)
     ts = [t.real.copy() if not t.imag.any() else t for t in gens.t]
+    ident = np.eye(ts[0].shape[0])
     report = {"m": gens.m, "failures": []}
 
     def collect(label, values):
         if not values:
             return None
-        clean = [v for v in values if v is not None]
-        if len(clean) != len(values):
+        if any(v is None for v in values):
             report["failures"].append(f"{label} not scalar")
             return None
-        if not np.isfinite(clean[0]):
-            report["failures"].append(f"{label} not finite")
-            return None
-        if any(not abs(v - clean[0]) <= 1e-12 * max(1.0, abs(clean[0]))
-               for v in clean):
+        s = values[0]
+        tol = 1e-12 * max(1.0, abs(s))
+        if any(not abs(v - s) <= tol for v in values):
             report["failures"].append(f"{label} not constant across indices")
             return None
-        return complex(np.round(clean[0].real) + 1j * np.round(clean[0].imag))
+        rounded = complex(np.round(s.real) + 1j * np.round(s.imag))
+        return rounded if abs(s - rounded) <= tol else s
 
-    report["s1"] = collect("square", [_scalar_of(t @ t) for t in ts])
-    braids = []
-    for j in range(len(ts) - 1):
-        prod = ts[j] @ ts[j + 1]
-        braids.append(_scalar_of(prod @ prod @ prod))
-    report["s2"] = collect("braid", braids)
-    fars = []
-    for k in range(len(ts)):
-        for l in range(k + 2, len(ts)):
-            ab = ts[k] @ ts[l]
-            ba = ts[l] @ ts[k]
-            s = complex(np.vdot(ba, ab) / np.vdot(ba, ba))
-            size = max(1.0, np.max(np.abs(ab)))
-            if not np.max(np.abs(ab - s * ba)) <= 1e-12 * size:
-                fars.append(None)
-            else:
-                fars.append(s)
-    report["s3"] = collect("far_commute", fars)
+    # Each product is built as the reader takes it, so one is held at a time.
+    report["s1"] = collect("square", [_ratio(t @ t, ident) for t in ts])
+    report["s2"] = collect("braid", [
+        _ratio((p := a @ b) @ p @ p, ident) for a, b in zip(ts, ts[1:])])
+    report["s3"] = collect("far_commute", [
+        _ratio(ts[k] @ ts[l], ts[l] @ ts[k])
+        for k in range(len(ts)) for l in range(k + 2, len(ts))])
     report["ok"] = not report["failures"]
     return report
 

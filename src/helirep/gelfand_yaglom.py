@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clifford import _SIGMA
 from .core import CMatrix
 from .generators import (_tower_link, helicity_ab_op, relation_residuals,
                          split_families)
@@ -525,14 +526,8 @@ def gamma_similarity(triple_a, triple_b):
 def weyl_gamma_triple():
     """The three spatial gamma matrices in the chiral 2x2-block form."""
     zero = np.zeros((2, 2), dtype=complex)
-    out = []
-    for sigma in (
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ):
-        out.append(np.block([[zero, sigma], [-sigma, zero]]))
-    return tuple(out)
+    return tuple(np.block([[zero, _SIGMA[k]], [-_SIGMA[k], zero]])
+                 for k in (1, 2, 3))
 
 
 def dirac_chain():

@@ -81,6 +81,11 @@ def terminating_series(num_params, den_params, x):
     At least one numerator parameter must be a non-positive integer; a
     vanishing denominator factor before the final term raises PoleError.
     The sum is returned as a Fraction.
+
+    The term steps as one integer numerator over one integer
+    denominator, each parameter p/q entering as p + k q, and the running
+    sum is kept over the term's denominator; the one Fraction, built at
+    the end, reduces it.
     """
     stops = [-int(a) for a in num_params if a <= 0 and a == int(a)]
     if not stops:
@@ -88,23 +93,31 @@ def terminating_series(num_params, den_params, x):
             f"no non-positive integer among numerator parameters {list(num_params)}"
         )
     last = min(stops)
-    term = Fraction(1)
-    total = Fraction(1)
+    nums = [(a.numerator, a.denominator) for a in num_params]
+    dens = [(b.numerator, b.denominator) for b in den_params]
+    # The constant part of each step: x and the parameters' denominators.
+    scale_num, scale_den = x.numerator, x.denominator
+    for _, q in dens:
+        scale_num *= q
+    for _, q in nums:
+        scale_den *= q
+    term_num, term_den, total = 1, 1, 1  # the sum is total / term_den
     for t in range(last):
-        den = Fraction(t + 1)
-        for b in den_params:
-            den *= b + t
+        den = (t + 1) * scale_den
+        for p, q in dens:
+            den *= p + t * q
         if den == 0:
             raise PoleError(
                 f"denominator parameter hits zero at term {t + 1} "
                 f"before termination at {last}"
             )
-        num = Fraction(1)
-        for a in num_params:
-            num *= a + t
-        term = term * num / den * x
-        total += term
-    return total
+        num = scale_num
+        for p, q in nums:
+            num *= p + t * q
+        term_num *= num
+        term_den *= den
+        total = total * den + term_num
+    return Fraction(total, term_den)
 
 
 class _Memo:

@@ -242,6 +242,9 @@ class TestOddDirectSum:
         expected = 1j if m % 2 else 1.0 + 0j
         assert scal_a == expected
         assert scal_b == -expected
+        if m % 2:
+            # The phase -1j keeps a real part of +0.0, as printed.
+            assert repr(scal_b) == "-1j"
 
     def test_summand_projection_multiplicative(self):
         report = odd_direct_sum(3)
@@ -365,9 +368,12 @@ class TestTnRelations:
         assert report["s2"] is None
         assert "braid not scalar" in report["failures"]
 
-    @pytest.mark.parametrize("scale, s1, s2", [(10, 100, 1e6), (1000, 1e6, 1e18)])
+    @pytest.mark.parametrize("scale, s1, s2", [
+        (10, 100, 1e6), (1000, 1e6, 1e18), (1.5, 2.25, 11.390625), (0.1, 0.01, 1e-6)])
     def test_scaled_cover_reports_scaled_scalars(self, scale, s1, s2):
-        # Every tolerance is relative to the size of what it compares.
+        # Every tolerance is relative to the size of what it compares, and
+        # only a scalar within it of a Gaussian integer is rounded: 1.5 t
+        # is not reported as 2 and 11, nor 0.1 t as 0 and 0.
         ts = schur_transpositions(5).t
         report = verify_tn_relations(SchurCoverGens(5, tuple(scale * t for t in ts)))
         assert report["ok"] and report["failures"] == []
@@ -382,6 +388,7 @@ class TestTnRelations:
         c = 1000 * np.exp(0.3j)
         report = verify_tn_relations(SchurCoverGens(5, tuple(c * t for t in ts)))
         assert report["ok"] and report["failures"] == []
+        assert report["s1"] == pytest.approx(c * c, rel=1e-12)
         assert report["s3"] == -1
 
     def test_nan_entry_is_refused(self):

@@ -16,6 +16,7 @@ from helirep.clifford import (
 )
 from helirep.gelfand_yaglom import dirac_system
 from helirep.generators import GNRepLabel
+from helirep.halfint import HalfInt
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
@@ -80,6 +81,88 @@ class TestTerminatingSeries:
 
     def test_zero_numerator_parameter_gives_one(self):
         assert terminating_series((0, 5), (7,), Fraction(9)) == Fraction(1)
+
+
+def _series_fraction_loop(num_params, den_params, x):
+    """``terminating_series`` with a Fraction per term: the reference of
+    the integer-numerator sum."""
+    last = min(-int(a) for a in num_params if a <= 0 and a == int(a))
+    term = total = Fraction(1)
+    for t in range(last):
+        den = Fraction(t + 1)
+        for b in den_params:
+            den *= b + t
+        if den == 0:
+            raise PoleError(f"pole at term {t + 1}")
+        num = Fraction(1)
+        for a in num_params:
+            num *= a + t
+        term = term * num / den * x
+        total += term
+    return total
+
+
+def _outcome(series, *args):
+    """The series' value, or the type of the error it raises."""
+    try:
+        return series(*args)
+    except (PoleError, NonTerminatingError) as exc:
+        return type(exc)
+
+
+class TestSeriesInIntegers:
+    """``terminating_series`` steps one integer numerator and denominator
+    and builds one Fraction at the end; a Fraction per term gives the same
+    rational and the same refusals."""
+
+    @pytest.fixture(scope="class")
+    def cg_parameters(self):
+        """The (num, den, x) of every series ``cg_su2_hyp`` sums on the
+        keys with 2l1, 2l2 <= 8."""
+        seen = set()
+
+        def record(num, den, x):
+            seen.add((num, den, x))
+            return terminating_series(num, den, x)
+
+        keys = [(t1, t2, t, u1, u2, u1 + u2)
+                for t1 in range(9) for t2 in range(9)
+                for t in range(abs(t1 - t2), t1 + t2 + 1, 2)
+                for u1 in range(-t1, t1 + 1, 2) for u2 in range(-t2, t2 + 1, 2)
+                if abs(u1 + u2) <= t]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("helirep.kernels.terminating_series", record)
+            for key in keys:
+                try:
+                    su2.cg_su2_hyp(*map(HalfInt.from_twice, key))
+                except (PoleError, ValueError):
+                    pass
+        return sorted(seen)
+
+    def test_coupling_series_match_the_fraction_loop(self, cg_parameters):
+        assert len(cg_parameters) == 7809  # one distinct set per key
+        refused = 0
+        for args in cg_parameters:
+            want = _outcome(_series_fraction_loop, *args)
+            got = _outcome(terminating_series, *args)
+            assert got == want and type(got) is type(want), args
+            refused += want is PoleError
+        assert 0 < refused < len(cg_parameters)
+
+    @pytest.mark.parametrize("args", [
+        ((-2, 3), (3,), Fraction(1, 4)),
+        ((-3, 1), (-1,), Fraction(1)),
+        ((-1, 2), (-1,), Fraction(1)),
+        ((0, 5), (7,), Fraction(9)),
+        ((-4, Fraction(1, 2)), (Fraction(3, 2),), Fraction(-2, 3)),
+        ((Fraction(-3), Fraction(5, 3)), (Fraction(-7, 2), 2), Fraction(5, 7)),
+        ((-5, Fraction(-1, 3), 4), (Fraction(2, 3), Fraction(-9, 4)), 3),
+        ((-3, 2), (Fraction(-1), 1), Fraction(1, 2)),
+    ])
+    def test_fraction_parameters_match_the_fraction_loop(self, args):
+        want = _outcome(_series_fraction_loop, *args)
+        got = _outcome(terminating_series, *args)
+        assert got == want and type(got) is type(want)
 
 
 class TestGammaRatio:

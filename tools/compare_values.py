@@ -22,7 +22,9 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
 - the clifford reports ``verify_clifford(brauer_weyl(n))`` for n = 1..10,
   ``odd_direct_sum(m)`` for m = 1..5 (its float
   ``projection_homomorphism_residual`` included),
-  ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9 and
+  ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9, the
+  same report of its covers ``1j * t`` and ``10 * t`` (whose scalars are
+  integral: -1, and 100 and 10^6), and
   ``transposition_homomorphism_report(m)`` for m = 2..5, each saved as
   the text of its ``repr``, which spells every float in its shortest
   round-trip form (so exactly) and names numpy scalar types;
@@ -178,9 +180,9 @@ def _cg_values(half):
 
 def _clifford_reports():
     """Each clifford report as a 0-d string array of its ``repr``."""
-    from helirep.clifford import (brauer_weyl, odd_direct_sum, schur_transpositions,
-                                  transposition_homomorphism_report, verify_clifford,
-                                  verify_tn_relations)
+    from helirep.clifford import (SchurCoverGens, brauer_weyl, odd_direct_sum,
+                                  schur_transpositions, transposition_homomorphism_report,
+                                  verify_clifford, verify_tn_relations)
 
     reports = {}
     for n in range(1, 11):
@@ -188,7 +190,11 @@ def _clifford_reports():
     for m in range(1, 6):
         reports[f"odd_direct_sum m={m}"] = odd_direct_sum(m)
     for m in range(2, 10):
-        reports[f"verify_tn_relations m={m}"] = verify_tn_relations(schur_transpositions(m))
+        gens = schur_transpositions(m)
+        reports[f"verify_tn_relations m={m}"] = verify_tn_relations(gens)
+        for scale in (1j, 10):
+            cover = SchurCoverGens(m, tuple(scale * t for t in gens.t))
+            reports[f"verify_tn_relations {scale}*t m={m}"] = verify_tn_relations(cover)
     for m in range(2, 6):
         reports[f"transposition_homomorphism_report m={m}"] = (
             transposition_homomorphism_report(m))
