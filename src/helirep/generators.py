@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CMatrix, enumerate_basis
 from .halfint import HalfInt, _weights, lrange, mrange
-from .kernels import _int_arg
+from .kernels import _dense_rows, _int_arg
 
 
 def _alpha(l, m):
@@ -31,6 +31,7 @@ def _ladder(l):
     J+ raises m with weight _alpha(l, m+1), J- is its transpose and J3 is
     diag(m); every generator family below is a linear combination of them.
     """
+    _dense_rows(l.twice + 1)
     ms = mrange(l)
     jp = np.diag([_alpha(l, m) for m in ms[:-1]], 1)
     return jp, jp.T, np.diag([float(m) for m in ms])
@@ -53,6 +54,7 @@ def _tower_link(l, step):
         vp, vm, v3 = _tower_link(l + 1, -1)
         return vm.T, vp.T, v3.T
     lt = l.twice
+    _dense_rows(lt + 1)
     mt = np.arange(lt, -lt - 1, -2)
     rows = np.arange(lt - 1)
     out = []
@@ -85,6 +87,7 @@ def waerden_op(kind, l, ldot):
     if kind not in _LADDER_KINDS:
         raise ValueError(f"unknown ladder operator kind {kind!r}")
     l, ldot = HalfInt(l), HalfInt(ldot)
+    _dense_rows((l.twice + 1) * (ldot.twice + 1))
     basis = enumerate_basis(l, ldot)
     part = "+-3".index(kind[1])
     if kind[0] == "Y":
@@ -189,7 +192,7 @@ def gn_op(kind, rep: GNRepLabel):
         start = (l.twice ** 2 - rep.l0.twice ** 2) // 4
         return slice(start, start + l.twice + 1)
 
-    dim = span(rep.l1).start
+    dim = _dense_rows(span(rep.l1).start)
     data = np.zeros((dim, dim), dtype=complex)
     for l in lrange(rep.l0, rep.lmax):
         if kind[0] == "H":

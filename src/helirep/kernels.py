@@ -39,6 +39,19 @@ def _int_arg(name, value, lo, hi=None):
     return value
 
 
+# The largest dense spin-ladder carrier the generators build: a complex
+# 4096 x 4096 matrix takes 256 MiB, and (2l+1)^2 entries outgrow memory
+# soon after.
+_MAX_DENSE_ROWS = 4096
+
+
+def _dense_rows(rows):
+    """The one size gate of dense spin-ladder carriers: ``rows`` (the
+    carrier's dimension) at most _MAX_DENSE_ROWS, or ValueError before
+    any label or matrix is built."""
+    return _int_arg("dense carrier rows", rows, 1, _MAX_DENSE_ROWS)
+
+
 # What the finiteness gate names when an angle or rapidity is not finite:
 # the rotation tabulator would reflect a NaN angle forever, and a NaN
 # rapidity would come back as a NaN value.

@@ -223,25 +223,73 @@ def _dp5_stepper(n):
     """Stage storage K for an n-component system, and the one Dormand-Prince
     5 step that fills it: ``advance(fun, t, y, f, h)`` with f = fun(t, y)
     leaves the six stage slopes in K[:6] and returns (y_new, fun(t + h,
-    y_new)).  The views each stage reads are made once, here."""
+    y_new)).  The views each stage reads, and the row it writes, are made
+    once, here.
+
+    Every product is the ndarray ``.dot`` method: the BLAS call that
+    ``np.dot`` and ``@`` make, with less dispatch around it, so the stage
+    sums keep their bits; the scalar arithmetic on t and h is the same
+    IEEE double arithmetic on Python floats."""
     K = np.empty((len(_C) + 1, n))
-    stages = [(c, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
+    stages = [(c, s, K[:s].T, a) for s, (c, a) in enumerate(_STAGES, start=1)]
     K_steps = K[:-1].T
 
     def advance(fun, t, y, f, h):
         K[0] = f
-        for c, k, a in stages:
-            K[len(a)] = fun(t + c * h, y + np.dot(k, a) * h)
-        y_new = y + h * np.dot(K_steps, _B)
+        for c, s, k, a in stages:
+            K[s] = fun(t + c * h, y + k.dot(a) * h)
+        y_new = y + h * K_steps.dot(_B)
         return y_new, fun(t + h, y_new)
 
     return K, advance
 
 
+def _sample_points(t_eval, t0, t_bound):
+    """``t_eval`` as a strictly increasing 1-D array inside [t0, t_bound],
+    or the ValueError scipy's solve_ivp raises (a NaN point is outside)."""
+    t_eval = np.asarray(t_eval, dtype=float)
+    if t_eval.ndim != 1:
+        raise ValueError("`t_eval` must be 1-dimensional.")
+    if np.count_nonzero((t_eval >= t0) & (t_eval <= t_bound)) != t_eval.size:
+        raise ValueError("Values in `t_eval` are not within `t_span`.")
+    if np.count_nonzero(np.diff(t_eval) > 0) != t_eval.size - 1:
+        raise ValueError("Values in `t_eval` are not properly sorted.")
+    return t_eval
+
+
+def _dense_output(t_out, steps, n):
+    """Shampine's quartic through each step, at that step's samples.
+
+    ``steps`` holds (Q, t_old, h, y_old, stop) of each step that reached
+    a sample, with Q = K^T P from its stages; the step takes the samples
+    t_out[lo:stop] after the previous step's stop.  x = (t - t_old) / h
+    and its powers are elementwise, so one pass over all samples gives
+    each the bits its own step gives it; the products stay one per step,
+    as RK45 makes them."""
+    y_out = np.empty((n, t_out.size))
+    if steps:
+        qs, t_olds, hs, y_olds, stops = zip(*steps)
+        counts = np.diff(stops, prepend=0)
+        x = (t_out - np.repeat(t_olds, counts)) / np.repeat(hs, counts)
+        powers = x[None].repeat(4, axis=0).cumprod(axis=0)
+        lo = 0
+        for q, h, y_old, hi in zip(qs, hs, y_olds, stops):
+            y_out[:, lo:hi] = h * q.dot(powers[:, lo:hi]) + y_old[:, None]
+            lo = hi
+    return y_out
+
+
 def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y) forward
     over ``t_span``, with RK45's step control, error norm and dense output
-    at the ``t_eval`` points.
+    at the ``t_eval`` points, which must increase strictly and lie in
+    ``t_span`` (ValueError otherwise, as RK45).
+
+    The step loop keeps only what needs a step's stages: the step itself,
+    its error norm, and, for a step that reaches a sample, Q = K^T P, t_old,
+    h, y_old and the index of its last sample.  The dense output of every
+    sample is written after the loop, in the same operations per sample
+    (see `_dense_output`), so the samples keep RK45's bits.
 
     `integrate` calls it by this module attribute.  An overflow on the
     way ends in a stall or non-finite samples, each reported by the
@@ -250,18 +298,18 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     if not t_bound > t:
         raise ValueError("solve_ivp integrates forward only; need t1 > t0")
     y = np.asarray(y0, dtype=float)
-    t_eval = np.asarray(t_eval)
+    t_eval = _sample_points(t_eval, t, t_bound)
     if rtol < _MIN_RTOL:
         rtol = np.maximum(rtol, _MIN_RTOL)
     n = y.size
     K, advance = _dp5_stepper(n)
     K_all = K.T
-    samples_t, samples_y = [], []
+    steps = []
     done = 0
     y_abs = np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
         f = fun(t, y)
-        h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
+        h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
         nfev = 2
         status = None
         while status is None:
@@ -279,13 +327,14 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
                 if t_new - t_bound > 0:
                     t_new = t_bound
                 h = t_new - t
-                h_abs = np.abs(h)
+                h_abs = abs(h)
                 y_new, f_new = advance(fun, t, y, f, h)
                 K[-1] = f_new
                 nfev += 6
                 y_new_abs = np.abs(y_new)
                 scale = atol + np.maximum(y_abs, y_new_abs) * rtol
-                error_norm = _rms(np.dot(K_all, _E) * h / scale)
+                # A Python float: no power below is taken of a zero norm.
+                error_norm = float(_rms(K_all.dot(_E) * h / scale))
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = _MAX_FACTOR
@@ -303,24 +352,13 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
             t_old, y_old, t, y, f, y_abs = t, y, t_new, y_new, f_new, y_new_abs
             if t - t_bound >= 0:
                 status = 0
-            # Shampine's quartic through the step, at the t_eval points
-            # in (t_old, t].
             stop = t_eval.searchsorted(t, side="right")
             if stop > done:
-                step = t - t_old
-                x = (t_eval[done:stop] - t_old) / step
-                powers = x[None].repeat(4, axis=0).cumprod(axis=0)
-                dense = step * np.dot(K_all.dot(_P), powers)
-                dense += y_old[:, None]
-                samples_t.append(t_eval[done:stop])
-                samples_y.append(dense)
+                steps.append((K_all.dot(_P), t_old, h, y_old, stop))
                 done = stop
-    if samples_t:
-        t_out, y_out = np.hstack(samples_t), np.hstack(samples_y)
-    else:
-        t_out, y_out = np.empty(0), np.empty((n, 0))
-    return IVPResult(t_out, y_out, nfev, status == 0,
-                     _DONE if status == 0 else STALL)
+        t_out = t_eval[:done].copy()
+        y_out = _dense_output(t_out, steps, n)
+    return IVPResult(t_out, y_out, nfev, status == 0, _DONE if status == 0 else STALL)
 
 
 def _real_split(mat):
@@ -346,7 +384,7 @@ def _prepare(system, r0, r1, init, sector):
     over_r_s, constant_s = map(_real_split, _normal_form(block))
 
     def rhs(r, z):
-        return (over_r_s / r + constant_s) @ z
+        return (over_r_s / r + constant_s).dot(z)
 
     return block, r0, r1, np.concatenate([init.real, init.imag]), rhs
 

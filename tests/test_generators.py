@@ -1,6 +1,7 @@
 """Tests for the infinitesimal-operator realizations and their maps."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ class TestWaerdenOps:
         z = CMatrix.zeros([half(1), half(-1)], [half(1), half(-1)])
         ops = {k: z for k in ("X+", "X-", "X3", "Y+", "Y-", "Y3")}
         assert commutator_report(ops, "su2_pair")["max_residual"] == 0.0
+
+
+class TestDenseSizeGate:
+    """Carriers above 4096 rows are refused before any label or matrix is
+    built; no test builds one near the cap."""
+
+    @pytest.mark.parametrize("build", [lambda: helicity_ops(10**4),
+                                       lambda: waerden_ops(100, 100),
+                                       lambda: gn_ops(GNRepLabel(0, 100))],
+                             ids=["helicity_ops", "waerden_ops", "gn_ops"])
+    def test_refused_up_front(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="dense carrier rows"):
+            build()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGNRepLabel:

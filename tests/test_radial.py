@@ -422,8 +422,11 @@ class TestSolverMatchesScipy:
     samples, right-hand-side count, status and message."""
 
     def check(self, rs, init, r0, r1, sector="plain", **options):
-        scipy_integrate = pytest.importorskip("scipy.integrate")
         _, r0, r1, start, rhs = radial._prepare(rs, r0, r1, init, sector)
+        return self.match(rhs, r0, r1, start, **options)
+
+    def match(self, rhs, r0, r1, start, **options):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
         ours = radial.solve_ivp(rhs, (r0, r1), start, **options)
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy warns when it raises rtol
@@ -458,6 +461,91 @@ class TestSolverMatchesScipy:
         ours = self.check(rs, [1, 0, 0, 0], 0.5, 60.0,
                           t_eval=np.linspace(0.5, 60.0, 201), rtol=1e-10, atol=1e-12)
         assert not ours.success and ours.message == radial.STALL
+
+    def test_kappa400_stalls_after_samples(self):
+        # A grid fine enough that many steps before the stall (near
+        # r = 2.25) reach samples, and the samples past it are dropped.
+        rs = assemble_rfs(system_from_config({**KAPPA_CONFIG, "kappa": [0.0, 400.0]}),
+                          "1/2", "1/2")
+        ours = self.check(rs, [1, 0, 0, 0], 0.5, 60.0,
+                          t_eval=np.linspace(0.5, 3.0, 4001), rtol=1e-10, atol=1e-12)
+        assert not ours.success and 100 < ours.t.size < 4001
+
+    # The dense output at sample layouts the Dirac CLI grid never makes.
+    DENSE_OPTIONS = dict(rtol=1e-10, atol=1e-12)
+
+    def dirac_rhs(self):
+        _, r0, r1, start, rhs = radial._prepare(dirac_radial("printed"), 0.5, 60.0,
+                                                [1, 0, 0, 0], "plain")
+        return rhs, r0, r1, start
+
+    def test_single_sample_at_the_start(self):
+        rhs, r0, r1, start = self.dirac_rhs()
+        ours = self.match(rhs, r0, r1, start, t_eval=[r0], **self.DENSE_OPTIONS)
+        assert ours.t.tolist() == [r0] and ours.y[:, 0].tolist() == start.tolist()
+
+    def test_every_sample_inside_the_first_step(self):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        rhs, r0, r1, start = self.dirac_rhs()
+        first = scipy_integrate.solve_ivp(rhs, (r0, r1), start, method="RK45",
+                                          **self.DENSE_OPTIONS).t[1]
+        grid = np.linspace(r0, first, 9)
+        ours = self.match(rhs, r0, r1, start, t_eval=grid, **self.DENSE_OPTIONS)
+        assert ours.success and ours.t.size == 9
+
+    @pytest.mark.parametrize("r1, samples", [(60.0, 5), (60.0, 37), (2.0, 30001)],
+                             ids=["coarse5", "coarse37", "fine"])
+    def test_grids_coarser_and_finer_than_the_steps(self, r1, samples):
+        # Over (0.5, 60) the solver takes about 1650 steps, so most steps
+        # reach no sample; over (0.5, 2) a step holds hundreds.
+        rhs, r0, _, start = self.dirac_rhs()
+        ours = self.match(rhs, r0, r1, start, t_eval=np.linspace(r0, r1, samples),
+                          **self.DENSE_OPTIONS)
+        assert ours.success and ours.t.size == samples
+
+    def test_last_sample_before_the_end(self):
+        rhs, r0, r1, start = self.dirac_rhs()
+        grid = np.linspace(r0, 47.3, 700)
+        ours = self.match(rhs, r0, r1, start, t_eval=grid, **self.DENSE_OPTIONS)
+        assert ours.success and ours.t.tolist() == grid.tolist()
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_seeded_linear_systems(self, dim):
+        # y' = (P/t + Q) y with seeded real P and Q, as the radial
+        # normal form is, at the dimensions of small and large chains.
+        rng = np.random.default_rng(1000 + dim)
+        p, q = rng.normal(scale=0.5, size=(2, dim, dim))
+        start = rng.normal(size=dim)
+
+        def rhs(t, y):
+            return (p / t + q).dot(y)
+
+        grid = np.sort(rng.uniform(0.3, 4.0, 60))
+        ours = self.match(rhs, 0.3, 4.0, start, t_eval=grid, rtol=1e-8, atol=1e-10)
+        assert ours.success and ours.t.size == 60
+
+    # On y' = -y over (0, 1) scipy's RK45 refuses each of these.
+    @pytest.mark.parametrize("t_eval, message", [
+        ([-0.5, 0.0, 0.5, 1.0], "not within"),
+        ([0.5, 1.0, 1.5], "not within"),
+        ([1.0, 0.5, 0.0], "not properly sorted"),
+        ([0.0, 0.5, 0.5, 1.0], "not properly sorted"),
+        ([[0.0, 0.5]], "1-dimensional"),
+    ], ids=["before_start", "past_end", "decreasing", "repeated", "two_dimensional"])
+    def test_refuses_samples_scipy_refuses(self, t_eval, message):
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        with pytest.raises(ValueError, match=message):
+            scipy_integrate.solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="RK45",
+                                      t_eval=t_eval)
+        with pytest.raises(ValueError, match=message):
+            radial.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(1), t_eval=t_eval)
+
+    def test_refuses_a_nan_sample(self):
+        # scipy lets a NaN point through and drops it from the output;
+        # a NaN lies in no interval, so it is refused with the span.
+        with pytest.raises(ValueError, match="not within"):
+            radial.solve_ivp(lambda t, y: -y, (0.0, 1.0), np.ones(1),
+                             t_eval=[0.0, np.nan])
 
     def test_nan_step_size_stalls(self):
         # A NaN derivative makes the first step size NaN; RK45 would keep

@@ -32,7 +32,16 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   2l1, 2l2 <= 8 that the selection rules allow, and on the high-spin keys
   of ``tests/test_su2.py::TestCouplingAtHighSpin``; a key each route
   refuses (``PoleError`` or ``ValueError``) is saved as a marker, so a
-  changed refusal differs too.
+  changed refusal differs too;
+- the radial solves: the ``integrate`` samples of the Dirac system (both
+  variants, both sectors, the CLI's default init and grid and the
+  ``verify radial`` suite's init), of chain3 and chain4 of
+  ``tools/compare_outputs.py`` as its ``radial`` calls integrate them
+  (alt variant in the conjugate sector, and ``--l0 7/2 --l0-dot 5/2``,
+  on 0.5:10:200), the ``repr`` of ``convergence_order`` on the suite's
+  runs (Dirac and chain4, both variants), and the t, y, nfev, success
+  and message of ``solve_ivp`` on the two stalling Dirac configs
+  (kappa [0, 400] and [1e300, 1e300]) and on a NaN right-hand side.
 
 The script then compares the two files array by array (one array per
 function and key, per table or per report): equal means the same shape,
@@ -157,6 +166,7 @@ def dump(src, path):
         out[f"z_series_grid {name}"] = z_series_grid(*args)
     out.update(_clifford_reports())
     out.update(_cg_values(half))
+    out.update(_radial_values())
     np.savez(path, **out)
 
 
@@ -176,6 +186,63 @@ def _cg_values(half):
     keys = [tuple(map(half, key)) for key in _cg_keys()]
     return {f"cg {route.__name__}": np.array([entry(route, key) for key in keys])
             for route in (cg_su2, cg_su2_hyp)}
+
+
+def _radial_values():
+    """The radial arrays, each named ``radial ...``."""
+    from compare_outputs import configs
+    from helirep.gelfand_yaglom import dirac_system, system_from_config
+    from helirep.radial import (_prepare, assemble_rfs, convergence_order, integrate,
+                                solve_ivp)
+
+    def unit(dim, suite=False):
+        # the CLI's default init, or the verify radial suite's
+        init = np.zeros(dim, dtype=complex)
+        init[0] = 1.0
+        if suite and dim >= 3:
+            init[dim // 2] = 1j
+        return init
+
+    systems = {name: system_from_config(configs()[f"{name}.json"])
+              for name in ("chain3", "chain4", "kappa400", "kappa1e300")}
+    dirac = dirac_system()
+    out = {}
+    for variant in ("printed", "alt"):
+        rs = assemble_rfs(dirac, "1/2", "1/2", variant=variant)
+        for sector in ("plain", "conjugate"):
+            for init in ("cli", "suite"):
+                sol = integrate(rs, 0.5, 60.0, unit(4, init == "suite"), 10000, sector)
+                out[f"radial dirac {variant} {sector} {init} init"] = sol.values
+        for name, system in (("dirac", dirac), ("chain4", systems["chain4"])):
+            top = system.chain.top_spin
+            order = convergence_order(assemble_rfs(system, top, top, variant=variant),
+                                      0.5, 10.0, unit(system.chain.dim, True),
+                                      base_steps=200)
+            out[f"radial convergence_order {name} {variant}"] = np.array(repr(order))
+    for name in ("chain3", "chain4"):
+        system = systems[name]
+        top = system.chain.top_spin
+        for label, rs, sector in (
+                ("alt conjugate", assemble_rfs(system, top, top, variant="alt"),
+                 "conjugate"),
+                ("l0=7/2 l0-dot=5/2", assemble_rfs(system, "7/2", "5/2"), "plain")):
+            sol = integrate(rs, 0.5, 10.0, unit(rs.block(sector).dim), 200, sector)
+            out[f"radial {name} {label}"] = sol.values
+    solves = {}
+    for name in ("kappa400", "kappa1e300"):
+        _, r0, r1, start, rhs = _prepare(assemble_rfs(systems[name], "1/2", "1/2"),
+                                         0.5, 60.0, unit(4), "plain")
+        solves[name] = solve_ivp(rhs, (r0, r1), start, np.linspace(r0, r1, 10001),
+                                 rtol=1e-10, atol=1e-12)
+    with np.errstate(invalid="ignore"):
+        solves["nan rhs"] = solve_ivp(lambda t, y: np.full_like(y, np.nan), (0.0, 1.0),
+                                      np.ones(2), np.linspace(0.0, 1.0, 5))
+    for name, result in solves.items():
+        out[f"radial solve_ivp {name} t"] = result.t
+        out[f"radial solve_ivp {name} y"] = result.y
+        out[f"radial solve_ivp {name} status"] = np.array(
+            repr((result.nfev, result.success, result.message)))
+    return out
 
 
 def _clifford_reports():
