@@ -309,6 +309,10 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     y_abs = np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
         f = fun(t, y)
+        if n == 0:
+            # As RK45: an empty system finishes in one step after its one
+            # evaluation, with every sample.
+            return IVPResult(t_eval.copy(), np.empty((0, t_eval.size)), 1, True, _DONE)
         h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
         nfev = 2
         status = None

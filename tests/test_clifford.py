@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +25,18 @@ SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMAS = {1: SIGMA1, 2: SIGMA2, 3: SIGMA3}
+
+
+def traced_peak_mib(fn):
+    """Peak traced memory of fn() in MiB, after one warm-up call (the
+    first call also holds numpy's own lazily built state)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 class TestBrauerWeyl:
@@ -250,6 +264,11 @@ class TestOddDirectSum:
         report = odd_direct_sum(3)
         assert report["projection_homomorphism_residual"] <= 1e-12
 
+    def test_traced_peak(self):
+        # The span check forms each group's phases and positions from its
+        # own members (complex entries of the whole set took 6.2 MiB).
+        assert traced_peak_mib(lambda: odd_direct_sum(5)) <= 4.5
+
     def test_cap(self):
         with pytest.raises(ValueError):
             odd_direct_sum(6)
@@ -295,6 +314,25 @@ class TestSchurTranspositions:
         family = brauer_weyl(6).generators
         expected = 0.5 * family[0] - (np.sqrt(3) / 2) * family[1]
         assert np.max(np.abs(gens.t[1] - expected)) == 0.0
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_real_generators_from_the_brauer_weyl_family(self, m):
+        # float64, equal to the complex formula and with the bits of its
+        # real part, signs of zero included.
+        family = brauer_weyl(2 * m).generators
+        for k, t in enumerate(schur_transpositions(m).t, start=1):
+            want = -math.sqrt((k + 1) / (2 * k)) * family[k - 1]
+            if k > 1:
+                want = math.sqrt((k - 1) / (2 * k)) * family[k - 2] + want
+            assert t.dtype == np.float64
+            assert np.array_equal(t, want)
+            assert t.tobytes() == np.ascontiguousarray(want.real).tobytes()
+
+    def test_traced_peak_of_build_and_check(self):
+        # Real generators used as they are: 16.1 MiB as complex128 with
+        # float64 copies in the check.
+        assert traced_peak_mib(
+            lambda: verify_tn_relations(schur_transpositions(8))) <= 10
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_realized_signs_stable(self, m):
@@ -416,3 +454,8 @@ class TestPermutationShadow:
         assert report["ok"]
         assert report["distinct_permutations"] == perms
         assert report["max_sign_mismatch"] <= 1e-12
+
+    def test_traced_peak(self):
+        # At most two word matrices at once: one per reachable permutation
+        # took 11.4 MiB at m = 6.
+        assert traced_peak_mib(lambda: transposition_homomorphism_report(6)) <= 2

@@ -509,6 +509,13 @@ class TestSolverMatchesScipy:
         ours = self.match(rhs, r0, r1, start, t_eval=grid, **self.DENSE_OPTIONS)
         assert ours.success and ours.t.tolist() == grid.tolist()
 
+    def test_empty_system(self):
+        # RK45 finishes an empty system at once after one evaluation and
+        # returns every sample.
+        ours = self.match(lambda t, y: np.zeros(0), 0.0, 1.0, np.empty(0),
+                          t_eval=np.linspace(0.0, 1.0, 5))
+        assert ours.success and ours.nfev == 1 and ours.y.shape == (0, 5)
+
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_seeded_linear_systems(self, dim):
         # y' = (P/t + Q) y with seeded real P and Q, as the radial

@@ -1,5 +1,6 @@
-"""Compare the Z^l_mn values, the rotation and boost elements and the
-clifford reports of two source trees, array by array, bit for bit.
+"""Compare the Z^l_mn values, the rotation and boost elements, the
+clifford reports and transposition matrices and the radial solves of two
+source trees, array by array, bit for bit.
 
 Usage:
 
@@ -25,9 +26,13 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9, the
   same report of its covers ``1j * t`` and ``10 * t`` (whose scalars are
   integral: -1, and 100 and 10^6), and
-  ``transposition_homomorphism_report(m)`` for m = 2..5, each saved as
+  ``transposition_homomorphism_report(m)`` for m = 2..6, each saved as
   the text of its ``repr``, which spells every float in its shortest
   round-trip form (so exactly) and names numpy scalar types;
+- the transposition matrices themselves: ``np.real(t)`` for every t of
+  ``schur_transpositions(m)``, m = 2..9.  It is the real part of a
+  complex matrix and the matrix itself of a float one, so equal bytes
+  prove equal values, signs of zero included, across either dtype;
 - ``cg_su2`` and ``cg_su2_hyp`` on every key (l1, l2, l, m1, m2, m) with
   2l1, 2l2 <= 8 that the selection rules allow, and on the high-spin keys
   of ``tests/test_su2.py::TestCouplingAtHighSpin``; a key each route
@@ -262,10 +267,14 @@ def _clifford_reports():
         for scale in (1j, 10):
             cover = SchurCoverGens(m, tuple(scale * t for t in gens.t))
             reports[f"verify_tn_relations {scale}*t m={m}"] = verify_tn_relations(cover)
-    for m in range(2, 6):
+    for m in range(2, 7):
         reports[f"transposition_homomorphism_report m={m}"] = (
             transposition_homomorphism_report(m))
-    return {f"clifford {name}": np.array(repr(report)) for name, report in reports.items()}
+    out = {f"clifford {name}": np.array(repr(report)) for name, report in reports.items()}
+    for m in range(2, 10):
+        for k, t in enumerate(schur_transpositions(m).t, start=1):
+            out[f"clifford schur_transpositions m={m} t_{k}"] = np.real(t)
+    return out
 
 
 def _label(twice):
