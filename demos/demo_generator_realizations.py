@@ -1,7 +1,8 @@
-"""Three ways to realize the same generator algebra.
+"""Two independent builders of the same generator algebra, seen three ways.
 
-Builds the helicity-basis sextet, the two-spin ladder family, and the
-direct-coupling family with its printed basis change, then runs the
+Builds the helicity-basis sextet, which is the (l, 0) carrier of the
+two-spin ladders, a two-spin ladder family on a (l, ldot) carrier, and
+the direct-coupling family with its printed basis change, then runs the
 commutator tables over each and shows they close identically.
 """
 

@@ -488,7 +488,7 @@ def transposition_homomorphism_report(m, max_word_len=4):
             for k in word:
                 perm[k], perm[k + 1] = perm[k + 1], perm[k]
             words_of.setdefault(tuple(perm), []).append(word)
-    ident = np.eye(gens.t[0].shape[0], dtype=complex)
+    ident = np.eye(gens.t[0].shape[0])
 
     def product(word):
         mat = ident

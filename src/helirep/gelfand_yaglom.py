@@ -23,9 +23,9 @@ import numpy as np
 
 from .clifford import _SIGMA
 from .core import CMatrix
-from .generators import (_tower_link, helicity_ab_op, relation_residuals,
-                         split_families)
-from .halfint import HalfInt, _weights, half, lrange, mrange
+from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
+                         relation_residuals, split_families)
+from .halfint import HalfInt, half, lrange, mrange
 from .kernels import _finite, _int_arg
 from .tensordec import RepLabel
 
@@ -139,26 +139,6 @@ def classify(chain: RepChain):
     return tuple(out)
 
 
-def spin_block_members(chain: RepChain, s):
-    """Interlocking links whose both reps admit spin s.
-
-    Admission is the double inequality |l1 - l2| <= s <= l1 + l2.
-    """
-    (s,) = _weights(s)
-
-    def admits(rep):
-        return (
-            abs(rep.l1.twice - rep.l2.twice) <= s.twice
-            <= rep.l1.twice + rep.l2.twice
-        )
-
-    return tuple(
-        (i, j)
-        for i, j in chain.links
-        if admits(chain.reps[i]) and admits(chain.reps[j])
-    )
-
-
 class CoeffTable:
     """Reduced coefficients keyed by (target rep, source rep, l', l).
 
@@ -233,21 +213,23 @@ def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
 def chain_generators(chain: RepChain):
     """Rotation/boost generator set acting on the chain carrier.
 
-    The rotation triple acts tower-by-tower in its helicity form: the
-    chain basis is rep-major, towers ascending, m descending, so each
-    tower's block sits on the diagonal.  The boost triple is i times it.
-    The conjugate-sector pair is the negated rotation triple together
-    with -i times itself — the sign that closes the conjugate invariance
-    tables.
+    The chain basis is rep-major, towers ascending, m descending, so each
+    tower's su(2) ladder `generators._ladder` sits on its diagonal slice;
+    the rotation triple is the one Cartesian map of that chain-wide
+    ladder in the Hermitian flavor, A_k = -i J_k, tower by tower.  The
+    boost triple is i times it.  The conjugate-sector pair is the negated
+    rotation triple together with -i times itself — the sign that closes
+    the conjugate invariance tables.
     """
     basis = chain.basis()
-    slices = chain.tower_slices()
+    jp, jm, j3 = ladder = np.zeros((3, len(basis), len(basis)))
+    for (_, l), span in chain.tower_slices().items():
+        for part, block in zip(ladder, _ladder(l)):
+            part[span, span] = block
+    rots = _cartesian(jp, jm, j3, _FLAVORS["hermitian"][1])
     out = {}
-    for i in (1, 2, 3):
-        data = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (_, l), span in slices.items():
-            data[span, span] = helicity_ab_op(f"A{i}", l).data
-        rot = CMatrix(data, basis)
+    for i in "123":
+        rot = CMatrix(rots[i], basis)
         out[f"A{i}"] = rot
         out[f"B{i}"] = rot * 1j
         out[f"A{i}t"] = -rot

@@ -1,10 +1,11 @@
 """Infinitesimal-operator realizations and the maps between them.
 
-Three operator families share one labeled-matrix container: ladder
-operators on a two-spin carrier, tridiagonal rotation/boost operators
-on a single spin, and the block-tridiagonal pair coupling adjacent
-spins on a multi-spin carrier.  A relation checker measures how well a
-given operator set satisfies the algebra it claims to realize.
+Two operator builders share one labeled-matrix container: ladder
+operators on a two-spin (l, ldot) carrier, whose (l, 0) case is the
+rotation/boost sextet on a single spin, and the block-tridiagonal pair
+coupling adjacent spins on a multi-spin carrier.  A relation checker
+measures how well a given operator set satisfies the algebra it claims
+to realize.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def waerden_op(kind, l, ldot):
     """
     if kind not in _LADDER_KINDS:
         raise ValueError(f"unknown ladder operator kind {kind!r}")
-    l, ldot = HalfInt(l), HalfInt(ldot)
+    (l,), (ldot,) = _weights(l), _weights(ldot)
     _dense_rows((l.twice + 1) * (ldot.twice + 1))
     basis = enumerate_basis(l, ldot)
     part = "+-3".index(kind[1])
@@ -95,36 +96,6 @@ def waerden_op(kind, l, ldot):
     else:
         data = np.kron(np.eye(l.twice + 1), _ladder(ldot)[part])
     return CMatrix(data, basis)
-
-
-# ---------------------------------------------------------------------------
-# Tridiagonal operators on a single spin
-
-# Coefficients of (J+, J-, J3) in each rotation/boost generator.
-_AB_COEFFS = {
-    "A1": (-0.5j, -0.5j, 0.0),
-    "A2": (-0.5, 0.5, 0.0),
-    "A3": (0.0, 0.0, -1j),
-    "B1": (0.5, 0.5, 0.0),
-    "B2": (-0.5j, 0.5j, 0.0),
-    "B3": (0.0, 0.0, 1.0),
-}
-
-
-def helicity_ab_op(kind, l):
-    """Rotation/boost generator on the spin-l carrier, anti-Hermitian
-    convention (the 3-component of the rotation family is diag(-i m)).
-
-    ``kind``: A1, A2, A3 (rotations), B1, B2, B3 (boosts), with an
-    optional trailing ``t`` selecting the conjugate-representation
-    variant, which is the overall sign flip of the plain one.
-    """
-    coeffs = _AB_COEFFS.get(kind[:-1] if kind.endswith("t") else kind)
-    if coeffs is None:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    l = HalfInt(l)
-    data = sum(c * j for c, j in zip(coeffs, _ladder(l)))
-    return CMatrix(-data if kind.endswith("t") else data, mrange(l))
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +381,9 @@ def ab_from_families(ops):
 def split_families(ab_ops):
     """Project a rotation/boost sextet onto its two commuting families.
 
-    X_k = (A_k + iB_k)/2 and Y_k = (A_k - iB_k)/2.  For the plain
-    tridiagonal sextet the X family vanishes identically and Y_k = A_k;
-    for the conjugate-variant sextet the roles swap, with the (A+iB)/2
-    combination again the vanishing one.
+    X_k = (A_k + iB_k)/2 and Y_k = (A_k - iB_k)/2.  For the single-spin
+    sextet `helicity_ops` (the (l, 0) carrier) the X family vanishes
+    identically and Y_k = A_k; on the (0, l) carrier Y vanishes instead.
     """
     a = _require(ab_ops, "A1", "A2", "A3")
     b = _require(ab_ops, "B1", "B2", "B3")
@@ -424,14 +394,14 @@ def split_families(ab_ops):
     return out
 
 
-def helicity_ops(l, dotted=False):
-    """The six rotation/boost operators at spin l as a dict keyed A1..B3."""
-    suffix = "t" if dotted else ""
-    return {
-        f"{fam}{k}": helicity_ab_op(f"{fam}{k}{suffix}", l)
-        for fam in "AB"
-        for k in "123"
-    }
+def helicity_ops(l):
+    """The six rotation/boost operators at spin l as a dict keyed A1..B3.
+
+    This is the (l, 0) view of the two-spin ladders: on that carrier the
+    X family vanishes and the Cartesian map turns the Y ladder into
+    A_k = -i J_k and B_k = J_k, labeled by the carrier's `BasisIndex`.
+    """
+    return ab_from_families(waerden_ops(l, 0))
 
 
 def waerden_ops(l, ldot):

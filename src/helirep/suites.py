@@ -88,6 +88,14 @@ def _finish(name, tol, rows, extra=None):
 
 
 def suite_commutators(tol):
+    """The Lorentz and ladder bracket tables on the two generator builders.
+
+    The two-spin ladders `waerden_ops` are Kronecker products of the spin
+    ladder; the Gel'fand–Naimark towers `gn_ops`, mapped by
+    `basis_change`, add diagonal and tower-link coefficients.  The
+    "helicity l=" rows are the (l, 0) case of the two-spin route
+    (`helicity_ops` is that view), kept with their labels and bytes.
+    """
     rows = []
     for l in lrange("1/2", 3):
         report = commutator_report(helicity_ops(l), "lorentz")

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +24,15 @@ from helirep.gelfand_yaglom import (
     is_interlocking,
     lambda12_from_commutators,
     reassemble_spin_blocks,
-    spin_block_members,
     spin_content,
     system_from_config,
     system_to_config,
     verify_invariance,
     weyl_gamma_triple,
 )
-from helirep.generators import helicity_ab_op
 from helirep.halfint import half, mrange
 from helirep.tensordec import RepLabel
+from test_generators import spin_matrix
 
 SEED = 20260822
 
@@ -119,22 +119,6 @@ class TestClassify:
         (component,) = classify(CHAINS[3])
         assert component["members"] == (0, 1, 2)
         assert component["verdict"] == "indecomposable"
-
-
-class TestSpinBlockMembers:
-    def test_dirac_spin_half_link(self):
-        assert spin_block_members(dirac_chain(), half(1)) == ((0, 1),)
-
-    def test_dirac_spin_one_empty(self):
-        assert spin_block_members(dirac_chain(), 1) == ()
-
-    def test_link_included_when_both_reps_admit(self):
-        chain = RepChain(((1, half(1)), (half(1), 1)))
-        assert spin_block_members(chain, half(3)) == ((0, 1),)
-
-    def test_negative_spin_rejected(self):
-        with pytest.raises(ValueError):
-            spin_block_members(dirac_chain(), half(-1))
 
 
 class TestAssembly:
@@ -289,12 +273,10 @@ class TestRandomTables:
 
 
 class TestChainGenerators:
-    # The chain's conjugate boost is -i times the negated rotation, which
-    # is the plain tower boost B_i, not the tower's B_i t.
-    TOWER_KIND = {
-        f"{fam}{i}{t}": f"B{i}" if fam + t == "Bt" else f"{fam}{i}{t}"
-        for fam in "AB" for i in "123" for t in ("", "t")
-    }
+    # Each tower's block against the Hermitian J_k of its spin written out
+    # from matrix elements: A = -iJ, B = iA = J, At = -A = iJ and
+    # Bt = -i At = iA = J.
+    FACTOR = {"A": -1j, "B": 1, "At": 1j, "Bt": 1}
 
     def test_blocks_are_the_tower_generators(self):
         # Integer towers 0, 1, 2 / 0, 1 / 0: each tower's generator sits
@@ -302,15 +284,17 @@ class TestChainGenerators:
         chain = RepChain(((1, 1), (half(1), half(1)), (0, 0)))
         gens = chain_generators(chain)
         basis = chain.basis()
-        for kind, tower_kind in self.TOWER_KIND.items():
+        for (fam, factor), i in itertools.product(self.FACTOR.items(), "123"):
+            kind = f"{fam[0]}{i}{fam[1:]}"
             rest = gens[kind].data.copy()
             start = 0
             for k in range(len(chain.reps)):
                 for l in chain.tower_spins(k):
                     stop = start + l.twice + 1
                     assert basis[start:stop] == [ChainIndex(k, l, m) for m in mrange(l)]
-                    block = helicity_ab_op(tower_kind, l).data
-                    assert np.array_equal(rest[start:stop, start:stop], block), kind
+                    block = factor * spin_matrix(i, l.twice)
+                    np.testing.assert_allclose(rest[start:stop, start:stop], block,
+                                               rtol=0, atol=1e-15, err_msg=kind)
                     rest[start:stop, start:stop] = 0
                     start = stop
             assert start == len(basis)

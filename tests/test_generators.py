@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from helirep.core import CMatrix
+from helirep.core import CMatrix, enumerate_basis
 from helirep.generators import (
     GNRepLabel,
     _cartesianize,
@@ -16,7 +16,6 @@ from helirep.generators import (
     commutator_report,
     gn_op,
     gn_ops,
-    helicity_ab_op,
     helicity_ops,
     relation_residuals,
     split_families,
@@ -54,19 +53,16 @@ def spin_matrix(axis, tl):
 
 class TestAgainstMatrixElements:
     """Each constructor against its entries written out here, integer spins
-    included: A_k = -i J_k, B_k = J_k, a trailing t negates, and the
+    included: A_k = -i J_k and B_k = J_k on the (l, 0) carrier, and the
     two-spin ladders act on one projection of the (m, mdot) basis."""
 
     @pytest.mark.parametrize("tl", range(7))
-    @pytest.mark.parametrize("kind", [
-        f"{fam}{k}{t}" for fam in "AB" for k in "123" for t in ("", "t")
-    ])
-    def test_helicity_ab_op(self, kind, tl):
+    @pytest.mark.parametrize("kind", [f"{fam}{k}" for fam in "AB" for k in "123"])
+    def test_helicity_ops(self, kind, tl):
         want = spin_matrix(kind[1], tl) * (-1j if kind[0] == "A" else 1)
-        if kind.endswith("t"):
-            want = -want
-        got = helicity_ab_op(kind, half(tl))
-        assert [m.twice for m in got.row_labels] == list(range(tl, -tl - 1, -2))
+        got = helicity_ops(half(tl))[kind]
+        assert got.row_labels == tuple(enumerate_basis(half(tl), 0))
+        assert [b.m.twice for b in got.row_labels] == list(range(tl, -tl - 1, -2))
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("tl, tld", [(a, b) for a in range(7) for b in range(7)])
@@ -100,51 +96,40 @@ class TestAgainstMatrixElements:
 
 class TestHelicityOps:
     def test_a3_half(self):
-        a3 = helicity_ab_op("A3", half(1))
+        a3 = helicity_ops(half(1))["A3"]
         np.testing.assert_allclose(np.diag(a3.data), [-0.5j, 0.5j])
 
     def test_b3_half(self):
-        b3 = helicity_ab_op("B3", half(1))
+        b3 = helicity_ops(half(1))["B3"]
         np.testing.assert_allclose(np.diag(b3.data), [0.5, -0.5])
 
     def test_a1_half_is_sigma1_flavored(self):
-        a1 = helicity_ab_op("A1", half(1))
+        a1 = helicity_ops(half(1))["A1"]
         np.testing.assert_allclose(a1.data, [[0, -0.5j], [-0.5j, 0]])
 
     def test_boost_is_i_times_rotation(self):
         for l in SPINS:
+            ops = helicity_ops(l)
             for k in "123":
-                a = helicity_ab_op(f"A{k}", l)
-                b = helicity_ab_op(f"B{k}", l)
-                assert b.residual_vs(1j * a) == 0.0
-
-    def test_conjugate_variants_are_negations(self):
-        for l in SPINS:
-            for k in "123":
-                for fam in "AB":
-                    plain = helicity_ab_op(f"{fam}{k}", l)
-                    tilde = helicity_ab_op(f"{fam}{k}t", l)
-                    assert tilde.residual_vs(-1 * plain) == 0.0
+                assert ops[f"B{k}"].residual_vs(1j * ops[f"A{k}"]) == 0.0
 
     def test_rotation_boost_relations(self):
         for l in SPINS:
             assert commutator_report(helicity_ops(l), "lorentz")["max_residual"] <= 1e-12
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            helicity_ab_op("C1", half(1))
-
     def test_family_split_collapses_one_side(self):
-        # The plain sextet carries only the Y family; its conjugate
-        # variant carries only the other one.
+        # The (l, 0) sextet carries only the Y family; the (0, l) carrier
+        # carries only the X family.
         for l in SPINS:
             ops = helicity_ops(l)
             fams = split_families(ops)
-            tilde_fams = split_families(helicity_ops(l, dotted=True))
+            dotted = ab_from_families(waerden_ops(0, l))
+            dotted_fams = split_families(dotted)
             for k in "123":
                 assert fams[f"X{k}"].norm_inf() == 0.0
                 assert fams[f"Y{k}"].residual_vs(ops[f"A{k}"]) == 0.0
-                assert tilde_fams[f"X{k}"].norm_inf() == 0.0
+                assert dotted_fams[f"Y{k}"].norm_inf() == 0.0
+                assert dotted_fams[f"X{k}"].residual_vs(dotted[f"A{k}"]) == 0.0
 
     def test_split_families_satisfy_pair_relations(self):
         for l in SPINS:
@@ -304,6 +289,31 @@ class TestBasisChange:
         assert report["max_residual"] <= 1e-13
 
 
+class TestTwoSpinorAgainstTower:
+    """The two-spinor builder against the Gel'fand–Naimark tower.  The
+    two share only the spin ladder and the Cartesian map; the tower's
+    diagonal and link coefficients have no two-spinor counterpart.
+    Couple the (l, ldot) weight basis to |j, m'> with Clebsch–Gordan
+    columns U and put the tower phase D = diag((-i)^(j - l0)) on it: with
+    l0 = ldot - l and p = 2l + 1, D U^T W_k U D^-1 is the tower's mapped
+    generator."""
+
+    @pytest.mark.parametrize("tl, tld", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
+                                         (2, 3), (1, 4), (3, 3), (2, 4)])
+    def test_coupled_two_spinor_is_the_tower(self, tl, tld):
+        l, ldot = half(tl), half(tld)
+        rep = GNRepLabel(ldot - l, tl + 1)
+        two_spinor = ab_from_families(waerden_ops(l, ldot))
+        tower = basis_change(gn_ops(rep))
+        cols = rep.basis()
+        u = np.array([[cg_su2(l, ldot, j, b.m, b.mdot, mp) for j, mp in cols]
+                      for b in two_spinor["A1"].row_labels])
+        phase = np.array([(-1j) ** int(j - rep.l0) for j, _ in cols])
+        for k in ("A1", "A2", "A3", "B1", "B2", "B3"):
+            got = phase[:, None] * (u.T @ two_spinor[k].data @ u) / phase
+            assert np.max(np.abs(got - tower[k].data)) <= 1e-14, k
+
+
 class TestCommutatorReport:
     def test_third_relation_cyclic_not_printed(self):
         # The cyclic closure relation holds exactly; the doubtful
@@ -322,7 +332,7 @@ class TestCommutatorReport:
 
     def test_missing_operator_is_named(self):
         with pytest.raises(KeyError, match="A2"):
-            commutator_report({"A1": helicity_ab_op("A1", half(1))}, "lorentz")
+            commutator_report({"A1": helicity_ops(half(1))["A1"]}, "lorentz")
 
     def test_unknown_relation_set_rejected(self):
         with pytest.raises(ValueError):
@@ -331,8 +341,7 @@ class TestCommutatorReport:
 
 class TestRelationResiduals:
     def test_rows_in_order_none_means_vanish(self):
-        a, b = helicity_ab_op("A1", half(2)), helicity_ab_op("A2", half(2))
-        c = helicity_ab_op("A3", half(2))
+        a, b, c = (helicity_ops(half(2))[f"A{k}"] for k in "123")
         got = relation_residuals([("closes", a, b, c), ("vanishes", a, b, None),
                                   ("self", a, a, None)])
         assert list(got) == ["closes", "vanishes", "self"]

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helirep.gelfand_yaglom import dirac_chain, spin_block_members
-from helirep.generators import GNRepLabel
+from helirep.generators import GNRepLabel, helicity_ops, waerden_ops
 from helirep.halfint import HalfInt, _weights, half, lrange, mrange
 from helirep.hyperspherical import z_grid, z_matrix
 from helirep.su2 import cg_su2, cg_su2_hyp, sph_p
@@ -153,7 +152,9 @@ class TestSpinLabelGate:
         "RepLabel l1": lambda l: RepLabel(l, 0),
         "RepLabel l2": lambda l: RepLabel(0, l),
         "GNRepLabel l0": lambda l: GNRepLabel(l, 1),
-        "spin_block_members": lambda l: spin_block_members(dirac_chain(), l),
+        "helicity_ops": lambda l: helicity_ops(l),
+        "waerden_ops l": lambda l: waerden_ops(l, 0),
+        "waerden_ops ldot": lambda l: waerden_ops(0, l),
         "cg_su2": lambda l: cg_su2(1, l, "1/2", 0, 0, 0),
         "cg_su2_hyp": lambda l: cg_su2_hyp(l, 1, "1/2", 0, 0, 0),
         "sph_p": lambda l: sph_p(l, 0, 0, 0.5),
