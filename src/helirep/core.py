@@ -118,12 +118,6 @@ class CMatrix:
         cperm = [self._cindex[lab] for lab in col_labels]
         return CMatrix(self.data[np.ix_(rperm, cperm)], row_labels, col_labels)
 
-    def relabeled(self, row_labels, col_labels=None):
-        """Same data under new labels (no permutation is performed)."""
-        row_labels = tuple(row_labels)
-        col_labels = row_labels if col_labels is None else tuple(col_labels)
-        return CMatrix(self.data.copy(), row_labels, col_labels)
-
     # -- algebra ----------------------------------------------------------
     def __add__(self, other):
         other = self._aligned(other)

@@ -24,7 +24,7 @@ import numpy as np
 from .clifford import _SIGMA
 from .core import CMatrix
 from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
-                         relation_residuals, split_families)
+                         relation_residuals)
 from .halfint import HalfInt, half, lrange, mrange
 from .kernels import _finite, _int_arg
 from .tensordec import RepLabel
@@ -210,23 +210,28 @@ def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
     )
 
 
+def _chain_ladder(chain: RepChain):
+    """The chain-wide (J+, J-, J3) as dense arrays: each tower's
+    `generators._ladder` on its diagonal slice, once per chain."""
+    ladder = np.zeros((3, chain.dim, chain.dim))
+    for (_, l), span in chain.tower_slices().items():
+        ladder[:, span, span] = _ladder(l)
+    return ladder
+
+
 def chain_generators(chain: RepChain):
     """Rotation/boost generator set acting on the chain carrier.
 
-    The chain basis is rep-major, towers ascending, m descending, so each
-    tower's su(2) ladder `generators._ladder` sits on its diagonal slice;
-    the rotation triple is the one Cartesian map of that chain-wide
-    ladder in the Hermitian flavor, A_k = -i J_k, tower by tower.  The
-    boost triple is i times it.  The conjugate-sector pair is the negated
-    rotation triple together with -i times itself — the sign that closes
-    the conjugate invariance tables.
+    The chain basis is rep-major, towers ascending, m descending, so the
+    chain-wide ladder `_chain_ladder` is block diagonal over the towers;
+    the rotation triple is the one Cartesian map of that ladder in the
+    Hermitian flavor, A_k = -i J_k, tower by tower.  The boost triple is
+    i times it.  The conjugate-sector pair is the negated rotation triple
+    together with -i times itself — the sign that closes the conjugate
+    invariance tables.
     """
     basis = chain.basis()
-    jp, jm, j3 = ladder = np.zeros((3, len(basis), len(basis)))
-    for (_, l), span in chain.tower_slices().items():
-        for part, block in zip(ladder, _ladder(l)):
-            part[span, span] = block
-    rots = _cartesian(jp, jm, j3, _FLAVORS["hermitian"][1])
+    rots = _cartesian(*_chain_ladder(chain), _FLAVORS["hermitian"][1])
     out = {}
     for i in "123":
         rot = CMatrix(rots[i], basis)
@@ -234,21 +239,6 @@ def chain_generators(chain: RepChain):
         out[f"B{i}"] = rot * 1j
         out[f"A{i}t"] = -rot
         out[f"B{i}t"] = out[f"A{i}t"] * (-1j)
-    return out
-
-
-def chain_ladders(gens):
-    """Raising/lowering split of both sectors of a chain generator set."""
-    out = {}
-    for suffix in ("", "t"):
-        xy = split_families(
-            {f"{f}{i}": gens[f"{f}{i}{suffix}"] for f in "AB" for i in "123"}
-        )
-        for fam in "XY":
-            one, two = xy[f"{fam}1"], xy[f"{fam}2"]
-            out[f"{fam}3{suffix}"] = xy[f"{fam}3"]
-            out[f"{fam}+{suffix}"] = one + two * 1j
-            out[f"{fam}-{suffix}"] = one - two * 1j
     return out
 
 
@@ -394,17 +384,21 @@ def verify_invariance(system: GYSystem, tol=1e-10):
     rows = [row for family, lambdas, tag in _sectors(system)
             for row in _relations(family, lambdas, gens, tag)]
     # The plain sector's lambda3 is a Y-family vector operator and commutes
-    # with X; the conjugate sector's swaps the roles.
-    lad = chain_ladders(gens)
-    for l3, tag, own, other, t in (
-        (system.lambda3, "", "Y", "X", ""),
-        (system.lambda3c, "c", "X", "Y", "t"),
+    # with X; the conjugate sector's swaps the roles.  On the chain carrier
+    # Y = -iJ and X = 0 in the plain sector, X = iJ and Y = 0 in the
+    # conjugate one (`split_families` of A, B and of At, Bt).
+    jp, jm, j3 = _chain_ladder(system.chain)
+    zero = CMatrix.zeros(system.chain.basis())
+    for l3, tag, own, other, t, scale in (
+        (system.lambda3, "", "Y", "X", "", -1j),
+        (system.lambda3c, "c", "X", "Y", "t", 1j),
     ):
         name = f"lambda3{tag}"
-        rows.append((f"[{own}+{t},[{name},{own}-{t}]]=2*{name}", lad[f"{own}+{t}"],
-                     l3.commutator(lad[f"{own}-{t}"]), l3 * 2.0))
-        rows += [(f"[{name},{key}]=0", l3, lad[key], None) for key in
-                 (f"{own}3{t}", f"{other}-{t}", f"{other}+{t}", f"{other}3{t}")]
+        up, down, three = (zero._with_data(scale * j) for j in (jp, jm, j3))
+        rows.append((f"[{own}+{t},[{name},{own}-{t}]]=2*{name}", up,
+                     l3.commutator(down), l3 * 2.0))
+        rows.append((f"[{name},{own}3{t}]=0", l3, three, None))
+        rows += [(f"[{name},{other}{k}{t}]=0", l3, zero, None) for k in "-+3"]
     residuals = relation_residuals(rows)
     max_residual = max(residuals.values())
     return {

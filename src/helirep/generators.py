@@ -76,26 +76,29 @@ def _tower_link(l, step):
 _LADDER_KINDS = ("X+", "X-", "X3", "Y+", "Y-", "Y3")
 
 
-def waerden_op(kind, l, ldot):
-    """Ladder operator on the two-spin weight basis.
+def _family(kinds, stack, labels):
+    """A family of operators as a dict keyed by ``kinds``, every member on
+    one shared label tuple (the labels and their index maps are built once)."""
+    ops = [CMatrix(stack[0], labels)]
+    ops += [ops[0]._with_data(data) for data in stack[1:]]
+    return dict(zip(kinds, ops))
 
-    ``kind`` is one of X+, X-, X3 (acting on the dotted projection) or
-    Y+, Y-, Y3 (acting on the undotted one).  Raising/lowering entries
-    carry the usual sqrt((j±m)(j∓m+1)) weights; the 3-components are
-    diagonal in the respective projection.  On the basis order of
-    `enumerate_basis` (m outer, mdot inner) Y is J ⊗ 1 and X is 1 ⊗ J.
+
+def waerden_ops(l, ldot):
+    """The six ladder operators on the two-spin weight basis as a dict.
+
+    X+, X-, X3 act on the dotted projection and Y+, Y-, Y3 on the
+    undotted one.  Raising/lowering entries carry the usual
+    sqrt((j±m)(j∓m+1)) weights; the 3-components are diagonal in the
+    respective projection.  On the basis order of `enumerate_basis`
+    (m outer, mdot inner) Y is J ⊗ 1 and X is 1 ⊗ J.
     """
-    if kind not in _LADDER_KINDS:
-        raise ValueError(f"unknown ladder operator kind {kind!r}")
     (l,), (ldot,) = _weights(l), _weights(ldot)
     _dense_rows((l.twice + 1) * (ldot.twice + 1))
     basis = enumerate_basis(l, ldot)
-    part = "+-3".index(kind[1])
-    if kind[0] == "Y":
-        data = np.kron(_ladder(l)[part], np.eye(ldot.twice + 1))
-    else:
-        data = np.kron(np.eye(l.twice + 1), _ladder(ldot)[part])
-    return CMatrix(data, basis)
+    stack = [np.kron(np.eye(l.twice + 1), j) for j in _ladder(ldot)]
+    stack += [np.kron(j, np.eye(ldot.twice + 1)) for j in _ladder(l)]
+    return _family(_LADDER_KINDS, stack, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -140,49 +143,41 @@ def _gn_link_coef(rep, l):
     return (1j / lf) * cmath.sqrt(rad)
 
 
-_GN_KINDS = ("H+", "H-", "H3", "F+", "F-", "F3")
-
 # Sign of the link coefficient on F's (V+, V-, V3) blocks, by tower step.
 _GN_LINK_SIGNS = {-1: (1, -1, 1), 1: (1, -1, -1)}
 
 
-def gn_op(kind, rep: GNRepLabel):
-    """Compact (H) or boost (F) generator on the spin-tower carrier.
+def gn_ops(rep: GNRepLabel):
+    """The compact (H) and boost (F) generators on the spin-tower carrier
+    as a dict keyed H+, H-, H3, F+, F-, F3.
 
-    A block-tridiagonal assembly over the towers: H+, H-, H3 are the
-    ladder on each tower; F+, F-, F3 are -(diagonal coefficient) times
-    the ladder on each tower plus the signed link coefficient times the
-    `_tower_link` block to each neighbouring tower of the carrier.  The
-    diagonal coefficient is undefined at l = 0, where the ladder vanishes.
+    A block-tridiagonal assembly over the towers, filled in one pass:
+    H+, H-, H3 are the ladder on each tower; F+, F-, F3 are -(diagonal
+    coefficient) times the ladder on each tower plus the signed link
+    coefficient times the `_tower_link` block to each neighbouring tower
+    of the carrier.  The diagonal coefficient is undefined at l = 0,
+    where the ladder vanishes.
     """
-    if kind not in _GN_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    part = "+-3".index(kind[1])
 
     def span(l):  # towers l0 .. l-1 fill the first l^2 - l0^2 rows
         start = (l.twice ** 2 - rep.l0.twice ** 2) // 4
         return slice(start, start + l.twice + 1)
 
     dim = _dense_rows(span(rep.l1).start)
-    data = np.zeros((dim, dim), dtype=complex)
+    data = np.zeros((6, dim, dim), dtype=complex)
+    h, f = data[:3], data[3:]
     for l in lrange(rep.l0, rep.lmax):
-        if kind[0] == "H":
-            data[span(l), span(l)] = _ladder(l)[part]
-            continue
+        ladder = np.array(_ladder(l))
+        h[:, span(l), span(l)] = ladder
         if l > 0:
-            data[span(l), span(l)] = -_gn_diag_coef(rep, l) * _ladder(l)[part]
+            f[:, span(l), span(l)] = -_gn_diag_coef(rep, l) * ladder
         for step in (-1, 1):
             if rep.l0 <= l + step <= rep.lmax:
                 link = _gn_link_coef(rep, max(l, l + step))
-                if _GN_LINK_SIGNS[step][part] < 0:
-                    link = -link
-                data[span(l + step), span(l)] = link * _tower_link(l, step)[part]
-    return CMatrix(data, rep.basis())
-
-
-def gn_ops(rep: GNRepLabel):
-    """All six tower operators as a dict."""
-    return {k: gn_op(k, rep) for k in ("H+", "H-", "H3", "F+", "F-", "F3")}
+                for part, sign, block in zip(f, _GN_LINK_SIGNS[step],
+                                             _tower_link(l, step)):
+                    part[span(l + step), span(l)] = (link if sign > 0 else -link) * block
+    return _family(("H+", "H-", "H3", "F+", "F-", "F3"), data, rep.basis())
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +268,13 @@ _FLAVORS["degenerate"] = _FLAVORS["antihermitian"]
 
 def _ladder_flavor(x3, xp):
     """Classify [X3, X+] as +X+ (hermitian) or -iX+ (antihermitian)."""
-    scale = max(xp.norm_inf(), 1e-30)
+    scale = xp.norm_inf()
+    if scale < 1e-14 and x3.norm_inf() < 1e-14:
+        return "degenerate"
+    scale = max(scale, 1e-30)
     comm = x3.commutator(xp)
     r_h, r_a = (comm.residual_vs(_FLAVORS[f][0] * xp) / scale
                 for f in ("hermitian", "antihermitian"))
-    if xp.norm_inf() < 1e-14 and x3.norm_inf() < 1e-14:
-        return "degenerate"
     return "hermitian" if r_h <= r_a else "antihermitian"
 
 
@@ -402,8 +398,3 @@ def helicity_ops(l):
     A_k = -i J_k and B_k = J_k, labeled by the carrier's `BasisIndex`.
     """
     return ab_from_families(waerden_ops(l, 0))
-
-
-def waerden_ops(l, ldot):
-    """The six ladder operators on the (l, ldot) carrier as a dict."""
-    return {k: waerden_op(k, l, ldot) for k in _LADDER_KINDS}

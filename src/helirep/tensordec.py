@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CMatrix, enumerate_basis
-from .generators import waerden_op
+from .generators import _LADDER_KINDS, waerden_ops
 from .halfint import HalfInt, _weights, half, lrange, mrange
 from .kernels import _int_arg
 from .su2 import cg_su2
@@ -110,9 +110,12 @@ def coupled_vector(a: RepLabel, b: RepLabel, l, lp, m, mp):
 
 
 def total_operator(kind, a: RepLabel, b: RepLabel):
-    """Ladder operator acting simultaneously on both product factors."""
-    op_a = waerden_op(kind, a.l1, a.l2)
-    op_b = waerden_op(kind, b.l1, b.l2)
+    """Ladder operator ``kind`` (X+, X-, X3, Y+, Y-, Y3) acting
+    simultaneously on both product factors."""
+    if kind not in _LADDER_KINDS:
+        raise ValueError(f"unknown ladder operator kind {kind!r}")
+    op_a = waerden_ops(a.l1, a.l2)[kind]
+    op_b = waerden_ops(b.l1, b.l2)[kind]
     ident_a = CMatrix.identity(a.basis())
     ident_b = CMatrix.identity(b.basis())
     return op_a.kron(ident_b) + ident_a.kron(op_b)

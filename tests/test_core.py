@@ -68,12 +68,6 @@ class TestCMatrix:
         p = m.reindexed([half(-1), half(1)])
         np.testing.assert_allclose(p.data, [[4.0, 3.0], [2.0, 1.0]])
 
-    def test_relabeled_keeps_data(self):
-        m = CMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["a", "b"])
-        r = m.relabeled(["c", "d"])
-        np.testing.assert_allclose(r.data, m.data)
-        assert r.row_labels == ("c", "d")
-
     def test_residual_aligns_before_subtracting(self):
         labels = [half(1), half(-1)]
         m = CMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), labels)

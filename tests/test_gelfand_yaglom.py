@@ -10,12 +10,12 @@ from helirep.gelfand_yaglom import (
     ChainIndex,
     CoeffTable,
     RepChain,
+    _chain_ladder,
     _relations,
     _sectors,
     assemble_lambda3,
     build_system,
     chain_generators,
-    chain_ladders,
     classify,
     dirac_chain,
     dirac_system,
@@ -30,6 +30,7 @@ from helirep.gelfand_yaglom import (
     verify_invariance,
     weyl_gamma_triple,
 )
+from helirep.generators import split_families
 from helirep.halfint import half, mrange
 from helirep.tensordec import RepLabel
 from test_generators import spin_matrix
@@ -326,19 +327,43 @@ class TestSpinBlocks:
 
 
 class TestLadderStructure:
+    """The ladders `verify_invariance` reads are those of the generator
+    set: `split_families` of the plain sector (A, B) gives X = 0 and
+    Y_k = A_k, whose ladder is -i times the chain-wide (J+, J-, J3); of the
+    conjugate sector (At, Bt) it gives Y = 0 and X_k = A_kt, whose ladder
+    is i times it.  Checked on Dirac and on a chain of two towers per rep."""
+
+    LADDER_CHAINS = [dirac_chain(), CHAINS[2]]
+
+    @staticmethod
+    def families(gens, suffix):
+        return split_families(
+            {f"{f}{i}": gens[f"{f}{i}{suffix}"] for f in "AB" for i in "123"})
+
+    @staticmethod
+    def assert_ladder(fams, fam, chain, scale):
+        one, two, three = (fams[f"{fam}{k}"] for k in "123")
+        for got, j in zip((one + 1j * two, one - 1j * two, three),
+                          _chain_ladder(chain)):
+            assert got.residual_vs(CMatrix(scale * j, chain.basis())) == 0.0
+
     def test_plain_sector_raising_family_vanishes(self):
-        gens = chain_generators(dirac_chain())
-        ladders = chain_ladders(gens)
-        assert ladders["X+"].norm_inf() == 0.0
-        assert ladders["X-"].norm_inf() == 0.0
-        assert ladders["X3"].norm_inf() == 0.0
+        for chain in self.LADDER_CHAINS:
+            gens = chain_generators(chain)
+            fams = self.families(gens, "")
+            for k in "123":
+                assert fams[f"X{k}"].norm_inf() == 0.0
+                assert fams[f"Y{k}"].residual_vs(gens[f"A{k}"]) == 0.0
+            self.assert_ladder(fams, "Y", chain, -1j)
 
     def test_conjugate_sector_roles_swap(self):
-        gens = chain_generators(dirac_chain())
-        ladders = chain_ladders(gens)
-        assert ladders["Y+t"].norm_inf() == 0.0
-        assert (ladders["X3t"] + gens["A3"]).norm_inf() == 0.0
-        assert (ladders["Y3"] - gens["A3"]).norm_inf() == 0.0
+        for chain in self.LADDER_CHAINS:
+            gens = chain_generators(chain)
+            fams = self.families(gens, "t")
+            for k in "123":
+                assert fams[f"Y{k}"].norm_inf() == 0.0
+                assert fams[f"X{k}"].residual_vs(gens[f"A{k}t"]) == 0.0
+            self.assert_ladder(fams, "X", chain, 1j)
 
 
 class TestConfigRoundTrip:

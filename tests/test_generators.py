@@ -14,12 +14,10 @@ from helirep.generators import (
     ab_from_families,
     basis_change,
     commutator_report,
-    gn_op,
     gn_ops,
     helicity_ops,
     relation_residuals,
     split_families,
-    waerden_op,
     waerden_ops,
 )
 from helirep.halfint import half
@@ -67,8 +65,9 @@ class TestAgainstMatrixElements:
 
     @pytest.mark.parametrize("tl, tld", [(a, b) for a in range(7) for b in range(7)])
     def test_waerden_op(self, tl, tld):
-        for kind in ("X+", "X-", "X3", "Y+", "Y-", "Y3"):
-            got = waerden_op(kind, half(tl), half(tld))
+        ops = waerden_ops(half(tl), half(tld))
+        assert list(ops) == ["X+", "X-", "X3", "Y+", "Y-", "Y3"]
+        for kind, got in ops.items():
             want = np.zeros(got.shape, dtype=complex)
             for r, row in enumerate(got.row_labels):
                 for c, col in enumerate(got.col_labels):
@@ -88,10 +87,21 @@ class TestAgainstMatrixElements:
                         want[r, c] = tc / 2
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-15)
 
-    def test_unknown_ladder_kind_rejected(self):
-        for kind in ("Z+", "X", "X+t", "x3"):
-            with pytest.raises(ValueError, match="unknown ladder operator kind"):
-                waerden_op(kind, half(1), half(1))
+
+class TestSharedLabels:
+    """Each family builder fills its six operators on one label tuple."""
+
+    @pytest.mark.parametrize("ops", [
+        lambda: gn_ops(GNRepLabel(half(1), 3)),
+        lambda: waerden_ops(half(2), half(1)),
+    ], ids=["gn_ops", "waerden_ops"])
+    def test_one_row_labels_object(self, ops):
+        ops = ops()
+        first = next(iter(ops.values()))
+        assert len(ops) == 6
+        for op in ops.values():
+            assert op.row_labels is first.row_labels
+            assert op.col_labels is first.col_labels
 
 
 class TestHelicityOps:
@@ -139,15 +149,16 @@ class TestHelicityOps:
 
 class TestWaerdenOps:
     def test_x3_diagonal_pattern(self):
-        x3 = waerden_op("X3", half(1), half(1))
+        x3 = waerden_ops(half(1), half(1))["X3"]
         np.testing.assert_allclose(np.diag(x3.data), [0.5, -0.5, 0.5, -0.5])
 
     def test_y_ladders_vanish_on_scalar_first_factor(self):
+        ops = waerden_ops(half(0), half(1))
         for kind in ("Y+", "Y-"):
-            assert waerden_op(kind, half(0), half(1)).norm_inf() == 0.0
+            assert ops[kind].norm_inf() == 0.0
 
     def test_x_plus_scalar_half(self):
-        xp = waerden_op("X+", half(0), half(1))
+        xp = waerden_ops(half(0), half(1))["X+"]
         np.testing.assert_allclose(xp.data, [[0, 1], [0, 0]])
 
     def test_pair_relations_all_small_carriers(self):
@@ -204,13 +215,13 @@ class TestGNRepLabel:
 
 class TestGNOps:
     def test_h3_smallest_tower(self):
-        h3 = gn_op("H3", GNRepLabel(half(1), 1))
+        h3 = gn_ops(GNRepLabel(half(1), 1))["H3"]
         np.testing.assert_allclose(np.diag(h3.data), [0.5, -0.5])
 
     def test_f3_smallest_tower_diagonal_coefficient(self):
         # Single-block tower: only the diagonal term survives, and the
         # diagonal coefficient evaluates to i there, so F3 = diag(-i m).
-        f3 = gn_op("F3", GNRepLabel(half(1), 1))
+        f3 = gn_ops(GNRepLabel(half(1), 1))["F3"]
         np.testing.assert_allclose(f3.data, [[-0.5j, 0], [0, 0.5j]])
 
     def test_compact_family_closes(self):
@@ -228,10 +239,6 @@ class TestGNOps:
         g = gn_ops(GNRepLabel(half(0), 1))
         for k, op in g.items():
             assert op.norm_inf() == 0.0, k
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            gn_op("G3", GNRepLabel(half(0), 1))
 
 
 class TestBasisChange:
@@ -312,6 +319,36 @@ class TestTwoSpinorAgainstTower:
         for k in ("A1", "A2", "A3", "B1", "B2", "B3"):
             got = phase[:, None] * (u.T @ two_spinor[k].data @ u) / phase
             assert np.max(np.abs(got - tower[k].data)) <= 1e-14, k
+
+
+class TestCasimirReadback:
+    """Both Casimir operators read back as scalars on both realizations:
+    C1 = sum_k (A_k^2 - B_k^2) = -(l0^2 + l1^2 - 1) and
+    C2 = sum_k A_k B_k = i l0 l1.  On the tower (l0, p), l1 = l0 + p; on
+    the (l, ldot) carrier, l0 = ldot - l (signed) and l1 = l + ldot + 1,
+    so the l > ldot carriers, which no tower reaches, are covered too.
+    C2 is the one that sees the sign of the tower's diagonal coefficient."""
+
+    @staticmethod
+    def assert_casimirs(ab, l0, l1):
+        one = CMatrix.identity(ab["A1"].row_labels)
+        a, b = ([ab[f"{f}{k}"] for k in "123"] for f in "AB")
+        c1 = sum((x @ x - y @ y for x, y in zip(a, b)), 0 * one)
+        c2 = sum((x @ y for x, y in zip(a, b)), 0 * one)
+        for got, want in ((c1, -(l0 * l0 + l1 * l1 - 1)), (c2, 1j * l0 * l1)):
+            assert got.residual_vs(want * one) <= 1e-14 * max(1.0, abs(want)), want
+
+    @pytest.mark.parametrize("tl0", range(7))
+    def test_tower(self, tl0):
+        for p in range(1, 6):
+            rep = GNRepLabel(half(tl0), p)
+            self.assert_casimirs(basis_change(gn_ops(rep)), float(rep.l0), float(rep.l1))
+
+    @pytest.mark.parametrize("tl", range(7))
+    def test_two_spinor(self, tl):
+        for tld in range(7):
+            ab = ab_from_families(waerden_ops(half(tl), half(tld)))
+            self.assert_casimirs(ab, (tld - tl) / 2, (tl + tld) / 2 + 1)
 
 
 class TestCommutatorReport:

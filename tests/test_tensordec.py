@@ -131,6 +131,14 @@ class TestCoupledVector:
             coupled_vector(a, b, half(2), half(2), 0, half(-1))
 
 
+class TestTotalOperator:
+    def test_unknown_ladder_kind_rejected(self):
+        a = RepLabel(half(1), half(1))
+        for kind in ("Z+", "X", "X+t", "x3"):
+            with pytest.raises(ValueError, match="unknown ladder operator kind"):
+                total_operator(kind, a, a)
+
+
 class TestBilinearForm:
     def test_rank_one_pair_is_skew(self):
         form = bilinear_form(1, 1, 1.0)

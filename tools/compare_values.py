@@ -1,6 +1,6 @@
 """Compare the Z^l_mn values, the rotation and boost elements, the
-clifford reports and transposition matrices and the radial solves of two
-source trees, array by array, bit for bit.
+clifford reports and transposition matrices, the radial solves and the
+generator realizations of two source trees, array by array, bit for bit.
 
 Usage:
 
@@ -46,7 +46,13 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   on 0.5:10:200), the ``repr`` of ``convergence_order`` on the suite's
   runs (Dirac and chain4, both variants), and the t, y, nfev, success
   and message of ``solve_ivp`` on the two stalling Dirac configs
-  (kappa [0, 400] and [1e300, 1e300]) and on a NaN right-hand side.
+  (kappa [0, 400] and [1e300, 1e300]) and on a NaN right-hand side;
+- the generators, one array per operator: ``gn_ops`` and
+  ``basis_change(gn_ops(...))`` for 2l0 <= 6 and p <= 5, ``waerden_ops``
+  and ``ab_from_families(waerden_ops(...))`` for 2l, 2ldot <= 8 and
+  ``helicity_ops`` for 2l <= 8; on Dirac and on each chain config of
+  ``tools/compare_outputs.py``, ``chain_generators``, the six matrices of
+  ``build_system`` and the ``repr`` of ``verify_invariance``.
 
 The script then compares the two files array by array (one array per
 function and key, per table or per report): equal means the same shape,
@@ -73,6 +79,8 @@ TABLE_EDGE = 240
 SWEEP_SPINS = (3, 10, 20, 40)   # 2l of the theta sweeps
 SWEEP_ANGLES = 10_000
 MAX_CG_TWICE_L = 8
+MAX_GN_TWICE_L0, MAX_GN_P = 6, 5    # the spin-tower carriers GNRepLabel(l0, p)
+MAX_GEN_TWICE_L = 8                 # 2l and 2ldot of the two-spin carriers
 # (l1, l2, l, m1) of TestCouplingAtHighSpin, with m2 = -m1 if l == 0 else 0
 # and m = 0: squared norms past 2^1000, refused by the gamma-ratio route.
 CG_HIGH_SPIN = [
@@ -172,6 +180,7 @@ def dump(src, path):
     out.update(_clifford_reports())
     out.update(_cg_values(half))
     out.update(_radial_values())
+    out.update(_generator_values(half))
     np.savez(path, **out)
 
 
@@ -247,6 +256,45 @@ def _radial_values():
         out[f"radial solve_ivp {name} y"] = result.y
         out[f"radial solve_ivp {name} status"] = np.array(
             repr((result.nfev, result.success, result.message)))
+    return out
+
+
+def _generator_values(half):
+    """Each generator's matrix, the six matrices of each chain system
+    (as `system_from_config` and `dirac_system` build them) and its
+    invariance report, each named ``generators ...``."""
+    from compare_outputs import CHAINS, configs
+    from helirep.gelfand_yaglom import (chain_generators, dirac_system,
+                                        system_from_config, verify_invariance)
+    from helirep.generators import (GNRepLabel, ab_from_families, basis_change, gn_ops,
+                                    helicity_ops, waerden_ops)
+
+    families = {}
+    for tl0 in range(MAX_GN_TWICE_L0 + 1):
+        for p in range(1, MAX_GN_P + 1):
+            gn = gn_ops(GNRepLabel(half(tl0), p))
+            families[f"gn_ops 2l0={tl0} p={p}"] = gn
+            families[f"basis_change 2l0={tl0} p={p}"] = basis_change(gn)
+    for tl in range(MAX_GEN_TWICE_L + 1):
+        for tld in range(MAX_GEN_TWICE_L + 1):
+            ladders = waerden_ops(half(tl), half(tld))
+            families[f"waerden_ops 2l={tl} 2ldot={tld}"] = ladders
+            families[f"ab_from_families 2l={tl} 2ldot={tld}"] = ab_from_families(ladders)
+        families[f"helicity_ops 2l={tl}"] = helicity_ops(half(tl))
+    cfgs = configs()
+    systems = {"dirac": dirac_system()}
+    systems.update((f"chain{i}", system_from_config(cfgs[f"chain{i}.json"]))
+                   for i in range(len(CHAINS)))
+    out = {}
+    for name, system in systems.items():
+        families[f"chain_generators {name}"] = chain_generators(system.chain)
+        families[f"build_system {name}"] = {
+            f"lambda{k}{c}": getattr(system, f"lambda{k}{c}")
+            for k in "123" for c in ("", "c")}
+        out[f"generators verify_invariance {name}"] = np.array(
+            repr(verify_invariance(system)))
+    out.update((f"generators {name} {kind}", op.data)
+               for name, ops in families.items() for kind, op in ops.items())
     return out
 
 
