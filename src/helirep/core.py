@@ -35,8 +35,41 @@ def enumerate_basis(l, ldot=0):
     ]
 
 
+class Labels(tuple):
+    """The distinct labels of one matrix axis with their position map,
+    checked and built once: ``Labels(x)`` is ``x`` when it already is one,
+    so every matrix on a carrier shares the carrier's labels."""
+
+    def __new__(cls, labels):
+        if isinstance(labels, cls):
+            return labels
+        self = super().__new__(cls, labels)
+        self.position = {lab: i for i, lab in enumerate(self)}
+        if len(self.position) != len(self):
+            raise ValueError("duplicate labels")
+        return self
+
+    def positions(self, labels):
+        """The positions of ``labels``; a label not among these is a
+        ValueError that names it."""
+        try:
+            return [self.position[lab] for lab in labels]
+        except KeyError as exc:
+            raise ValueError(f"label {exc.args[0]} is not on this axis") from None
+
+
+def _axes(row_labels, col_labels):
+    """The (row, column) `Labels` of a matrix: one object for both when
+    ``col_labels`` is None or ``row_labels`` itself."""
+    rows = Labels(row_labels)
+    if col_labels is None or col_labels is row_labels:
+        return rows, rows
+    return rows, Labels(col_labels)
+
+
 class CMatrix:
-    """A complex matrix with hashable row/column labels.
+    """A complex matrix whose axes carry `Labels`: one for both axes when
+    it is square, its operands' for a result of the algebra.
 
     Products and comparisons are label-aware: matmul requires the inner
     label tuples to agree, and ``residual_vs`` aligns label order before
@@ -44,22 +77,10 @@ class CMatrix:
     misalign entries.
     """
 
-    __slots__ = ("data", "row_labels", "col_labels", "_rindex", "_cindex")
+    __slots__ = ("data", "row_labels", "col_labels")
 
     def __init__(self, data, row_labels, col_labels=None):
-        if col_labels is None:
-            col_labels = row_labels
-        self.row_labels = tuple(row_labels)
-        self.col_labels = tuple(col_labels)
-        self._set_data(data)
-        self._rindex = {lab: i for i, lab in enumerate(self.row_labels)}
-        self._cindex = {lab: i for i, lab in enumerate(self.col_labels)}
-        if len(self._rindex) != len(self.row_labels):
-            raise ValueError("duplicate row labels")
-        if len(self._cindex) != len(self.col_labels):
-            raise ValueError("duplicate column labels")
-
-    def _set_data(self, data):
+        self.row_labels, self.col_labels = _axes(row_labels, col_labels)
         self.data = np.asarray(data, dtype=complex)
         if self.data.shape != (len(self.row_labels), len(self.col_labels)):
             raise ValueError(
@@ -67,35 +88,16 @@ class CMatrix:
                 f"({len(self.row_labels)}, {len(self.col_labels)})"
             )
 
-    def _with_data(self, data, labels=None):
-        """A CMatrix holding ``data`` under labels that were already checked.
-
-        ``labels`` is (row_labels, col_labels, row_index, col_index) of
-        validated operands and defaults to this matrix's own.  The tuples
-        and index maps are shared, not rebuilt; only the shape is checked.
-        """
-        if labels is None:
-            labels = (self.row_labels, self.col_labels, self._rindex, self._cindex)
-        out = object.__new__(CMatrix)
-        out.row_labels, out.col_labels, out._rindex, out._cindex = labels
-        out._set_data(data)
-        return out
-
     # -- constructors -----------------------------------------------------
     @classmethod
     def zeros(cls, row_labels, col_labels=None):
-        row_labels = tuple(row_labels)
-        col_labels = row_labels if col_labels is None else tuple(col_labels)
-        return cls(
-            np.zeros((len(row_labels), len(col_labels)), dtype=complex),
-            row_labels,
-            col_labels,
-        )
+        rows, cols = _axes(row_labels, col_labels)
+        return cls(np.zeros((len(rows), len(cols)), dtype=complex), rows, cols)
 
     @classmethod
     def identity(cls, labels):
-        labels = tuple(labels)
-        return cls(np.eye(len(labels), dtype=complex), labels, labels)
+        labels = Labels(labels)
+        return cls(np.eye(len(labels), dtype=complex), labels)
 
     # -- lookups ----------------------------------------------------------
     @property
@@ -104,34 +106,31 @@ class CMatrix:
 
     def at(self, row_label, col_label):
         """Entry addressed by labels."""
-        return complex(self.data[self._rindex[row_label], self._cindex[col_label]])
+        return complex(self.data[self.row_labels.position[row_label],
+                                 self.col_labels.position[col_label]])
 
     def reindexed(self, row_labels, col_labels=None):
         """Same matrix with rows/columns permuted to the given label order."""
-        row_labels = tuple(row_labels)
-        col_labels = row_labels if col_labels is None else tuple(col_labels)
-        if set(row_labels) != set(self.row_labels) or set(col_labels) != set(
-            self.col_labels
-        ):
+        rows, cols = _axes(row_labels, col_labels)
+        if set(rows) != set(self.row_labels) or set(cols) != set(self.col_labels):
             raise ValueError("reindex labels must be a permutation of the current ones")
-        rperm = [self._rindex[lab] for lab in row_labels]
-        cperm = [self._cindex[lab] for lab in col_labels]
-        return CMatrix(self.data[np.ix_(rperm, cperm)], row_labels, col_labels)
+        perm = np.ix_(self.row_labels.positions(rows), self.col_labels.positions(cols))
+        return CMatrix(self.data[perm], rows, cols)
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other):
         other = self._aligned(other)
-        return self._with_data(self.data + other.data)
+        return CMatrix(self.data + other.data, self.row_labels, self.col_labels)
 
     def __sub__(self, other):
         other = self._aligned(other)
-        return self._with_data(self.data - other.data)
+        return CMatrix(self.data - other.data, self.row_labels, self.col_labels)
 
     def __neg__(self):
-        return self._with_data(-self.data)
+        return CMatrix(-self.data, self.row_labels, self.col_labels)
 
     def __mul__(self, scalar):
-        return self._with_data(self.data * scalar)
+        return CMatrix(self.data * scalar, self.row_labels, self.col_labels)
 
     __rmul__ = __mul__
 
@@ -142,26 +141,24 @@ class CMatrix:
             if set(self.col_labels) != set(other.row_labels):
                 raise ValueError("matmul label mismatch")
             other = other.reindexed(self.col_labels, other.col_labels)
-        return self._with_data(
-            self.data @ other.data,
-            (self.row_labels, other.col_labels, self._rindex, other._cindex),
-        )
+        return CMatrix(self.data @ other.data, self.row_labels, other.col_labels)
 
     def dagger(self):
-        return self._with_data(
-            self.data.conj().T,
-            (self.col_labels, self.row_labels, self._cindex, self._rindex),
-        )
+        return CMatrix(self.data.conj().T, self.col_labels, self.row_labels)
 
     def commutator(self, other):
         return self @ other - other @ self
 
     def kron(self, other, combine=None):
-        """Kronecker product; labels are combined pairwise (outer, inner)."""
+        """Kronecker product; labels are combined pairwise (outer, inner),
+        on one `Labels` for both axes when both factors are square."""
         if combine is None:
             combine = lambda a, b: (a, b)
         rows = [combine(a, b) for a in self.row_labels for b in other.row_labels]
-        cols = [combine(a, b) for a in self.col_labels for b in other.col_labels]
+        if self.row_labels is self.col_labels and other.row_labels is other.col_labels:
+            cols = rows
+        else:
+            cols = [combine(a, b) for a in self.col_labels for b in other.col_labels]
         return CMatrix(np.kron(self.data, other.data), rows, cols)
 
     # -- metrics ----------------------------------------------------------

@@ -22,11 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import _SIGMA
-from .core import CMatrix
+from .core import CMatrix, Labels
 from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
                          relation_residuals)
 from .halfint import HalfInt, half, lrange, mrange
-from .kernels import _finite, _int_arg
+from .kernels import _dense_rows, _finite, _int_arg
 from .tensordec import RepLabel
 
 
@@ -61,8 +61,9 @@ class RepChain:
         if not reps:
             raise ValueError("chain needs at least one representation")
         object.__setattr__(self, "reps", reps)
+        _dense_rows(self.dim)
         # The carrier labels, built once with the chain (see `basis`).
-        object.__setattr__(self, "_basis", tuple(
+        object.__setattr__(self, "_basis", Labels(
             ChainIndex(k, l, m) for k, l in self.tower_slices() for m in mrange(l)))
 
     @property
@@ -102,9 +103,9 @@ class RepChain:
     def basis(self):
         """Chain carrier labels in the order of `tower_slices`, as a list.
 
-        The labels are built once per chain: the matrices of a chain share
-        the label objects, so their products and compares match labels by
-        identity, not field by field.
+        The labels are built once per chain, as one `core.Labels` that
+        every matrix of the chain shares, so their products and compares
+        match labels by identity, not field by field.
         """
         return list(self._basis)
 
@@ -194,7 +195,7 @@ def _assemble_one(chain, table, sector):
     for (kp, k, lp, l), value in table.items():
         v3 = _tower_link(l, (lp.twice - l.twice) // 2)[2]
         data[slices[kp, lp], slices[k, l]] = value * v3
-    return CMatrix(data, chain.basis())
+    return CMatrix(data, chain._basis)
 
 
 def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
@@ -230,11 +231,10 @@ def chain_generators(chain: RepChain):
     together with -i times itself — the sign that closes the conjugate
     invariance tables.
     """
-    basis = chain.basis()
     rots = _cartesian(*_chain_ladder(chain), _FLAVORS["hermitian"][1])
     out = {}
     for i in "123":
-        rot = CMatrix(rots[i], basis)
+        rot = CMatrix(rots[i], chain._basis)
         out[f"A{i}"] = rot
         out[f"B{i}"] = rot * 1j
         out[f"A{i}t"] = -rot
@@ -388,13 +388,13 @@ def verify_invariance(system: GYSystem, tol=1e-10):
     # Y = -iJ and X = 0 in the plain sector, X = iJ and Y = 0 in the
     # conjugate one (`split_families` of A, B and of At, Bt).
     jp, jm, j3 = _chain_ladder(system.chain)
-    zero = CMatrix.zeros(system.chain.basis())
+    zero = CMatrix.zeros(system.chain._basis)
     for l3, tag, own, other, t, scale in (
         (system.lambda3, "", "Y", "X", "", -1j),
         (system.lambda3c, "c", "X", "Y", "t", 1j),
     ):
         name = f"lambda3{tag}"
-        up, down, three = (zero._with_data(scale * j) for j in (jp, jm, j3))
+        up, down, three = (CMatrix(scale * j, zero.row_labels) for j in (jp, jm, j3))
         rows.append((f"[{own}+{t},[{name},{own}-{t}]]=2*{name}", up,
                      l3.commutator(down), l3 * 2.0))
         rows.append((f"[{name},{own}3{t}]=0", l3, three, None))
@@ -413,27 +413,27 @@ def extract_spin_blocks(mat: CMatrix, chain: RepChain):
     """Projection blocks of an m-preserving chain matrix.
 
     Returns one sub-matrix per projection value, each on the labels
-    that carry that projection (in carrier order).
+    that carry that projection (in carrier order).  A chain label that is
+    not on ``mat`` is a ValueError naming it.
     """
-    basis = chain.basis()
     groups = {}
-    for label in basis:
+    for label in chain._basis:
         groups.setdefault(label.m, []).append(label)
     blocks = {}
     for m, labels in groups.items():
-        idx = [mat._rindex[lab] for lab in labels]
-        blocks[m] = CMatrix(mat.data[np.ix_(idx, idx)], tuple(labels))
+        idx = np.ix_(mat.row_labels.positions(labels), mat.col_labels.positions(labels))
+        blocks[m] = CMatrix(mat.data[idx], labels)
     return blocks
 
 
 def reassemble_spin_blocks(blocks, chain: RepChain):
-    """Inverse of block extraction: place every block back on the carrier."""
-    basis = chain.basis()
-    out = CMatrix.zeros(basis)
+    """Inverse of block extraction: place every block back on the carrier
+    (a block label that is not on the chain is a ValueError naming it)."""
+    out = CMatrix.zeros(chain._basis)
     for block in blocks.values():
-        rows = [out._rindex[label] for label in block.row_labels]
-        cols = [out._cindex[label] for label in block.col_labels]
-        out.data[np.ix_(rows, cols)] = block.data
+        idx = np.ix_(out.row_labels.positions(block.row_labels),
+                     out.col_labels.positions(block.col_labels))
+        out.data[idx] = block.data
     return out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CMatrix, enumerate_basis
+from .core import CMatrix, Labels, enumerate_basis
 from .halfint import HalfInt, _weights, lrange, mrange
 from .kernels import _dense_rows, _int_arg
 
@@ -76,14 +76,6 @@ def _tower_link(l, step):
 _LADDER_KINDS = ("X+", "X-", "X3", "Y+", "Y-", "Y3")
 
 
-def _family(kinds, stack, labels):
-    """A family of operators as a dict keyed by ``kinds``, every member on
-    one shared label tuple (the labels and their index maps are built once)."""
-    ops = [CMatrix(stack[0], labels)]
-    ops += [ops[0]._with_data(data) for data in stack[1:]]
-    return dict(zip(kinds, ops))
-
-
 def waerden_ops(l, ldot):
     """The six ladder operators on the two-spin weight basis as a dict.
 
@@ -95,10 +87,10 @@ def waerden_ops(l, ldot):
     """
     (l,), (ldot,) = _weights(l), _weights(ldot)
     _dense_rows((l.twice + 1) * (ldot.twice + 1))
-    basis = enumerate_basis(l, ldot)
+    basis = Labels(enumerate_basis(l, ldot))
     stack = [np.kron(np.eye(l.twice + 1), j) for j in _ladder(ldot)]
     stack += [np.kron(j, np.eye(ldot.twice + 1)) for j in _ladder(l)]
-    return _family(_LADDER_KINDS, stack, basis)
+    return {kind: CMatrix(data, basis) for kind, data in zip(_LADDER_KINDS, stack)}
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +169,9 @@ def gn_ops(rep: GNRepLabel):
                 for part, sign, block in zip(f, _GN_LINK_SIGNS[step],
                                              _tower_link(l, step)):
                     part[span(l + step), span(l)] = (link if sign > 0 else -link) * block
-    return _family(("H+", "H-", "H3", "F+", "F-", "F3"), data, rep.basis())
+    basis = Labels(rep.basis())
+    return {kind: CMatrix(part, basis)
+            for kind, part in zip(("H+", "H-", "H3", "F+", "F-", "F3"), data)}
 
 
 # ---------------------------------------------------------------------------

@@ -516,6 +516,17 @@ class TestExitTwoBoundary:
         err = self.check(capsys, command + ["--chain", str(path)])
         assert err == f"helirep: invalid chain config {str(path)!r}: reps[1] needs 'l2'\n"
 
+    @pytest.mark.parametrize("command", [["verify", "gy"], ["gy-build"], ["radial"]],
+                             ids=["verify-gy", "gy-build", "radial"])
+    def test_chain_above_the_dense_gate(self, capsys, tmp_path, command):
+        # 4225 rows: refused before any label or matrix is built.
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"reps": [{"l1": "32", "l2": "32"}]}))
+        err = self.check(capsys, command + ["--chain", str(path),
+                                            "--out", str(tmp_path / "out")])
+        assert err == (f"helirep: invalid chain config {str(path)!r}: dense carrier "
+                       "rows must be an integer between 1 and 4096, got 4225\n")
+
 
 class TestDeterminism:
     def test_zfun_bytes_stable(self, capsys):

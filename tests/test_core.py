@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helirep.core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
+from helirep.core import BasisIndex, CMatrix, GroupPoint, Labels, enumerate_basis
 from helirep.halfint import half
+from helirep.hyperspherical import z_matrix
 
 
 class TestEnumerateBasis:
@@ -120,13 +121,66 @@ class TestCMatrix:
             fresh = CMatrix(got.data, want_rows, want_cols)
             assert got.row_labels == fresh.row_labels
             assert got.col_labels == fresh.col_labels
-            assert got._rindex == fresh._rindex
-            assert got._cindex == fresh._cindex
+            assert got.row_labels.position == fresh.row_labels.position
+            assert got.col_labels.position == fresh.col_labels.position
             assert got.data.dtype == complex
             assert np.array_equal(got.data, fresh.data)
         assert np.array_equal((a + swapped).data, a.data + b.data)
         assert np.array_equal((a @ c).data, a.data @ c.data[::-1])
         assert np.array_equal(a.dagger().data, a.data.conj().T)
+
+    def test_results_reuse_their_operands_labels(self):
+        rows, cols = enumerate_basis(1), enumerate_basis(half(1))
+        a = CMatrix(np.ones((3, 2)), rows, cols)
+        b = CMatrix(np.ones((2, 4)), a.col_labels, ["x", "y", "z", "w"])
+        for got in (a + a, a - a, -a, a * 2.0, 3.0 * a):
+            assert got.row_labels is a.row_labels
+            assert got.col_labels is a.col_labels
+        assert (a @ b).row_labels is a.row_labels
+        assert (a @ b).col_labels is b.col_labels
+        assert a.dagger().row_labels is a.col_labels
+        assert a.dagger().col_labels is a.row_labels
+
+    @pytest.mark.parametrize("build", [
+        lambda: CMatrix(np.eye(2), ["u", "v"]),
+        lambda: CMatrix(np.eye(2), *[["u", "v"]] * 2),
+        lambda: CMatrix.zeros(["u", "v"]),
+        lambda: CMatrix.identity(["u", "v"]),
+        lambda: CMatrix(np.eye(2), ["u", "v"], ["v", "u"]).reindexed(*[["v", "u"]] * 2),
+        lambda: CMatrix.identity(["u"]).kron(CMatrix.identity(["v", "w"])),
+        lambda: z_matrix(half(3), 0.3, 0.2),
+    ], ids=["constructor", "same-list", "zeros", "identity", "reindexed", "kron",
+            "z_matrix"])
+    def test_square_matrices_share_one_labels(self, build):
+        m = build()
+        assert isinstance(m.row_labels, Labels)
+        assert m.col_labels is m.row_labels
+
+    def test_equal_but_distinct_column_labels_stay_apart(self):
+        m = CMatrix.zeros(["u", "v"], ["u", "v"])
+        assert m.col_labels == m.row_labels
+        assert m.col_labels is not m.row_labels
+        k = CMatrix.identity(["u"]).kron(m)
+        assert k.col_labels is not k.row_labels
+
+
+class TestLabels:
+    def test_labels_are_built_once(self):
+        labels = Labels(["a", "b", "c"])
+        assert Labels(labels) is labels
+        assert labels == ("a", "b", "c")
+        assert labels.position == {"a": 0, "b": 1, "c": 2}
+
+    def test_duplicates_rejected(self):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            Labels(["a", "b", "a"])
+
+    def test_positions_name_a_missing_label(self):
+        labels = Labels(["a", "b", "c"])
+        assert labels.positions(["c", "a"]) == [2, 0]
+        with pytest.raises(ValueError, match="label d is not on this axis"):
+            labels.positions(["a", "d"])
+
 
 class TestGroupPoint:
     def test_as_tuple_order(self):

@@ -325,6 +325,32 @@ class TestSpinBlocks:
         eigs = np.linalg.eigvals(block.data)
         assert sorted(eigs.imag) == pytest.approx([-0.5, 0.5], abs=1e-12)
 
+    def test_matrix_without_the_chain_labels_is_named(self):
+        with pytest.raises(ValueError, match=r"label \[0\]\(1/2,1/2\) is not on this axis"):
+            extract_spin_blocks(CMatrix.identity(["a", "b", "c", "d"]), dirac_chain())
+
+    def test_blocks_of_another_chain_are_named(self):
+        chain = CHAINS[2]  # a spin-3/2 tower, which the Dirac chain lacks
+        system = build_system(chain, random_table(chain, np.random.default_rng(SEED)))
+        blocks = extract_spin_blocks(system.lambda3, chain)
+        with pytest.raises(ValueError, match=r"label \[0\]\(3/2,1/2\) is not on this axis"):
+            reassemble_spin_blocks(blocks, dirac_chain())
+
+
+class TestDenseSizeGate:
+    """A chain above 4096 rows is refused before any label or matrix is
+    built; no test builds one near the cap."""
+
+    @pytest.mark.parametrize("spin", ["32", 10**6], ids=["4225-rows", "spin-1e6"])
+    def test_refused_before_any_label(self, monkeypatch, spin):
+        def no_labels(*args):
+            raise AssertionError("a chain label was built")
+
+        monkeypatch.setattr("helirep.gelfand_yaglom.ChainIndex", no_labels)
+        with pytest.raises(ValueError, match="dense carrier rows must be an integer "
+                                             "between 1 and 4096, got "):
+            RepChain([(spin, spin)])
+
 
 class TestLadderStructure:
     """The ladders `verify_invariance` reads are those of the generator

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from helirep.core import CMatrix, enumerate_basis
+from helirep.gelfand_yaglom import (CoeffTable, RepChain, build_system, chain_generators,
+                                    dirac_system)
 from helirep.generators import (
     GNRepLabel,
     _cartesianize,
@@ -89,7 +91,8 @@ class TestAgainstMatrixElements:
 
 
 class TestSharedLabels:
-    """Each family builder fills its six operators on one label tuple."""
+    """Each carrier builds its `Labels` once, and every operator on it
+    uses that one object for both axes."""
 
     @pytest.mark.parametrize("ops", [
         lambda: gn_ops(GNRepLabel(half(1), 3)),
@@ -101,7 +104,23 @@ class TestSharedLabels:
         assert len(ops) == 6
         for op in ops.values():
             assert op.row_labels is first.row_labels
-            assert op.col_labels is first.col_labels
+            assert op.col_labels is first.row_labels
+
+    @pytest.mark.parametrize("system", [
+        dirac_system,
+        lambda: build_system(RepChain(((half(1), 1), (1, half(1)))),
+                             CoeffTable({(0, 1, half(1), half(1)): 1.0})),
+    ], ids=["dirac", "two-towers-per-rep"])
+    def test_chain_matrices_share_the_chain_labels(self, system):
+        system = system()
+        labels = system.chain._basis
+        assert labels == tuple(system.chain.basis())
+        mats = [getattr(system, f"lambda{k}{c}") for k in "123" for c in ("", "c")]
+        mats += chain_generators(system.chain).values()
+        assert len(mats) == 6 + 12
+        for mat in mats:
+            assert mat.row_labels is labels
+            assert mat.col_labels is labels
 
 
 class TestHelicityOps:

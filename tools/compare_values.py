@@ -52,7 +52,9 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   and ``ab_from_families(waerden_ops(...))`` for 2l, 2ldot <= 8 and
   ``helicity_ops`` for 2l <= 8; on Dirac and on each chain config of
   ``tools/compare_outputs.py``, ``chain_generators``, the six matrices of
-  ``build_system`` and the ``repr`` of ``verify_invariance``.
+  ``build_system`` and the ``repr`` of ``verify_invariance``; with each
+  operator and chain matrix also the ``str`` of its row labels and of its
+  column labels, so a changed label order or label differs too.
 
 The script then compares the two files array by array (one array per
 function and key, per table or per report): equal means the same shape,
@@ -260,9 +262,10 @@ def _radial_values():
 
 
 def _generator_values(half):
-    """Each generator's matrix, the six matrices of each chain system
-    (as `system_from_config` and `dirac_system` build them) and its
-    invariance report, each named ``generators ...``."""
+    """Each generator's matrix and its row and column labels, the six
+    matrices of each chain system (as `system_from_config` and
+    `dirac_system` build them) with their labels, and its invariance
+    report, each named ``generators ...``."""
     from compare_outputs import CHAINS, configs
     from helirep.gelfand_yaglom import (chain_generators, dirac_system,
                                         system_from_config, verify_invariance)
@@ -293,8 +296,11 @@ def _generator_values(half):
             for k in "123" for c in ("", "c")}
         out[f"generators verify_invariance {name}"] = np.array(
             repr(verify_invariance(system)))
-    out.update((f"generators {name} {kind}", op.data)
-               for name, ops in families.items() for kind, op in ops.items())
+    for name, ops in families.items():
+        for kind, op in ops.items():
+            out[f"generators {name} {kind}"] = op.data
+            out[f"generators {name} {kind} row_labels"] = np.array(str(op.row_labels))
+            out[f"generators {name} {kind} col_labels"] = np.array(str(op.col_labels))
     return out
 
 
