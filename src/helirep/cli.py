@@ -35,7 +35,7 @@ from .gelfand_yaglom import dirac_system, system_from_config
 from .halfint import HalfInt
 from .hyperspherical import z_grid, z_series_grid
 from .radial import assemble_rfs, bessel_probe, integrate, residual
-from .suites import DEFAULT_TOLERANCES, SUITES, run_suite
+from .suites import CHAIN_SUITES, SUITES, run_suite
 
 TOL_ENV = "HELIREP_TOL"
 
@@ -208,7 +208,7 @@ def cmd_verify(args):
     elif TOL_ENV in os.environ:
         tol = _finite(os.environ[TOL_ENV], TOL_ENV, positive=True)
     system = None
-    if suite in ("gy", "radial") and args.chain:
+    if suite in CHAIN_SUITES and args.chain:
         system = _load_system(args.chain)
     suite_report = run_suite(suite, tol=tol, system=system)
     checks = suite_report["checks"]

@@ -105,9 +105,9 @@ class CMatrix:
         return self.data.shape
 
     def at(self, row_label, col_label):
-        """Entry addressed by labels."""
-        return complex(self.data[self.row_labels.position[row_label],
-                                 self.col_labels.position[col_label]])
+        """Entry addressed by labels (a missing one is a ValueError naming it)."""
+        return complex(self.data[self.row_labels.positions([row_label])[0],
+                                 self.col_labels.positions([col_label])[0]])
 
     def reindexed(self, row_labels, col_labels=None):
         """Same matrix with rows/columns permuted to the given label order."""

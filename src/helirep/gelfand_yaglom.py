@@ -168,10 +168,15 @@ class CoeffTable:
         return out
 
 
-def _check_table(chain, table, sector):
-    """Reject a coefficient whose reps or towers the chain cannot carry."""
+def _stretch(chain, table, sector, weight):
+    """The one walk of a sector's coefficient table: each coefficient is
+    checked against the chain, then ``value * weight(step, lp, links)``
+    is placed on the dense block from tower (k, l) to (kp, lp), where
+    step = lp - l and ``links`` are `_tower_link(l, step)`'s (V+, V-, V3)."""
     nreps = len(chain.reps)
-    for kp, k, lp, l in table:
+    slices = chain.tower_slices()
+    data = np.zeros((chain.dim, chain.dim), dtype=complex)
+    for (kp, k, lp, l), value in table.items():
         if max(kp, k) >= nreps:  # rep numbers are counts (CoeffTable)
             raise ValueError(f"{sector} coefficient names rep {max(kp, k)}, "
                              f"chain has {nreps}")
@@ -179,36 +184,30 @@ def _check_table(chain, table, sector):
             raise ValueError(
                 f"{sector} coefficient on non-interlocking pair ({kp}, {k})"
             )
-        if lp not in chain.tower_spins(kp) or l not in chain.tower_spins(k):
+        if (kp, lp) not in slices or (k, l) not in slices:
             raise ValueError(
                 f"{sector} coefficient targets tower ({lp}, {l}) "
                 f"absent from reps ({kp}, {k})"
             )
-
-
-def _assemble_one(chain, table, sector):
-    """One sector's longitudinal matrix: each coefficient times the V3
-    block of `_tower_link` between its two towers."""
-    _check_table(chain, table, sector)
-    slices = chain.tower_slices()
-    data = np.zeros((chain.dim, chain.dim), dtype=complex)
-    for (kp, k, lp, l), value in table.items():
-        v3 = _tower_link(l, (lp.twice - l.twice) // 2)[2]
-        data[slices[kp, lp], slices[k, l]] = value * v3
-    return CMatrix(data, chain._basis)
+        step = (lp.twice - l.twice) // 2
+        data[slices[kp, lp], slices[k, l]] = value * weight(
+            step, lp, _tower_link(l, step))
+    return data
 
 
 def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
     """Longitudinal matrices for both sectors from the coefficient table.
 
-    Each reduced coefficient is stretched over matching projections:
-    sqrt(l^2 - m^2) one tower down, m on the tower, and
-    sqrt((l+1)^2 - m^2) one tower up.  Everything else is zero.
+    Each reduced coefficient is stretched over matching projections by
+    its towers' V3 block: sqrt(l^2 - m^2) one tower down, m on the tower,
+    and sqrt((l+1)^2 - m^2) one tower up.  Everything else is zero.
     """
-    return (
-        _assemble_one(chain, coeffs.undotted, "plain"),
-        _assemble_one(chain, coeffs.dotted, "conjugate"),
-    )
+    def v3(step, lp, links):
+        return links[2]
+
+    return tuple(CMatrix(_stretch(chain, table, sector, v3), chain._basis)
+                 for table, sector in ((coeffs.undotted, "plain"),
+                                       (coeffs.dotted, "conjugate")))
 
 
 def _chain_ladder(chain: RepChain):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BasisIndex, CMatrix, GroupPoint, enumerate_basis
+from .core import BasisIndex, CMatrix, GroupPoint
 from .halfint import HalfInt, _weights, mrange
 from .kernels import (_ANGLES, _Memo, _finite, _horner, _ksum, _powers,
                       _squares, _stack, ipow, ln_factorial)
@@ -374,8 +374,5 @@ def rep_matrix(l, ldot, g: GroupPoint):
     left = m_matrix(l, g)
     right = m_matrix(ldot, g)
     right = CMatrix(right.data.conj(), right.row_labels, right.col_labels)
-    combined = left.kron(
-        right, combine=lambda a, b: BasisIndex(l, a, ldot, b)
-    )
-    want = enumerate_basis(l, ldot)
-    return combined.reindexed(want, want)
+    # Outer m, inner mdot, both descending: the order of `enumerate_basis`.
+    return left.kron(right, combine=lambda a, b: BasisIndex(l, a, ldot, b))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gelfand_yaglom import GYSystem, RepChain, _check_table
-from .generators import _alpha, _tower_link
+from .gelfand_yaglom import GYSystem, RepChain, _stretch
+from .generators import _alpha
 from .halfint import HalfInt, _weights
 from .kernels import _finite, _int_arg
 
@@ -88,23 +88,20 @@ _INV_R = {
 def _assemble_block(chain, table, lambda3, kappa, spec_l, spec_m, variant,
                     sector):
     """One sector's block: A is twice the sector's longitudinal matrix;
-    C stretches each table coefficient over its tower pair with the
-    `_tower_link` blocks, the cross terms scaled by the spectator's
+    C stretches the table through `gelfand_yaglom._stretch` with the 1/r
+    weight of each tower step, the cross terms scaled by the spectator's
     lowering and raising ladder factors."""
-    _check_table(chain, table, sector)
-    slices = chain.tower_slices()
-    inv_r = np.zeros(lambda3.shape, dtype=complex)
     down, up = _alpha(spec_l, spec_m), _alpha(spec_l, spec_m + 1)
     flip = -1.0 if variant == "alt" else 1.0
-    for (kr, ks, lr, ls), value in table.items():
-        step = (lr.twice - ls.twice) // 2
+
+    def weight(step, lr, links):
         diag, plus, minus = _INV_R[step]
-        vp, vm, v3 = _tower_link(ls, step)
-        weight = flip * diag(float(lr)) * v3 + 1j * (
+        vp, vm, v3 = links
+        return flip * diag(float(lr)) * v3 + 1j * (
             plus * down * vp + minus * up * vm)
-        inv_r[slices[kr, lr], slices[ks, ls]] += value * weight
-    return RadialBlock(lambda3.row_labels, 2 * lambda3.data, inv_r,
-                       complex(kappa))
+
+    return RadialBlock(lambda3.row_labels, 2 * lambda3.data,
+                       _stretch(chain, table, sector, weight), complex(kappa))
 
 
 def assemble_rfs(system: GYSystem, l0, l0_dot, variant="printed", mdot=None, m=None):
@@ -479,21 +476,22 @@ def _peaks(mag):
     return np.flatnonzero((inner >= mag[:-2]) & (inner >= mag[2:])) + 1
 
 
-def bessel_probe(solution: RadialSolution, component=None):
-    """Cylinder-asymptotics check of one solution component.
+def bessel_probe(solution: RadialSolution):
+    """Cylinder-asymptotics check of the largest solution component.
 
     Fits the power-law exponent of the oscillation envelope and the
-    constancy of the local wavelength.  Verdicts: ``pass`` when the
-    envelope exponent is -0.5 +- 0.1 and the wavelength drift is below
-    five percent, ``fail`` otherwise, and ``inconclusive`` when fewer
-    than three full oscillation periods are present (no oscillation at
-    all is an outright fail).
+    constancy of the local wavelength, from the zero crossings of the
+    real part (of the imaginary part if the real part is all zero).
+    Verdicts: ``pass`` when the envelope exponent is -0.5 +- 0.1 and the
+    wavelength drift is below five percent, ``fail`` otherwise, and
+    ``inconclusive`` when fewer than three full oscillation periods are
+    present (no oscillation at all, as in the zero solution, is a fail).
     """
     r = solution.grid
-    if component is None:
-        component = int(np.argmax(np.max(np.abs(solution.values), axis=0)))
+    component = int(np.argmax(np.max(np.abs(solution.values), axis=0)))
     y = solution.values[:, component]
-    crossings = _zero_crossings(r, y.real)
+    part = y.real if y.real.any() else y.imag
+    crossings = _zero_crossings(r, part) if part.any() else ()
     report = {
         "component": str(solution.labels[component]),
         "sector": solution.sector,

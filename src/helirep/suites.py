@@ -293,12 +293,15 @@ SUITES = {
     "radial": suite_radial,
 }
 
+# The suites that run on a chain system (``run_suite``'s ``system``).
+CHAIN_SUITES = ("gy", "radial")
+
 
 def run_suite(name, tol=None, system=None):
     """Run one named suite; ``system`` feeds the chain-based suites."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
     tol = DEFAULT_TOLERANCES[name] if tol is None else float(tol)
-    if name in ("gy", "radial"):
+    if name in CHAIN_SUITES:
         return SUITES[name](tol, system=system)
     return SUITES[name](tol)

@@ -366,6 +366,17 @@ class TestRadial:
         assert capsys.readouterr().out == ""
         assert len(path.read_text().splitlines()) == 102
 
+    def test_zero_init_reports_no_oscillation(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = run_json(capsys, "radial", "--chain", "dirac",
+                                 "--init", "0,0,0,0", "--grid", "0.5:20:200")
+        assert code == 0
+        assert rep["residuals"]["equation_defect"] == 0.0
+        probe = rep["results"]["probe"]
+        assert (probe["verdict"], probe["detail"]) == ("fail", "no oscillation detected")
+        assert probe["periods"] == 0.0
+
     def test_wrong_init_length(self, capsys):
         assert main(["radial", "--chain", "dirac", "--init", "1,0"]) == 2
 

@@ -5,7 +5,7 @@ import pytest
 
 from helirep.core import BasisIndex, CMatrix, GroupPoint, Labels, enumerate_basis
 from helirep.halfint import half
-from helirep.hyperspherical import z_matrix
+from helirep.hyperspherical import m_matrix, rep_matrix, z_matrix
 
 
 class TestEnumerateBasis:
@@ -149,12 +149,31 @@ class TestCMatrix:
         lambda: CMatrix(np.eye(2), ["u", "v"], ["v", "u"]).reindexed(*[["v", "u"]] * 2),
         lambda: CMatrix.identity(["u"]).kron(CMatrix.identity(["v", "w"])),
         lambda: z_matrix(half(3), 0.3, 0.2),
+        lambda: rep_matrix(1, half(1), GroupPoint(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)),
     ], ids=["constructor", "same-list", "zeros", "identity", "reindexed", "kron",
-            "z_matrix"])
+            "z_matrix", "rep_matrix"])
     def test_square_matrices_share_one_labels(self, build):
         m = build()
         assert isinstance(m.row_labels, Labels)
         assert m.col_labels is m.row_labels
+
+    @pytest.mark.parametrize("l, ldot", [(half(1), 0), (1, half(1)), (half(3), 2), (0, 1)])
+    def test_rep_matrix_is_the_kronecker_product_on_the_weight_basis(self, l, ldot):
+        g = GroupPoint(0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+        m = rep_matrix(l, ldot, g)
+        assert m.row_labels == tuple(enumerate_basis(l, ldot))
+        assert m.col_labels is m.row_labels
+        want = np.kron(m_matrix(l, g).data, m_matrix(ldot, g).data.conj())
+        assert m.data.tobytes() == want.tobytes()
+
+    def test_at_reads_by_label_and_names_a_missing_one(self):
+        m = CMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), ["a", "b"], ["x", "y"])
+        assert m.at("b", "x") == 3.0
+        for row, col, missing in (("c", "x", "c"), ("a", "b", "b")):
+            with pytest.raises(ValueError, match=f"label {missing} is not on this axis"):
+                m.at(row, col)
+        with pytest.raises(ValueError, match="label b is not on this axis"):
+            CMatrix.identity(["a"]).at("b", "a")
 
     def test_equal_but_distinct_column_labels_stay_apart(self):
         m = CMatrix.zeros(["u", "v"], ["u", "v"])

@@ -347,6 +347,32 @@ class TestBesselProbe:
         assert report["verdict"] == "inconclusive"
         assert report["periods"] < 3
 
+    def test_zero_solution_has_no_oscillation(self):
+        sol = integrate(dirac_radial("printed"), 0.5, 20.0, np.zeros(4), 200)
+        assert not sol.values.any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = bessel_probe(sol)
+        assert report == {
+            "component": "[0](1/2,1/2)", "sector": "plain", "variant": "printed",
+            "verdict": "fail", "detail": "no oscillation detected", "periods": 0.0,
+            "envelope_exponent": None, "wavelength_drift": None,
+        }
+
+    @pytest.mark.parametrize("sector", ["plain", "conjugate"])
+    @pytest.mark.parametrize("variant", ["printed", "alt"])
+    def test_imaginary_init_reads_as_the_real_one(self, variant, sector):
+        """The Dirac radial system is real, so the 1j init's solution is
+        exactly 1j times the 1 init's, with an all-zero real part."""
+        rs = dirac_radial(variant)
+        real, imag = (integrate(rs, 0.5, 60.0, [scale, 0, 0, 0], 2000, sector)
+                      for scale in (1.0, 1j))
+        assert np.array_equal(imag.values, 1j * real.values)
+        assert not imag.values.real.any()
+        want = bessel_probe(real)
+        assert want["periods"] == 9.0
+        assert bessel_probe(imag) == want
+
 
 def _crossings_by_loop(x, y):
     out = []

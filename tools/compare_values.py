@@ -47,6 +47,12 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   runs (Dirac and chain4, both variants), and the t, y, nfev, success
   and message of ``solve_ivp`` on the two stalling Dirac configs
   (kappa [0, 400] and [1e300, 1e300]) and on a NaN right-hand side;
+- the radial assembly: ``assemble_rfs`` of Dirac and of chain0 to chain6
+  of ``tools/compare_outputs.py`` (chain5 and chain6 assemble, though
+  ``integrate`` refuses them), both variants, at the top weights, at
+  (top + 1, top + 2), and at (top + 1, top + 1) with ``mdot = top`` and
+  ``m = -top``; ``deriv`` and ``inv_r`` of both sectors and the ``str`` of
+  each block's labels;
 - the generators, one array per operator: ``gn_ops`` and
   ``basis_change(gn_ops(...))`` for 2l0 <= 6 and p <= 5, ``waerden_ops``
   and ``ab_from_families(waerden_ops(...))`` for 2l, 2ldot <= 8 and
@@ -59,7 +65,8 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
 The script then compares the two files array by array (one array per
 function and key, per table or per report): equal means the same shape,
 dtype and bytes, so a changed sign of zero or NaN payload counts.  It
-prints each differing array and the count, and exits 1 if any differs
+prints each differing array (marked "signs of zero only" where its values
+are still ``np.array_equal``) and the count, and exits 1 if any differs
 (2 if a tree fails to evaluate).  Needs numpy; the two subprocesses run at once.
 """
 
@@ -182,6 +189,7 @@ def dump(src, path):
     out.update(_clifford_reports())
     out.update(_cg_values(half))
     out.update(_radial_values())
+    out.update(_radial_assembly_values())
     out.update(_generator_values(half))
     np.savez(path, **out)
 
@@ -261,14 +269,49 @@ def _radial_values():
     return out
 
 
+def _chain_systems():
+    """Dirac (``dirac_system``) and each chain config of
+    ``tools/compare_outputs.py`` (``system_from_config``), by name."""
+    from compare_outputs import CHAINS, configs
+    from helirep.gelfand_yaglom import dirac_system, system_from_config
+
+    cfgs = configs()
+    systems = {"dirac": dirac_system()}
+    systems.update((f"chain{i}", system_from_config(cfgs[f"chain{i}.json"]))
+                   for i in range(len(CHAINS)))
+    return systems
+
+
+def _radial_assembly_values():
+    """Both blocks of ``assemble_rfs`` at three weight choices per chain
+    and variant, each named ``radial assemble_rfs ...``."""
+    from helirep.radial import assemble_rfs
+
+    out = {}
+    for name, system in _chain_systems().items():
+        top = system.chain.top_spin
+        weights = {"top": ((top, top), {}),
+                   "top+1 top+2": ((top + 1, top + 2), {}),
+                   "top+1 top+1 mdot=top m=-top": ((top + 1, top + 1),
+                                                   {"mdot": top, "m": -top})}
+        for variant in ("printed", "alt"):
+            for label, (pair, projections) in weights.items():
+                rs = assemble_rfs(system, *pair, variant=variant, **projections)
+                for sector in ("plain", "conjugate"):
+                    block = rs.block(sector)
+                    key = f"radial assemble_rfs {name} {variant} {label} {sector}"
+                    out[f"{key} deriv"] = block.deriv
+                    out[f"{key} inv_r"] = block.inv_r
+                    out[f"{key} labels"] = np.array(str(block.labels))
+    return out
+
+
 def _generator_values(half):
     """Each generator's matrix and its row and column labels, the six
     matrices of each chain system (as `system_from_config` and
     `dirac_system` build them) with their labels, and its invariance
     report, each named ``generators ...``."""
-    from compare_outputs import CHAINS, configs
-    from helirep.gelfand_yaglom import (chain_generators, dirac_system,
-                                        system_from_config, verify_invariance)
+    from helirep.gelfand_yaglom import chain_generators, verify_invariance
     from helirep.generators import (GNRepLabel, ab_from_families, basis_change, gn_ops,
                                     helicity_ops, waerden_ops)
 
@@ -284,12 +327,8 @@ def _generator_values(half):
             families[f"waerden_ops 2l={tl} 2ldot={tld}"] = ladders
             families[f"ab_from_families 2l={tl} 2ldot={tld}"] = ab_from_families(ladders)
         families[f"helicity_ops 2l={tl}"] = helicity_ops(half(tl))
-    cfgs = configs()
-    systems = {"dirac": dirac_system()}
-    systems.update((f"chain{i}", system_from_config(cfgs[f"chain{i}.json"]))
-                   for i in range(len(CHAINS)))
     out = {}
-    for name, system in systems.items():
+    for name, system in _chain_systems().items():
         families[f"chain_generators {name}"] = chain_generators(system.chain)
         families[f"build_system {name}"] = {
             f"lambda{k}{c}": getattr(system, f"lambda{k}{c}")
@@ -353,8 +392,11 @@ def _differing(name, a, b):
     report."""
     stack = _stack_of(name)
     if stack is None:
-        same = a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        return [] if same else [name]
+        alike = a.shape == b.shape and a.dtype == b.dtype
+        if alike and a.tobytes() == b.tobytes():
+            return []
+        zeros = alike and a.dtype.kind in "fc" and np.array_equal(a, b)
+        return [f"{name} (signs of zero only)" if zeros else name]
     if a.shape != b.shape or a.dtype != b.dtype:
         return [f"{name}: shape or dtype"]
     keys, labels = stack[0](), stack[1]
