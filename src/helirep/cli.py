@@ -243,10 +243,11 @@ def cmd_gy_build(args):
     written = []
     for field in _GENERATOR_FIELDS:
         mat = getattr(system, field)
+        parts = mat.data + 0.0  # each -0.0 part becomes 0.0, as in _pair
         payload = {
             "name": field,
             "labels": [str(label) for label in mat.row_labels],
-            "matrix": [[_pair(entry) for entry in row] for row in mat.data],
+            "matrix": np.stack((parts.real, parts.imag), -1).tolist(),
         }
         path = os.path.join(out_dir, f"{field}.json")
         text = _dumps(payload)

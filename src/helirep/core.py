@@ -44,18 +44,24 @@ class Labels(tuple):
         if isinstance(labels, cls):
             return labels
         self = super().__new__(cls, labels)
-        self.position = {lab: i for i, lab in enumerate(self)}
+        try:
+            self.position = {lab: i for i, lab in enumerate(self)}
+        except TypeError as exc:
+            raise ValueError(f"labels must be hashable ({exc})") from None
         if len(self.position) != len(self):
             raise ValueError("duplicate labels")
         return self
 
     def positions(self, labels):
-        """The positions of ``labels``; a label not among these is a
-        ValueError that names it."""
-        try:
-            return [self.position[lab] for lab in labels]
-        except KeyError as exc:
-            raise ValueError(f"label {exc.args[0]} is not on this axis") from None
+        """The positions of ``labels``; a label not among these, an
+        unhashable one included, is a ValueError that names it."""
+        out = []
+        for lab in labels:
+            try:
+                out.append(self.position[lab])
+            except (KeyError, TypeError):
+                raise ValueError(f"label {lab} is not on this axis") from None
+        return out
 
 
 def _axes(row_labels, col_labels):

@@ -9,7 +9,7 @@ from helirep import clifford
 from helirep.clifford import (
     _PHASES,
     CliffordBasis,
-    _random_element,
+    _summand_coupling,
     _subset_products,
     _subset_span_dim,
     SchurCoverGens,
@@ -249,6 +249,7 @@ class TestOddDirectSum:
         assert report["summand_failures"] == ([], [])
         assert report["span_dim"] == 2 * 4 ** m
         assert report["volume_central"]
+        assert report["projection_homomorphism_residual"] == 0.0
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_volume_scalars_are_opposite_fourth_roots(self, m):
@@ -279,28 +280,46 @@ class TestOddDirectSum:
                 odd_direct_sum(bad)
         assert odd_direct_sum(np.int32(1))["m"] == 1
 
-    @pytest.mark.parametrize("m", range(1, 6))
-    def test_random_element_matches_per_pick_sum(self, m):
-        products = _subset_products(brauer_weyl(2 * m + 1).generators)
-        dim = products.cols.shape[1]
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_swapped_blocks_couple_the_summands(self, m, monkeypatch):
+        # One generator's blocks swapped: diag(A, B) becomes [[0, A], [B, 0]].
+        basis = brauer_weyl(2 * m + 1)
+        h = basis.dim // 2
+        gens = list(basis.generators)
+        gens[0] = np.roll(gens[0], h, axis=1)
+        products = _subset_products(gens)
+        assert _summand_coupling(products, h) == 1.0
 
-        def per_pick(rng, terms=48):
-            # The reference build: one fancy-index += per picked product.
-            size = min(terms, len(products))
-            picks = rng.choice(len(products), size=size, replace=False)
-            out = np.zeros((dim, dim), dtype=complex)
-            for idx in picks:
-                coeff = rng.normal() + 1j * rng.normal()
-                phase = _PHASES[products.phase[idx]]
-                out[np.arange(dim), products.cols[idx]] += coeff * phase
-            return out
+        monkeypatch.setattr(clifford, "brauer_weyl",
+                            lambda n: CliffordBasis(n, tuple(gens)))
+        report = odd_direct_sum(m)
+        assert report["projection_homomorphism_residual"] == 1.0
+        assert not report["ok"]
 
-        for seed in (0, 2 * m + 1, 12345):
-            rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(5):
-                want = per_pick(rng_ref)
-                got = _random_element(products, rng)
-                assert got.tobytes() == want.tobytes()
+    def test_coupling_is_the_largest_entry_between_the_summands(self):
+        # The oracle: the dense products' entries off the two diagonal blocks.
+        # Half the generator sets are singular (columns may repeat), where
+        # rows of one summand can reach the other while the rest stay home.
+        rng = np.random.default_rng(20261020)
+        seen = set()
+        for trial in range(60):
+            dim = 2 * int(rng.integers(1, 4))
+            h = int(rng.integers(0, dim + 1))
+            gens = [_random_monomial(rng, dim) for _ in range(rng.integers(1, 5))]
+            if trial % 2:
+                gens = [g[rng.integers(0, dim, dim)] for g in gens]
+            products = _subset_products(gens)
+            upper = np.arange(dim) < h
+            off = upper[:, None] != upper[None, :]
+            want = max(np.abs(products[k])[off].max(initial=0.0)
+                       for k in range(len(products)))
+            assert _summand_coupling(products, h) == want
+            seen.add(want)
+        assert seen == {0.0, 1.0}
+        # Every row to column 0: only the lower summand's rows cross.
+        collapse = np.zeros((4, 4), dtype=complex)
+        collapse[:, 0] = 1
+        assert _summand_coupling(_subset_products([collapse]), 2) == 1.0
 
 
 class TestSchurTranspositions:

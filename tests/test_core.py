@@ -175,6 +175,12 @@ class TestCMatrix:
         with pytest.raises(ValueError, match="label b is not on this axis"):
             CMatrix.identity(["a"]).at("b", "a")
 
+    def test_an_unhashable_label_is_named_as_not_on_the_axis(self):
+        m = CMatrix.identity(["a"])
+        for row, col in ((["a"], "a"), ("a", ["a"])):
+            with pytest.raises(ValueError, match=r"label \['a'\] is not on this axis"):
+                m.at(row, col)
+
     def test_equal_but_distinct_column_labels_stay_apart(self):
         m = CMatrix.zeros(["u", "v"], ["u", "v"])
         assert m.col_labels == m.row_labels
@@ -193,6 +199,12 @@ class TestLabels:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="duplicate labels"):
             Labels(["a", "b", "a"])
+
+    def test_unhashable_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be hashable"):
+            Labels(["a", ["b"]])
+        with pytest.raises(ValueError, match="labels must be hashable"):
+            CMatrix.identity(["a"]).reindexed([["a"]])
 
     def test_positions_name_a_missing_label(self):
         labels = Labels(["a", "b", "c"])

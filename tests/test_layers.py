@@ -8,7 +8,9 @@ helirep module, so the kernels work on plain ints, Fractions and arrays.
 The runtime needs numpy only: no module imports scipy anywhere, at
 module level or inside a function, so no helirep path can load it.
 scipy is a test oracle (``expm``, ``j0``, RK45).  The radial integrators
-run their own Dormand-Prince loop.
+run their own Dormand-Prince loop.  Nor does any module use
+``numpy.random``: every check is exact or deterministic, and a process
+that never loads it stays about 6 MiB smaller.
 """
 
 import ast
@@ -131,6 +133,63 @@ def test_cli_calls_that_never_integrate_leave_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     env.pop("HELIREP_TOL", None)
     proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def _names_numpy_random(tree):
+    """Whether a module imports numpy.random or reads ``np.random`` or
+    ``numpy.random`` as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.random") for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.startswith("numpy.random") or (
+                    node.module == "numpy"
+                    and any(a.name == "random" for a in node.names)):
+                return True
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ORDER)
+def test_no_module_names_numpy_random(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert not _names_numpy_random(tree)
+
+
+def test_the_rule_sees_each_spelling_of_numpy_random():
+    for source in ("import numpy.random", "from numpy.random import default_rng",
+                   "from numpy import random", "rng = np.random.default_rng(1)",
+                   "numpy.random.seed(0)"):
+        assert _names_numpy_random(ast.parse(source)), source
+    assert not _names_numpy_random(ast.parse("import random\nx = np.linalg"))
+
+
+NO_NUMPY_RANDOM = """
+import contextlib, io, sys
+import helirep
+import helirep.cli
+from helirep.clifford import odd_direct_sum
+with contextlib.redirect_stdout(io.StringIO()):
+    assert helirep.cli.main(["verify", "clifford"]) == 0
+for m in range(1, 6):
+    assert odd_direct_sum(m)["ok"], m
+assert "numpy.random" not in sys.modules, "numpy.random loaded"
+print("ok")
+"""
+
+
+def test_verify_clifford_and_odd_direct_sums_leave_numpy_random_unloaded():
+    """In a fresh process: the tests themselves load numpy.random."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    env.pop("HELIREP_TOL", None)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"

@@ -171,6 +171,18 @@ class TestCouplingCoefficients:
         with pytest.raises(ValueError, match="non-negative"):
             route(*(half(t) for t in key))
 
+    @pytest.mark.parametrize("route", [cg_su2, cg_su2_hyp])
+    @pytest.mark.parametrize("key", [
+        (2 * 10**6, 2 * 10**6, 0, 0, 0, 0),
+        (2001, 1, 2000, 1, 1, 2),
+        (2, 2002, 2000, 0, 0, 0),
+        (2000, 2, 2002, 0, 0, 0),
+        (2002, 2, 0, 0, 0, 0),     # the triangle would zero it
+    ], ids=["million", "l1", "l2", "l", "before-selection"])
+    def test_both_routes_refuse_spins_past_the_cap(self, route, key):
+        with pytest.raises(ValueError, match="exceed the cap 1000"):
+            route(*(half(t) for t in key))
+
     def test_orthogonality_small_sweep(self):
         for tl1 in range(0, 5):
             for tl2 in range(0, 5):

@@ -21,8 +21,8 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   tables at 2l = 4, 12, 24, 40 and 10 000-angle theta sweeps at one tau at
   2l = 3, 10, 20, 40, plus one 10 000-rapidity tau sweep at 2l = 40;
 - the clifford reports ``verify_clifford(brauer_weyl(n))`` for n = 1..10,
-  ``odd_direct_sum(m)`` for m = 1..5 (its float
-  ``projection_homomorphism_residual`` included),
+  ``odd_direct_sum(m)`` for m = 1..5 (its
+  ``projection_homomorphism_residual``, an exact 0.0 or 1.0, included),
   ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9, the
   same report of its covers ``1j * t`` and ``10 * t`` (whose scalars are
   integral: -1, and 100 and 10^6), and
