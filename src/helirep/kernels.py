@@ -1,4 +1,5 @@
-"""Terminating hypergeometric kernels and factorial helpers.
+"""Terminating hypergeometric kernels, gamma ratios and the shared input
+gates.
 
 Everything here evaluates finite sums only: series that fail to
 terminate, or whose denominator parameters vanish before the last
@@ -70,13 +71,6 @@ def _finite(what, *values, dtype=float):
 def ipow(k):
     """The imaginary unit to an exact integer power."""
     return (1 + 0j, 1j, -1 + 0j, -1j)[k % 4]
-
-
-def fact(n):
-    """Exact factorial of a non-negative int."""
-    if n < 0:
-        raise ValueError(f"factorial of negative value {n}")
-    return math.factorial(n)
 
 
 def ln_factorial(n):
@@ -240,11 +234,6 @@ def _powers(x, exponents, squares):
     if squares.size:
         out[squares] = x * x
     return out
-
-
-def hyp3f2_unit(a1, a2, a3, b1, b2):
-    """Terminating 3F2 at unit argument (exact when parameters are exact)."""
-    return terminating_series((a1, a2, a3), (b1, b2), Fraction(1))
 
 
 def gamma_ratio_int(p, q):

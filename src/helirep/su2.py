@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import factorial as fact
 from typing import NamedTuple
 
 import numpy as np
@@ -18,10 +19,9 @@ from .kernels import (
     _powers,
     _squares,
     _stack,
-    fact,
     gamma_ratio_int,
-    hyp3f2_unit,
     ipow,
+    terminating_series,
 )
 
 
@@ -278,12 +278,10 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
             * fact((t1 + t2 - t) // 2) * fact((t1 + t2 + t) // 2)
             * fact((t1 - u1) // 2) * fact((t2 - u2) // 2),
         )
-        series = hyp3f2_unit(
-            (t + u) // 2 + 1,
-            (u - t) // 2,
-            (u1 - t1) // 2,
-            (u - t1 - t2) // 2,
-            (t2 - t1 + u) // 2 + 1,
+        series = terminating_series(
+            ((t + u) // 2 + 1, (u - t) // 2, (u1 - t1) // 2),
+            ((u - t1 - t2) // 2, (t2 - t1 + u) // 2 + 1),
+            Fraction(1),
         )
         value = sign * ratio * math.sqrt(sq) * float(series)
         # sq > 0, so a zero from a nonzero ratio and series is an underflow.

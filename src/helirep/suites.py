@@ -298,10 +298,14 @@ CHAIN_SUITES = ("gy", "radial")
 
 
 def run_suite(name, tol=None, system=None):
-    """Run one named suite; ``system`` feeds the chain-based suites."""
+    """Run one named suite; ``system`` feeds the chain-based suites.  The
+    tolerance must be finite and positive: at inf no check could fail, at
+    nan none could pass."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
     tol = DEFAULT_TOLERANCES[name] if tol is None else float(tol)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     if name in CHAIN_SUITES:
         return SUITES[name](tol, system=system)
     return SUITES[name](tol)

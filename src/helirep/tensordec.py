@@ -3,13 +3,13 @@
 Product representations labeled by a spin pair decompose into a
 rectangle of coupled pairs; this module enumerates that series, builds
 the coupled basis vectors with factorized coupling coefficients, and
-provides the symmetric-space helpers: the antidiagonal bilinear form,
-dimension counts, and the one-row symmetrizer on m two-dimensional
-factors.
+provides the symmetric-space helpers: the antidiagonal bilinear form
+and the one-row symmetrizer on m two-dimensional factors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import CMatrix, enumerate_basis
 from .generators import _LADDER_KINDS, waerden_ops
-from .halfint import HalfInt, _weights, half, lrange, mrange
+from .halfint import HalfInt, _weights, half, lrange
 from .kernels import _int_arg
 from .su2 import cg_su2
 
@@ -139,35 +139,20 @@ def bilinear_form(k, r, lam):
     return CMatrix(data, labels, labels)
 
 
-def sym_dimension(k, r):
-    """Dimension (k+1)(r+1) of the symmetric carrier of rank (k, r)."""
-    k, r = _int_arg("k", k, 0), _int_arg("r", r, 0)
-    return (k + 1) * (r + 1)
-
-
 _SYMMETRIZER_CAP = 10
 
 
 def _binary_basis(m):
     """Labels of (C^2)^tensor-m in kron order: tuples of ±1/2."""
-    out = [()]
-    for _ in range(m):
-        out = [lab + (s,) for lab in out for s in (half(1), half(-1))]
-    return out
+    return list(itertools.product((half(1), half(-1)), repeat=m))
 
 
 def _transposition_matrix(m, i, j):
-    """Permutation matrix swapping tensor factors i and j (0-based)."""
+    """Permutation matrix swapping tensor factors i and j (0-based): the
+    identity's columns, read as m binary axes, with axes i and j swapped."""
     dim = 2 ** m
-    data = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (m - 1 - t)) & 1 for t in range(m)]
-        bits[i], bits[j] = bits[j], bits[i]
-        jdx = 0
-        for bval in bits:
-            jdx = (jdx << 1) | bval
-        data[jdx, idx] = 1.0
-    return data
+    cube = np.eye(dim).reshape((2,) * m + (dim,))
+    return np.swapaxes(cube, i, j).reshape(dim, dim)
 
 
 def symmetrizer_one_row(m):

@@ -7,7 +7,9 @@ and the SHA-256 of any file it writes there (``gy-build`` without
 ``--out`` writes its six matrices into the working directory) must equal
 the digests in ``byte_contract.json``.  Running all calls in one process
 also checks that nothing one call leaves behind (the parser, the memos)
-changes the bytes of a later one.
+changes the bytes of a later one.  The ``demos`` section holds the
+SHA-256 of each demo's stdout, run as its own process;
+``tests/test_cli.py::test_demo_runs`` checks it.
 
 The digests tie the bytes to the numpy version and platform they were
 computed on.  A deliberate output change updates its call's digest in
@@ -20,6 +22,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -27,10 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
+import helirep
 from helirep.cli import main
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "byte_contract.json"
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 def _compare_tool():
@@ -67,6 +72,25 @@ def _run(argv, configs, cwd):
             "files": files}
 
 
+def child_env():
+    """Environment for a child process: it imports the same ``helirep`` as
+    this process and runs at the suites' default tolerance."""
+    env = dict(os.environ)
+    env.pop("HELIREP_TOL", None)
+    src_root = str(Path(helirep.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def run_demo(demo, cwd):
+    """(exit code, stdout SHA-256, stderr) of one demo run in ``cwd``."""
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          env=child_env(), cwd=cwd)
+    return proc.returncode, _sha(proc.stdout), proc.stderr.decode()
+
+
 def run_all(root):
     """Every compare-tool call, in order, under ``root``: name -> digests."""
     tool = _compare_tool()
@@ -101,6 +125,13 @@ if __name__ == "__main__":
     os.environ.pop("HELIREP_TOL", None)
     with tempfile.TemporaryDirectory() as root:
         calls = run_all(Path(root))
+        demos = {}
+        for demo in DEMOS:
+            code, digest, err = run_demo(demo, root)
+            if code:
+                sys.exit(f"{demo.name} exits {code}:\n{err}")
+            demos[demo.name] = digest
     DIGESTS.write_text(json.dumps(
-        {"numpy": np.__version__, "platform": sys.platform, "calls": calls},
+        {"numpy": np.__version__, "platform": sys.platform, "calls": calls,
+         "demos": demos},
         indent=1) + "\n", encoding="utf-8")

@@ -3,7 +3,6 @@
 import argparse
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -14,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import helirep
 from helirep.cli import main
 from helirep.gelfand_yaglom import dirac_system, system_to_config
+from test_byte_contract import DEMOS, DIGESTS, child_env, run_demo
 
 DIRAC_CONFIG = {
     "reps": [{"l1": "1/2", "l2": "0"}, {"l1": "0", "l2": "1/2"}],
@@ -378,7 +377,10 @@ class TestRadial:
         assert probe["periods"] == 0.0
 
     def test_wrong_init_length(self, capsys):
+        # The library's one count check, not the CLI, refuses it.
         assert main(["radial", "--chain", "dirac", "--init", "1,0"]) == 2
+        assert capsys.readouterr().err == (
+            "helirep: initial vector must have 4 components\n")
 
     @pytest.mark.parametrize("init", ["inf,0,0,0", "nan,0,0,0", "1,0,infj,0"])
     def test_non_finite_init_is_usage_error(self, capsys, init):
@@ -570,18 +572,6 @@ class TestDeterminism:
             assert (a / f"{name}.json").read_bytes() == (b / f"{name}.json").read_bytes()
 
 
-def child_env():
-    """Environment for a child process: it imports the same ``helirep`` as
-    this process and runs at the suites' default tolerance."""
-    env = dict(os.environ)
-    env.pop("HELIREP_TOL", None)
-    src_root = str(Path(helirep.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src_root, env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
 class TestParserReuse:
     """``main`` builds its parser once per process; later calls only parse
     and dispatch, and print what a fresh process prints."""
@@ -671,14 +661,14 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize(
-    "demo",
-    sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py")),
-    ids=lambda path: path.name,
-)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
+    """Each demo exits 0 and prints the bytes whose SHA-256 the byte
+    contract holds."""
+    code, digest, err = run_demo(demo, tmp_path)
+    assert code == 0, err
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))["demos"]
+    assert digest == want[demo.name], (
+        f"{demo.name} prints other bytes than the committed digest; a "
+        "deliberate change regenerates it with tests/test_byte_contract.py "
+        "--write")

@@ -1,4 +1,4 @@
-"""Tests for the terminating-series kernels and factorial helpers."""
+"""Tests for the terminating-series kernels and the shared input gates."""
 
 import math
 from fractions import Fraction
@@ -27,27 +27,19 @@ from helirep.kernels import (
     _powers,
     _squares,
     _stack,
-    fact,
     gamma_ratio_int,
-    hyp3f2_unit,
     ipow,
     ln_factorial,
     terminating_series,
 )
 from helirep.radial import assemble_rfs, convergence_order, integrate
-from helirep.tensordec import bilinear_form, sym_dimension, symmetrizer_one_row
+from helirep.tensordec import bilinear_form, symmetrizer_one_row
 
 
 class TestSmallHelpers:
     def test_ipow_cycle(self):
         assert [ipow(k) for k in range(4)] == [1, 1j, -1, -1j]
         assert ipow(-1) == -1j
-
-    def test_fact(self):
-        assert fact(0) == 1
-        assert fact(6) == 720
-        with pytest.raises(ValueError):
-            fact(-2)
 
     def test_ln_factorial(self):
         assert ln_factorial(10) == pytest.approx(math.log(math.factorial(10)))
@@ -77,7 +69,7 @@ class TestTerminatingSeries:
 
     def test_three_two_at_unit(self):
         # 3F2(-1, a2, a3; b1, b2; 1) = 1 - a2 a3 / (b1 b2).
-        assert hyp3f2_unit(-1, 2, 3, 4, 5) == Fraction(7, 10)
+        assert terminating_series((-1, 2, 3), (4, 5), Fraction(1)) == Fraction(7, 10)
 
     def test_zero_numerator_parameter_gives_one(self):
         assert terminating_series((0, 5), (7,), Fraction(9)) == Fraction(1)
@@ -131,7 +123,7 @@ class TestSeriesInIntegers:
                 for u1 in range(-t1, t1 + 1, 2) for u2 in range(-t2, t2 + 1, 2)
                 if abs(u1 + u2) <= t]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("helirep.kernels.terminating_series", record)
+            patch.setattr("helirep.su2.terminating_series", record)
             for key in keys:
                 try:
                     su2.cg_su2_hyp(*map(HalfInt.from_twice, key))
@@ -330,8 +322,6 @@ INT_ARGS = {
     "GNRepLabel p": (lambda n: GNRepLabel("0", n), 2),
     "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), 2),
     "bilinear_form r": (lambda n: bilinear_form(0, n, 1.0), 2),
-    "sym_dimension k": (lambda n: sym_dimension(n, 1), 2),
-    "sym_dimension r": (lambda n: sym_dimension(1, n), 2),
     "symmetrizer_one_row m": (symmetrizer_one_row, 2),
     "integrate steps": (
         lambda n: integrate(_dirac_radial(), 0.5, 1.0, DIRAC_INIT, n), 100),
@@ -355,8 +345,6 @@ OUT_OF_RANGE = {
     "GNRepLabel p": (lambda n: GNRepLabel("0", n), 0, "p must be an integer >= 1"),
     "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), -2,
                         "k must be an integer >= 0"),
-    "sym_dimension r": (lambda n: sym_dimension(1, n), -1,
-                        "r must be an integer >= 0"),
     "symmetrizer_one_row m": (symmetrizer_one_row, 11,
                               "m must be an integer between 1 and 10"),
     "brauer_weyl rank": (brauer_weyl, 21, "rank must be an integer between 1 and 20"),

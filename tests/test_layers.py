@@ -138,6 +138,34 @@ def test_cli_calls_that_never_integrate_leave_scipy_unloaded():
     assert proc.stdout == "ok\n"
 
 
+def _unused_imports(tree):
+    """The names a module binds by an import statement and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("name", [n for n in ORDER if n != "__init__"])
+def test_every_imported_name_is_used(name):
+    """``__init__`` is exempt: it imports to re-export."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    unused = _unused_imports(tree)
+    assert not unused, f"{name} imports {unused} and never reads them"
+
+
+def test_the_unused_import_rule_sees_each_spelling():
+    source = ("from __future__ import annotations\nimport math\n"
+              "import numpy as np\nimport os.path\n"
+              "from .halfint import half, mrange as mr\n"
+              "x = np.pi + half(1)\n")
+    assert _unused_imports(ast.parse(source)) == ["math", "mr", "os"]
+
+
 def _names_numpy_random(tree):
     """Whether a module imports numpy.random or reads ``np.random`` or
     ``numpy.random`` as an attribute."""

@@ -27,6 +27,13 @@ class TestRunSuite:
         assert report["tolerance"] == 1e-30
         assert report["ok"] is False
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"),
+                                     float("-inf"), 0, -1])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # At inf no check could fail; at nan none could pass.
+        with pytest.raises(ValueError, match="finite positive"):
+            run_suite("cg", tol=tol)
+
     def test_chain_invariance_suite_takes_a_custom_system(self):
         chain = RepChain([("1/2", "1"), ("1", "1/2")])
         table = {

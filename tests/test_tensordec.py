@@ -10,11 +10,12 @@ from helirep.halfint import half, mrange
 from helirep.su2 import cg_su2
 from helirep.tensordec import (
     RepLabel,
+    _binary_basis,
+    _transposition_matrix,
     bilinear_form,
     cg_series,
     coupled_vector,
     product_basis,
-    sym_dimension,
     symmetrizer_one_row,
     total_operator,
 )
@@ -171,17 +172,6 @@ class TestBilinearForm:
             bilinear_form(1, 2, 1.0)
 
 
-class TestSymDimension:
-    def test_values(self):
-        assert sym_dimension(0, 0) == 1
-        assert sym_dimension(5, 0) == 6
-        assert sym_dimension(2, 3) == 12
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sym_dimension(-1, 0)
-
-
 class TestSymmetrizer:
     def test_smallest_is_identity(self):
         np.testing.assert_allclose(symmetrizer_one_row(1).data, np.eye(2))
@@ -208,6 +198,31 @@ class TestSymmetrizer:
                 total += pm
             total /= math.factorial(m)
             assert np.max(np.abs(total - symmetrizer_one_row(m).data)) == 0.0
+
+    def test_binary_basis_in_kron_order(self):
+        # Factor t of basis index x is +1/2 where bit m-1-t of x is 0.
+        for m in range(5):
+            labels = _binary_basis(m)
+            assert len(labels) == 2 ** m
+            for x, label in enumerate(labels):
+                assert label == tuple(
+                    half(-1) if (x >> (m - 1 - t)) & 1 else half(1)
+                    for t in range(m))
+
+    def test_transposition_matrix_is_the_factor_swap(self):
+        # P[swap(x), x] = 1 and every other entry 0, where swap exchanges
+        # bits i and j of x (factor t is bit m-1-t).
+        for m in range(1, 7):
+            dim = 2 ** m
+            for i, j in itertools.product(range(m), repeat=2):
+                want = np.zeros((dim, dim))
+                for x in range(dim):
+                    bi, bj = (x >> (m - 1 - i)) & 1, (x >> (m - 1 - j)) & 1
+                    y = x ^ ((bi ^ bj) << (m - 1 - i)) ^ ((bi ^ bj) << (m - 1 - j))
+                    want[y, x] = 1.0
+                got = _transposition_matrix(m, i, j)
+                assert got.shape == (dim, dim) and got.dtype == want.dtype
+                assert np.array_equal(got, want), (m, i, j)
 
     def test_commutes_with_simultaneous_action(self):
         rng = np.random.default_rng(31)
