@@ -31,47 +31,43 @@ import sys
 import numpy as np
 
 from . import __version__
-from .gelfand_yaglom import dirac_system, system_from_config
+from .gelfand_yaglom import _SECTORS, dirac_system, system_from_config
 from .halfint import HalfInt
 from .hyperspherical import z_grid, z_series_grid
-from .radial import assemble_rfs, bessel_probe, integrate, residual
+from .radial import _VARIANTS, assemble_rfs, bessel_probe, integrate, residual
 from .suites import CHAIN_SUITES, SUITES, run_suite
 
 TOL_ENV = "HELIREP_TOL"
-
-
-class UsageError(ValueError):
-    """Bad invocation or unparseable input; maps to exit code 2."""
 
 
 def _half(text, what):
     try:
         return HalfInt(text)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"cannot parse {what}={text!r} as a spin label: {exc}")
+        raise ValueError(f"cannot parse {what}={text!r} as a spin label: {exc}")
 
 
 def _finite(text, what):
-    """A finite float, or a usage error."""
+    """A finite float, or a ValueError."""
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"{what}={text!r} is not a number")
+        raise ValueError(f"{what}={text!r} is not a number")
     if not math.isfinite(value):
-        raise UsageError(f"{what}={text!r} is not a finite number")
+        raise ValueError(f"{what}={text!r} is not a finite number")
     return value
 
 
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must be START:STOP:N, got {text!r}")
+        raise ValueError(f"grid must be START:STOP:N, got {text!r}")
     try:
         count = int(parts[2])
     except ValueError:
-        raise UsageError(f"grid must be START:STOP:N with an integer N, got {text!r}")
+        raise ValueError(f"grid must be START:STOP:N with an integer N, got {text!r}")
     if count < 1:
-        raise UsageError("grid needs at least one point")
+        raise ValueError("grid needs at least one point")
     return _finite(parts[0], "grid START"), _finite(parts[1], "grid STOP"), count
 
 
@@ -79,7 +75,7 @@ def _parse_init(text):
     try:
         values = [complex(part) for part in text.split(",")]
     except ValueError as exc:
-        raise UsageError(f"cannot parse --init {text!r}: {exc}")
+        raise ValueError(f"cannot parse --init {text!r}: {exc}")
     return np.asarray(values, dtype=complex)
 
 
@@ -90,13 +86,13 @@ def _load_system(source):
         with open(source, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        raise UsageError(f"cannot read chain file {source!r}: {exc}")
+        raise ValueError(f"cannot read chain file {source!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise UsageError(f"chain file {source!r} is not valid JSON: {exc}")
+        raise ValueError(f"chain file {source!r} is not valid JSON: {exc}")
     try:
         return system_from_config(config)
     except ValueError as exc:
-        raise UsageError(f"invalid chain config {source!r}: {exc}")
+        raise ValueError(f"invalid chain config {source!r}: {exc}")
 
 
 def _pair(z):
@@ -120,7 +116,7 @@ def _dumps(payload):
         return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           allow_nan=False) + "\n"
     except ValueError:
-        raise UsageError("a result is not a finite number (overflow)")
+        raise ValueError("a result is not a finite number (overflow)")
 
 
 def _csv(header, rows=()):
@@ -160,7 +156,7 @@ def cmd_zfun(args):
                    zip(series.tolist(), factorized.tolist())]
     # A discrepancy is finite only if all four parts it is taken from are.
     if not all(map(math.isfinite, theta_col + discrepancy)):
-        raise UsageError("a result is not a finite number (overflow)")
+        raise ValueError("a result is not a finite number (overflow)")
     s_re, s_im, f_re, f_im = (
         (part + 0.0).tolist() for part in
         (series.real, series.imag, factorized.real, factorized.imag)
@@ -194,9 +190,9 @@ def cmd_zfun(args):
 def cmd_verify(args):
     suite = args.suite or args.suite_flag
     if suite is None:
-        raise UsageError(f"verify needs a suite name; choices: {sorted(SUITES)}")
+        raise ValueError(f"verify needs a suite name; choices: {sorted(SUITES)}")
     if args.suite and args.suite_flag and args.suite != args.suite_flag:
-        raise UsageError("positional suite and --suite disagree")
+        raise ValueError("positional suite and --suite disagree")
     tol = None
     if args.tol is not None:
         tol = _finite(args.tol, "--tol")
@@ -349,10 +345,8 @@ def _parser():
     radial.add_argument("--l0", help="ansatz weight (default: top tower spin)")
     radial.add_argument("--l0-dot", dest="l0_dot",
                         help="conjugate ansatz weight (default: top tower spin)")
-    radial.add_argument("--variant", choices=("printed", "alt"),
-                        default="printed")
-    radial.add_argument("--sector", choices=("plain", "conjugate"),
-                        default="plain")
+    radial.add_argument("--variant", choices=_VARIANTS, default="printed")
+    radial.add_argument("--sector", choices=_SECTORS, default="plain")
     radial.add_argument("--grid", default="0.5:60:10000",
                         help="radius range START:STOP:STEPS (rows = STEPS+1)")
     radial.add_argument("--init",
@@ -370,8 +364,9 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    # The one exit-2 boundary: a usage error or a library ValueError (bad
-    # input), a RuntimeError (a stalled solve), an OSError from --out.
+    # The one exit-2 boundary: a ValueError (a usage, parse or input error,
+    # from here or the library), a RuntimeError (a stalled solve), an
+    # OSError from --out.
     try:
         return args.handler(args)
     except (ValueError, RuntimeError, OSError) as exc:

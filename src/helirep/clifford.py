@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _finite, _int_arg
+from .kernels import _components, _finite, _int_arg
 
 _SIGMA = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
@@ -38,6 +38,10 @@ _SIGMA = {
 }
 
 _MAX_RANK = 20
+_COVER_M = (2, 10)  # the m of schur_transpositions, 2^m-wide: at most 1024
+# The work of transposition_homomorphism_report(8): a letter is one product,
+# width^3 multiply-adds plus numpy's call overhead, worth about 2^16 of them.
+_MAX_WORD_WORK = sum(n * 8 ** n for n in range(1, 5)) * (256 ** 3 + 2 ** 16)
 _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
 
 
@@ -198,21 +202,13 @@ def _subset_span_dim(products):
     maps = ordered[starts]
     group = np.empty(len(order), dtype=np.intp)
     group[order] = np.cumsum(starts) - 1
-    root = list(range(len(maps)))
-
-    def find(g):
-        while root[g] != g:
-            g = root[g]
-        return g
-
+    pairs = []
     for column in maps.T:
         first = {}
         for g, j in enumerate(column.tolist()):
-            if j in first:
-                root[find(g)] = find(first[j])
-            else:
-                first[j] = g
-    component = np.array([find(g) for g in range(len(maps))])[group]
+            if first.setdefault(j, g) != g:
+                pairs.append((g, first[j]))
+    component = np.array(_components(len(maps), pairs))[group]
 
     dim = products.cols.shape[1]
     row_starts = np.arange(dim) * dim
@@ -369,7 +365,7 @@ def schur_transpositions(m):
     ``verify_tn_relations`` reports the realized scalars of the
     square/braid/far-commutation relations.
     """
-    m = _int_arg("m", m, 2, 10)
+    m = _int_arg("m", m, *_COVER_M)
     # E_k is built as t_k needs it, so only E_{k-1} is held.
     ts, prev = [], None
     for k in range(1, m + 1):
@@ -461,10 +457,23 @@ def transposition_homomorphism_report(m, max_word_len=4):
     The words are grouped by permutation first, as tuples; each group's
     first word is the reference the others are compared with, so at most
     two word matrices are held at once.
+
+    Domain: m from 2 to 10, max_word_len >= 1, and at most the work of
+    the default call at m = 8 (each letter costs width^3 + 2^16, width
+    2^m); past it a ValueError comes before any word or matrix is formed.
     """
     max_word_len = _int_arg("max_word_len", max_word_len, 1)
+    m = _int_arg("m", m, *_COVER_M)
+    width, work = 2 ** m, 0
+    for length in range(1, max_word_len + 1):
+        work += length * m ** length * (width ** 3 + 2 ** 16)
+        if work > _MAX_WORD_WORK:
+            raise ValueError(
+                f"transposition_homomorphism_report({m}, {max_word_len}): "
+                f"{(m ** (length + 1) - m) // (m - 1)} words up to length {length} of "
+                f"{width}-wide products exceed the work of the default call at m = 8 "
+                "(4680 words of 256-wide products)")
     gens = schur_transpositions(m)
-    m = gens.m
     words_of = {}
     for length in range(1, max_word_len + 1):
         for word in itertools.product(range(m), repeat=length):

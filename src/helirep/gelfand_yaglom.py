@@ -26,7 +26,7 @@ from .core import CMatrix, Labels
 from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
                          relation_residuals)
 from .halfint import HalfInt, half, lrange, mrange
-from .kernels import _dense_rows, _finite, _int_arg
+from .kernels import _components, _dense_rows, _finite, _int_arg
 from .tensordec import RepLabel
 
 
@@ -120,24 +120,12 @@ def classify(chain: RepChain):
     A component holding two or more linked representations is
     indecomposable; an isolated representation is decomposable.
     """
-    parent = list(range(len(chain.reps)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in chain.links:
-        parent[find(i)] = find(j)
     groups = {}
-    for k in range(len(chain.reps)):
-        groups.setdefault(find(k), []).append(k)
-    out = []
-    for members in sorted(groups.values()):
-        verdict = "indecomposable" if len(members) > 1 else "decomposable"
-        out.append({"members": tuple(members), "verdict": verdict})
-    return tuple(out)
+    for k, component in enumerate(_components(len(chain.reps), chain.links)):
+        groups.setdefault(component, []).append(k)
+    return tuple({"members": tuple(members),
+                  "verdict": "indecomposable" if len(members) > 1 else "decomposable"}
+                 for members in sorted(groups.values()))
 
 
 class CoeffTable:
@@ -166,6 +154,16 @@ class CoeffTable:
             _finite(f"coefficient ({kp}, {k}, {lp}, {l})", value, dtype=complex)
             out[(_int_arg("rep", kp, 0), _int_arg("rep", k, 0), lp, l)] = value
         return out
+
+
+_SECTORS = ("plain", "conjugate")  # of the undotted, then the dotted table
+
+
+def _sector_index(sector):
+    """The one gate of sector names: ``sector``'s place in _SECTORS."""
+    if sector not in _SECTORS:
+        raise ValueError(f"unknown sector {sector!r}")
+    return _SECTORS.index(sector)
 
 
 def _stretch(chain, table, sector, weight):
@@ -206,8 +204,8 @@ def assemble_lambda3(chain: RepChain, coeffs: CoeffTable):
         return links[2]
 
     return tuple(CMatrix(_stretch(chain, table, sector, v3), chain._basis)
-                 for table, sector in ((coeffs.undotted, "plain"),
-                                       (coeffs.dotted, "conjugate")))
+                 for table, sector in zip((coeffs.undotted, coeffs.dotted),
+                                          _SECTORS))
 
 
 def _chain_ladder(chain: RepChain):
@@ -277,10 +275,8 @@ def _relations(family, lambdas, gens, tag):
 
 def _sectors(system):
     """The four invariance tables of a system as (family, lambdas, tag)."""
-    plain = {1: system.lambda1, 2: system.lambda2, 3: system.lambda3}
-    conj = {1: system.lambda1c, 2: system.lambda2c, 3: system.lambda3c}
-    return (("A", plain, ""), ("B", plain, ""), ("At", conj, "c"),
-            ("Bt", conj, "c"))
+    plain, conj = (dict(enumerate(system.lambda_triple(s), 1)) for s in _SECTORS)
+    return (("A", plain, ""), ("B", plain, ""), ("At", conj, "c"), ("Bt", conj, "c"))
 
 
 def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
@@ -329,11 +325,8 @@ class GYSystem:
     kappa_dot: complex
 
     def lambda_triple(self, sector="plain"):
-        if sector == "plain":
-            return (self.lambda1, self.lambda2, self.lambda3)
-        if sector == "conjugate":
-            return (self.lambda1c, self.lambda2c, self.lambda3c)
-        raise ValueError(f"unknown sector {sector!r}")
+        return ((self.lambda1, self.lambda2, self.lambda3),
+                (self.lambda1c, self.lambda2c, self.lambda3c))[_sector_index(sector)]
 
 
 def build_system(chain, coeffs, kappa=1.0, kappa_dot=None):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import math
 from typing import NamedTuple
 
@@ -32,8 +31,8 @@ import numpy as np
 
 from .core import BasisIndex, CMatrix, GroupPoint
 from .halfint import HalfInt, _weights, mrange
-from .kernels import (_ANGLES, _Memo, _finite, _horner, _ksum, _powers,
-                      _squares, _stack, ipow, ln_factorial)
+from .kernels import (_ANGLES, _Memo, _column, _finite, _horner, _ksum,
+                      _powers, _squares, _stack, ipow, ln_factorial)
 from .su2 import _jac_vec, _sph_vec
 
 _CELLS = 1 << 14  # cells per block: labels x angles, and labels x thetas x taus
@@ -91,23 +90,13 @@ def _series_block(tl, tx):
     prefs = [math.exp(_ln_pref(tl, ta, tb)) for ta, tb in pairs]
     dists = [(ta - tb) // 2 for ta, tb in pairs]
     tops = [len(c) - 1 for c in series]
-    columns = []
-    for values in (
-        prefs,
-        [ipow(d) * p for d, p in zip(dists, prefs)],
-        [(-1.0) ** top for top in tops],
-        [
-            [tl - d for d in dists],
-            dists,
-            [tl - d - 2 * top for d, top in zip(dists, tops)],
-            [d + 2 * top for d, top in zip(dists, tops)],
-        ],
-    ):
-        column = np.array(values)[..., None]
-        column.flags.writeable = False
-        columns.append(column)
-    return _SeriesBlock(forward, backward, *columns,
-                        tuple(map(_squares, columns[-1])))
+    powers = _column([[tl - d for d in dists], dists,
+                      [tl - d - 2 * top for d, top in zip(dists, tops)],
+                      [d + 2 * top for d, top in zip(dists, tops)]])
+    return _SeriesBlock(forward, backward, _column(prefs),
+                        _column([ipow(d) * p for d, p in zip(dists, prefs)]),
+                        _column([(-1.0) ** top for top in tops]), powers,
+                        tuple(map(_squares, powers)))
 
 
 def _series_rotation(tl, tm, thetas):
@@ -264,9 +253,10 @@ def z_matrix(l, theta, tau):
 
 def _finite_element(build):
     """``build(..., g)`` for a matrix element or matrix of the group element
-    ``g`` whose entries must fit a float: an entry past the float range
-    (an OverflowError from cmath or math, or an inf or NaN from the numpy
-    products) is a ValueError naming the overflow, with no numpy warning."""
+    ``g`` (the last argument of every wrapped builder) whose entries must
+    fit a float: an entry past the float range (an OverflowError from
+    cmath or math, or an inf or NaN from the numpy products) is a
+    ValueError naming the overflow, with no numpy warning."""
 
     @functools.wraps(build)
     def checked(*args, **kwargs):
@@ -276,7 +266,7 @@ def _finite_element(build):
         except OverflowError:
             out = None
         if out is None or not np.isfinite(getattr(out, "data", out)).all():
-            g = inspect.signature(build).bind(*args, **kwargs).arguments["g"]
+            g = kwargs["g"] if "g" in kwargs else args[-1]
             raise ValueError(
                 f"{build.__name__}: an entry of the element at {g} "
                 "overflows a float")

@@ -1,5 +1,5 @@
-"""Terminating hypergeometric kernels, gamma ratios and the shared input
-gates.
+"""Terminating hypergeometric kernels, the shared input gates, the
+label blocks' read-only column builder and the one component finder.
 
 Everything here evaluates finite sums only: series that fail to
 terminate, or whose denominator parameters vanish before the last
@@ -213,6 +213,13 @@ def _ksum(rot, boost):
     return np.add.reduce(prod.view(float), axis=0, initial=0.0).view(complex)
 
 
+def _column(values):
+    """A read-only (rows, 1) column of ``values``, or a stack of them."""
+    out = np.array(values)[..., None]
+    out.flags.writeable = False
+    return out
+
+
 def _squares(exponents):
     """The rows of a (rows, 1) column of integer exponents that are 2, as
     a read-only index array for ``_powers``."""
@@ -236,19 +243,18 @@ def _powers(x, exponents, squares):
     return out
 
 
-def gamma_ratio_int(p, q):
-    """Gamma(p)/Gamma(q) for integer arguments with pole bookkeeping.
-
-    A pole in the denominator only (q <= 0 < p) gives exactly 0; a pole
-    in the numerator only raises, since the ratio diverges.
-    """
-    p, q = int(p), int(q)
-    if p > 0 and q > 0:
-        return math.exp(ln_factorial(p - 1) - ln_factorial(q - 1))
-    if p > 0 >= q:
-        return 0.0
-    if q > 0 >= p:
-        raise PoleError(f"Gamma({p}) diverges while Gamma({q}) is finite")
-    # Both arguments at poles: reflect to a finite ratio with a sign.
-    sign = -1.0 if (q - p) % 2 else 1.0
-    return sign * math.exp(ln_factorial(-q) - ln_factorial(-p))
+def _components(count, pairs):
+    """Entry k: the smallest node of k's component under the edges ``pairs``
+    (union-find, path halving; the smaller root wins, so one pass resolves)."""
+    root = list(range(count))
+    for a, b in pairs:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        root[max(a, b)] = min(a, b)
+    for k in range(count):
+        root[k] = root[root[k]]
+    return root

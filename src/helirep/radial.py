@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gelfand_yaglom import GYSystem, RepChain, _stretch
+from .gelfand_yaglom import GYSystem, RepChain, _sector_index, _stretch
 from .generators import _alpha
 from .halfint import HalfInt, _weights
 from .kernels import _finite, _int_arg
@@ -57,11 +57,7 @@ class RadialSystem:
     conjugate: RadialBlock
 
     def block(self, sector):
-        if sector == "plain":
-            return self.plain
-        if sector == "conjugate":
-            return self.conjugate
-        raise ValueError(f"unknown sector {sector!r}")
+        return (self.plain, self.conjugate)[_sector_index(sector)]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,8 @@ from .core import CMatrix
 from .halfint import lrange, mrange
 from .hyperspherical import (_factorized_table, _series_table, z_factorized,
                              z_matrix, z_series)
-from .radial import assemble_rfs, bessel_probe, convergence_order, integrate, residual
+from .radial import (_VARIANTS, assemble_rfs, bessel_probe, convergence_order,
+                     integrate, residual)
 from .su2 import cg_su2
 from .tensordec import RepLabel, cg_series, coupled_vector, product_basis
 
@@ -259,7 +260,7 @@ def suite_radial(tol, system=None):
     top = system.chain.top_spin
     rows = []
     exponents = {}
-    for variant in ("printed", "alt"):
+    for variant in _VARIANTS:
         rs = assemble_rfs(system, top, top, variant=variant)
         sol = integrate(rs, 0.5, 60.0, init, 10000)
         _check(rows, f"equation defect ({variant})", residual(rs, sol), tol)

@@ -478,3 +478,40 @@ class TestPermutationShadow:
         # At most two word matrices at once: one per reachable permutation
         # took 11.4 MiB at m = 6.
         assert traced_peak_mib(lambda: transposition_homomorphism_report(6)) <= 2
+
+
+class _Built(Exception):
+    """Raised in place of building the transposition cover."""
+
+
+def _cover_unbuilt(monkeypatch):
+    def refuse_to_build(m):
+        raise _Built(m)
+
+    monkeypatch.setattr(clifford, "schur_transpositions", refuse_to_build)
+
+
+class TestWordWorkBound:
+    """The report's work bound, checked with the cover's builder replaced,
+    so no test forms a word matrix."""
+
+    @pytest.mark.parametrize("m,length,words,at,width", [
+        (9, 4, 819, 3, 512), (9, 3, 819, 3, 512), (10, 3, 1110, 3, 1024),
+        (8, 5, 37448, 5, 256), (3, 12, 797160, 12, 8),
+        (2, 10 ** 9, 524286, 18, 4),
+    ])
+    def test_refused_before_any_word(self, monkeypatch, m, length, words, at,
+                                     width):
+        _cover_unbuilt(monkeypatch)
+        message = (f"^transposition_homomorphism_report\\({m}, {length}\\): "
+                   f"{words} words up to length {at} of {width}-wide products "
+                   "exceed the work of the default call at m = 8 ")
+        with pytest.raises(ValueError, match=message):
+            transposition_homomorphism_report(m, length)
+
+    @pytest.mark.parametrize("m,length", [(8, 4), (9, 2), (10, 2), (3, 11),
+                                          (2, 17), (6, 5)])
+    def test_admitted_up_to_the_default_call_at_m8(self, monkeypatch, m, length):
+        _cover_unbuilt(monkeypatch)
+        with pytest.raises(_Built):
+            transposition_homomorphism_report(m, length)

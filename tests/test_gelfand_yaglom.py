@@ -32,6 +32,7 @@ from helirep.gelfand_yaglom import (
 )
 from helirep.generators import split_families
 from helirep.halfint import half, mrange
+from helirep.radial import assemble_rfs
 from helirep.tensordec import RepLabel
 from test_generators import spin_matrix
 
@@ -189,6 +190,9 @@ class TestDiracSystem:
     def test_unknown_sector_rejected(self):
         with pytest.raises(ValueError, match="unknown sector 'bogus'"):
             dirac_system().lambda_triple("bogus")
+        radial = assemble_rfs(dirac_system(), "1/2", "1/2")
+        with pytest.raises(ValueError, match="^unknown sector 'x'$"):
+            radial.block("x")
 
     def test_similarity_to_gamma_triple(self):
         report = gamma_similarity(dirac_system().lambda_triple(), weyl_gamma_triple())

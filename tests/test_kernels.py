@@ -20,6 +20,8 @@ from helirep.halfint import HalfInt
 from helirep.kernels import (
     NonTerminatingError,
     PoleError,
+    _column,
+    _components,
     _finite,
     _horner,
     _int_arg,
@@ -27,7 +29,6 @@ from helirep.kernels import (
     _powers,
     _squares,
     _stack,
-    gamma_ratio_int,
     ipow,
     ln_factorial,
     terminating_series,
@@ -157,23 +158,54 @@ class TestSeriesInIntegers:
         assert got == want and type(got) is type(want)
 
 
-class TestGammaRatio:
-    def test_both_positive(self):
-        assert gamma_ratio_int(5, 3) == pytest.approx(12.0)
+def _bfs_components(count, pairs):
+    """Oracle: each node's component as the smallest node a breadth-first
+    search from it reaches."""
+    near = [[] for _ in range(count)]
+    for a, b in pairs:
+        near[a].append(b)
+        near[b].append(a)
+    out = []
+    for start in range(count):
+        seen, queue = {start}, [start]
+        for node in queue:
+            for other in near[node]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        out.append(min(seen))
+    return out
 
-    def test_denominator_pole_gives_zero(self):
-        assert gamma_ratio_int(3, -1) == 0.0
-        assert gamma_ratio_int(1, 0) == 0.0
 
-    def test_numerator_pole_raises(self):
-        with pytest.raises(PoleError):
-            gamma_ratio_int(-1, 3)
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_breadth_first_search(self, seed):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 60))
+        # From no edge to about two per node: isolated nodes, chains, a
+        # few large components, self-pairs and repeated pairs.
+        edges = int(rng.integers(0, 2 * count + 1))
+        pairs = [tuple(map(int, rng.integers(0, count, 2))) for _ in range(edges)]
+        assert _components(count, pairs) == _bfs_components(count, pairs)
 
-    def test_double_pole_reflects(self):
-        # Gamma(-3)/Gamma(-1) -> (-1)^(1-3) * 1!/3! = 1/6.
-        assert gamma_ratio_int(-3, -1) == pytest.approx(1.0 / 6.0)
-        # Gamma(-2)/Gamma(-1) -> (-1)^1 * 1!/2! = -1/2.
-        assert gamma_ratio_int(-2, -1) == pytest.approx(-0.5)
+    def test_isolated_nodes_are_their_own_component(self):
+        assert _components(5, [(3, 1)]) == [0, 1, 2, 1, 4]
+        assert _components(3, []) == [0, 1, 2]
+        assert _components(0, []) == []
+
+    def test_a_long_chain_resolves_to_its_smallest_node(self):
+        count = 500
+        pairs = [(k, k + 1) for k in reversed(range(count - 1))]
+        assert _components(count, pairs) == [0] * count
+
+
+class TestColumn:
+    def test_read_only_trailing_axis(self):
+        column = _column([1.5, -2.0, 3.0])
+        assert column.shape == (3, 1) and not column.flags.writeable
+        stack = _column([[1, 2], [3, 4], [5, 6]])
+        assert stack.shape == (3, 2, 1) and not stack.flags.writeable
+        assert stack[1, :, 0].tolist() == [3, 4]
 
 
 class TestStackedRows:

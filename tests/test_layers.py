@@ -166,6 +166,84 @@ def test_the_unused_import_rule_sees_each_spelling():
     assert _unused_imports(ast.parse(source)) == ["math", "mr", "os"]
 
 
+# Module-level names outside ``__all__`` that no other statement of the
+# library reads yet, each with what keeps it (ROADMAP item numbers).  The
+# table may only shrink: a name leaves it when a library caller lands or
+# when the name goes.
+AWAITING_CALLER = {
+    "gelfand_yaglom.spin_content": "item 4's spectrum absorbs it",
+    "generators.split_families": "item 14's realizations suite",
+    "hyperspherical.m_function": "items 13 and 14, the non-abelian group law",
+    "hyperspherical.rep_matrix": "items 13 and 14, the non-abelian group law",
+    "su2.jac_p": "the boost twin of sph_p; items 10 and 18",
+    "su2.wigner_d": "item 10, the quadrature route of the principal series",
+    "tensordec.bilinear_form": "items 14 and 19, the invariant forms",
+    "tensordec.symmetrizer_one_row": "items 3 and 19, the isotypic projectors",
+}
+
+
+def _unread_names(trees):
+    """``module.name`` of each module-level function, class and constant
+    that is outside ``__all__`` and that no other statement reads: a read
+    is a name loaded in a module that defines it or imports it from the
+    defining module.  ``__init__`` only re-exports, so it is exempt."""
+    exported = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id",
+                                                    None) == "__all__":
+            exported = set(ast.literal_eval(node.value))
+    defined, read = {}, set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[module, stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        defined[module, target.id] = stmt
+    for module, tree in trees.items():
+        source = {a.asname or a.name: (node.module, a.name)
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  and node.level == 1 and node.module for a in node.names}
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    key = source.get(node.id, (module, node.id))
+                    if defined.get(key) not in (None, stmt):
+                        read.add(key)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if (module, name) not in read and name not in exported
+                  and not name.startswith("__"))
+
+
+def test_every_library_name_has_a_library_reader():
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ORDER}
+    unread = _unread_names(trees)
+    assert unread == sorted(AWAITING_CALLER), (
+        f"unread and not awaiting a caller: "
+        f"{sorted(set(unread) - set(AWAITING_CALLER))}; read now, so drop them "
+        f"from AWAITING_CALLER: {sorted(set(AWAITING_CALLER) - set(unread))}")
+
+
+def test_the_reader_rule_sees_each_binding():
+    trees = {
+        "__init__": ast.parse("from .a import f\n__all__ = ['f']\n"),
+        "a": ast.parse("import math\nLIMIT = 3\nPAIR: tuple = (1, 2)\n"
+                       "def f():\n    return 1\n"
+                       "def g():\n    return g()\n"
+                       "class K:\n    pass\n"),
+        "b": ast.parse("from .a import K as Kind, PAIR\n"
+                       "def h():\n    return Kind, PAIR, LIMIT\n"),
+    }
+    # g reads itself only; LIMIT is read in b, which neither defines nor
+    # imports it; h has no reader at all.
+    assert _unread_names(trees) == ["a.LIMIT", "a.g", "b.h"]
+
+
 def _names_numpy_random(tree):
     """Whether a module imports numpy.random or reads ``np.random`` or
     ``numpy.random`` as an attribute."""

@@ -228,6 +228,8 @@ class TestCouplingCoefficients:
                             )
 
     def test_series_form_some_projections_pole_out(self):
+        """Exactly the keys with m < l1 - l2 pole out: there the series'
+        second denominator parameter l2 - l1 + m + 1 is not positive."""
         hit = 0
         for m in mrange(half(2)):
             for m1 in mrange(half(2)):
@@ -239,6 +241,14 @@ class TestCouplingCoefficients:
                 except PoleError:
                     hit += 1
         assert hit > 0
+        poles = []
+        for key in _valid_cg_keys(8):
+            try:
+                cg_su2_hyp(*key)
+            except PoleError:
+                poles.append(key)
+        want = [key for key in _valid_cg_keys(8) if key[5] < key[0] - key[1]]
+        assert poles == want and len(want) == 3222
 
 
 def _valid_cg_keys(max_twice):
