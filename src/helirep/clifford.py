@@ -14,11 +14,23 @@ by group over products that share positions, each group's phases and
 positions formed from its own members only.  The transposition matrices
 mix two adjacent generators with sqrt weights, and
 ``verify_tn_relations`` reports the scalars their relations realize.
-Their entries are real, so they are float64 from build to verdict: the
-relation products and their residuals run in float64 with no copy of a
-generator (a generator with a nonzero imaginary part keeps complex
-arithmetic).  At m = 9 (512 wide) building and checking the cover peaks
-at 30 MiB of traced memory, against 70 MiB for complex generators.
+Their entries are real, so they are float64 from build to verdict (a
+generator with a nonzero imaginary part keeps complex arithmetic).
+
+The relation check holds every matrix as row layers, the normal form
+above grown to w entries a row: (cols, vals), each (w, n), with row i
+the sum over layers j of vals[j, i] at column cols[j, i].  A product of
+rows wa and wb wide is two gathers of wa wb n entries, and a merge sums
+the entries that share a position with one sort, so a product of the
+cover's t_k (2 nonzeros a row) costs O(n log n), not the n^3
+multiply-adds of a dense one, and building the cover is the memory peak
+of building and checking it.  A check whose products could gather more
+than 16 n^2 entries, bounded from the generators' row widths, is
+refused before any product is formed, so a dense cover more than 16
+wide is outside the domain.  Scalars rounded to Gaussian integers keep
+the bits of dense products; a scalar reported as summed (a non-real
+phase, say) may move in the last bit, because sums run in another
+order.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ _COVER_M = (2, 10)  # the m of schur_transpositions, 2^m-wide: at most 1024
 # width^3 multiply-adds plus numpy's call overhead, worth about 2^16 of them.
 _MAX_WORD_WORK = sum(n * 8 ** n for n in range(1, 5)) * (256 ** 3 + 2 ** 16)
 _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
+_LAYER_ENTRIES = 16  # a relation product gathers at most 16 n^2 entries
 
 
 def _chain(kind, position, factors):
@@ -123,16 +136,85 @@ def _summand_failures(basis):
 _PHASES = np.array([1, 1j, -1, -1j])
 
 
+def _layers(rows, cols, vals, n):
+    """Row layers (cols, vals), each (w, n), of the entries ``vals`` at
+    (rows, cols), rows ascending: row i of the matrix is the sum over
+    layers j of vals[j, i] at column cols[j, i], and w is the widest row.
+    A shorter row is padded with value 0 at its first column (an empty
+    row at its diagonal), so a product puts nothing at a new position."""
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    head = slot == 0
+    pad = np.arange(n)
+    pad[rows[head]] = cols[head]
+    at = slot * n + rows
+    layer_cols = np.repeat(pad[None], counts.max(), axis=0)
+    layer_cols.reshape(-1)[at] = cols
+    layer_vals = np.zeros(layer_cols.shape, dtype=vals.dtype)
+    layer_vals.reshape(-1)[at] = vals
+    return layer_cols, layer_vals
+
+
+def _row_layers(mat):
+    """The row layers of a square matrix's nonzeros, float64 when every
+    entry is real and complex128 otherwise."""
+    flat = np.flatnonzero(mat != 0)  # a bool scan is several times faster
+    rows, cols = np.divmod(flat, mat.shape[1])
+    vals = mat.ravel()[flat]
+    real = not np.iscomplexobj(vals) or not vals.imag.any()
+    return _layers(rows, cols, np.asarray(vals.real if real else vals,
+                                          dtype=float if real else complex), len(mat))
+
+
+def _sum_at(where, vals, size):
+    """Entry k: the sum of vals[where == k] in order, real and imaginary
+    parts summed apart."""
+    if not np.iscomplexobj(vals):
+        return np.bincount(where, vals, size)
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(where, vals.real, size)
+    out.imag = np.bincount(where, vals.imag, size)
+    return out
+
+
+def _keys(cols):
+    """Position row * n + col of every layered entry, layer by layer."""
+    n = cols.shape[1]
+    return (np.arange(n) * n + cols).ravel()
+
+
+def _product(a, b):
+    """a @ b of row layers, two gathers: row i gathers
+    b.vals[l, c] a.vals[j, i] at column b.cols[l, c], c = a.cols[j, i],
+    so the product has wa wb layers and wa wb n entries, a position
+    possibly held more than once (``_merge`` sums them)."""
+    (a_cols, a_vals), (b_cols, b_vals) = a, b
+    n = a_cols.shape[1]
+    return (b_cols[:, a_cols].reshape(-1, n),
+            (b_vals[:, a_cols] * a_vals).reshape(-1, n))
+
+
+def _merge(layers):
+    """The same matrix with each position held once, the duplicates summed
+    in layer order by one np.unique and np.bincount: at most
+    min(n, w) wide."""
+    cols, vals = layers
+    n = cols.shape[1]
+    keys, where = np.unique(_keys(cols), return_inverse=True)
+    rows, cols = np.divmod(keys, n)
+    return _layers(rows, cols, _sum_at(where, vals.ravel(), len(keys)), n)
+
+
 def _normal_form(mat):
     """(cols, phase) with mat[i, cols[i]] = 1j**phase[i] the only nonzero
     of row i, or None when mat is not monomial over {1, i, -1, -i}."""
-    rows, cols = np.nonzero(mat)
-    if not np.array_equal(rows, np.arange(mat.shape[0])):
+    cols, vals = _row_layers(mat)
+    if len(cols) != 1 or not vals.all():
         return None
-    hits = mat[rows, cols][:, None] == _PHASES
+    hits = vals[0][:, None] == _PHASES
     if not hits.any(axis=1).all():
         return None
-    return cols, np.argmax(hits, axis=1).astype(np.int8)
+    return cols[0], np.argmax(hits, axis=1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -385,13 +467,45 @@ def schur_transpositions(m):
 
 def _ratio(p, r):
     """The scalar s with p = s r, read as vdot(r, p) / vdot(r, r), or None
-    unless max|p - s r| <= 1e-12 max(1, max|p|); a NaN fails."""
+    unless max|p - s r| <= 1e-12 max(1, max|p|); a NaN fails.  p and r
+    are row layers, read merged onto the union of their positions;
+    outside it both are 0, so the residual there is |0 - s 0|, which is
+    0 unless s is not finite."""
+    keys, where = np.unique(np.concatenate([_keys(p[0]), _keys(r[0])]),
+                            return_inverse=True)
+    split = p[0].size
+    p = _sum_at(where[:split], p[1].ravel(), len(keys))
+    r = _sum_at(where[split:], r[1].ravel(), len(keys))
     s = complex(np.vdot(r, p) / np.vdot(r, r))
     # For real p and r, s is real and the residual stays float64.
     residual = p - (s.real if p.dtype == r.dtype == np.float64 else s) * r
-    if not np.max(np.abs(residual)) <= 1e-12 * max(1.0, np.max(np.abs(p))):
+    if not (np.max(np.abs(residual), initial=abs(0 * s))
+            <= 1e-12 * max(1.0, np.max(np.abs(p), initial=0.0))):
         return None
     return s
+
+
+def _refuse_wide(widths, n):
+    """ValueError unless every product of the relation check gathers at
+    most _LAYER_ENTRIES n^2 entries, read from the generators' row widths
+    before any product is formed.  A product of rows wa and wb wide
+    gathers wa wb n entries and merges to rows at most min(n, wa wb)
+    wide.  The widest products are the squares and the braid's
+    p = t_j t_(j+1), p p and p^2 p; a far pair is never wider than the
+    wider of its squares."""
+    bound = _LAYER_ENTRIES * n * n
+    members = [(f"t_{k}", (w,), w * w) for k, w in enumerate(widths, start=1)]
+    for k, (wa, wb) in enumerate(zip(widths, widths[1:]), start=1):
+        p = min(n, wa * wb)
+        members.append((f"the braid of t_{k} and t_{k + 1}", (wa, wb),
+                        max(wa * wb, p * p, min(n, p * p) * p)))
+    for name, row_widths, per_row in members:
+        if per_row * n > bound:
+            raise ValueError(
+                f"transposition relations: {name} with rows "
+                f"{' and '.join(map(str, row_widths))} entries wide would form a "
+                f"product of {per_row * n} entries, past the bound "
+                f"{_LAYER_ENTRIES} n^2 = {bound} (n = {n})")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -408,19 +522,46 @@ def verify_tn_relations(gens: SchurCoverGens):
     (braids below two generators, far pairs below three) reports None; a
     product that is not a finite multiple of its reference fails its
     class.  Every tolerance is relative to max(1, size) of what it
-    compares, so a scaled cover passes with scaled scalars.  A real
-    generator (every matrix ``schur_transpositions`` builds) is
-    multiplied as it is, in float64 with float64 residuals and no copy; a
-    complex one whose imaginary part is all zero is narrowed to a float64
-    copy first.  Raises ValueError for no generators or a non-finite
-    entry.
+    compares, so a scaled cover passes with scaled scalars.
+
+    Every matrix is held as row layers (``_row_layers``): a generator's
+    nonzeros, float64 when all are real and complex128 otherwise, found
+    by one scan of each n x n generator; no other n x n matrix is formed.
+    A product of rows wa and wb wide gathers wa wb n entries
+    (``_product``).  The braid's p = t_j t_(j+1) and p^2 are merged
+    (``_merge``, one sort) before the next factor; every product the
+    reader takes is merged by the reader, onto the union of its positions
+    and its reference's.  The Schur cover's t_k have at most 2 nonzeros a
+    row, so p and p^2 are 4 wide and the widest product is p^2 p, 16 n
+    entries: the check is O(m^2 n log n), about 6 ms at m = 8, 14 ms at
+    m = 9 and 37 ms at m = 10 (56 ms, 0.45 s and 3.6 s with dense
+    products; best of five, one BLAS thread).
+
+    Domain: square generators of one size n, whose products could gather
+    at most _LAYER_ENTRIES n^2 = 16 n^2 entries (16 generators' worth),
+    bounded from the generators' row widths (``_refuse_wide``) before any
+    product is formed.  A dense cover more than 16 wide is refused.
+
+    The reader's sums run over the positions held, in layer order, not
+    over all n^2 entries in a dense product's order.  A scalar rounded to
+    a Gaussian integer keeps its bits, and so does one whose sums are
+    exact; a scalar reported as summed may move in the last bit (seen on
+    the covers c t with c = 1000 e^(0.3i) and e^(0.7i), and on the
+    square of the overflowing 1e100 t at m = 3).
+
+    Raises ValueError for no generators, a non-finite entry, generators
+    that are not square of one size, or products past the bound.
     """
     if not gens.t:
         raise ValueError("transposition relations need at least one generator")
-    _finite("transposition matrices", *gens.t, dtype=complex)
-    ts = [t.real.copy() if np.iscomplexobj(t) and not t.imag.any() else t
-          for t in gens.t]
-    ident = np.eye(ts[0].shape[0])
+    n = np.shape(gens.t[0])[-1] if np.ndim(gens.t[0]) else 0
+    if not n or any(np.shape(t) != (n, n) for t in gens.t):
+        raise ValueError("transposition matrices must be square and of one size")
+    ts = [_row_layers(np.asarray(t)) for t in gens.t]
+    # Every entry left out of the layers is 0.
+    _finite("transposition matrices", *(vals for _, vals in ts), dtype=complex)
+    _refuse_wide([len(cols) for cols, _ in ts], n)
+    ident = np.arange(n)[None], np.ones((1, n))
     report = {"m": gens.m, "failures": []}
 
     def collect(label, values):
@@ -437,12 +578,14 @@ def verify_tn_relations(gens: SchurCoverGens):
         rounded = complex(np.round(s.real) + 1j * np.round(s.imag))
         return rounded if abs(s - rounded) <= tol else s
 
-    # Each product is built as the reader takes it, so one is held at a time.
-    report["s1"] = collect("square", [_ratio(t @ t, ident) for t in ts])
+    # Each product is built as the reader takes it; the braid's p^2 is
+    # merged before its third factor.
+    report["s1"] = collect("square", [_ratio(_product(t, t), ident) for t in ts])
     report["s2"] = collect("braid", [
-        _ratio((p := a @ b) @ p @ p, ident) for a, b in zip(ts, ts[1:])])
+        _ratio(_product(_merge(_product(p := _merge(_product(a, b)), p)), p), ident)
+        for a, b in zip(ts, ts[1:])])
     report["s3"] = collect("far_commute", [
-        _ratio(ts[k] @ ts[l], ts[l] @ ts[k])
+        _ratio(_product(ts[k], ts[l]), _product(ts[l], ts[k]))
         for k in range(len(ts)) for l in range(k + 2, len(ts))])
     report["ok"] = not report["failures"]
     return report

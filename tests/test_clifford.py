@@ -348,10 +348,15 @@ class TestSchurTranspositions:
             assert t.tobytes() == np.ascontiguousarray(want.real).tobytes()
 
     def test_traced_peak_of_build_and_check(self):
-        # Real generators used as they are: 16.1 MiB as complex128 with
-        # float64 copies in the check.
+        # The build's 8 dense 256-wide float64 matrices are the peak: 5.5 MiB,
+        # bounded with 0.5 MiB to spare.
         assert traced_peak_mib(
-            lambda: verify_tn_relations(schur_transpositions(8))) <= 10
+            lambda: verify_tn_relations(schur_transpositions(8))) <= 6
+
+    def test_traced_peak_of_the_check_alone(self):
+        # Row layers of at most 16 n entries: 0.36 MiB.
+        gens = schur_transpositions(8)
+        assert traced_peak_mib(lambda: verify_tn_relations(gens)) <= 1
 
     @pytest.mark.parametrize("m", range(4, 9))
     def test_realized_signs_stable(self, m):
@@ -462,6 +467,149 @@ class TestTnRelations:
         report = verify_tn_relations(SchurCoverGens(4, tuple(ts)))
         assert not report["ok"]
         assert "square not scalar" in report["failures"]
+
+
+def _dense_ratio(p, r):
+    """The scalar reader on dense matrices, as the relation check read
+    it before row layers."""
+    s = complex(np.vdot(r, p) / np.vdot(r, r))
+    residual = p - (s.real if p.dtype == r.dtype == np.float64 else s) * r
+    if not np.max(np.abs(residual)) <= 1e-12 * max(1.0, np.max(np.abs(p))):
+        return None
+    return s
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _dense_tn_relations(gens):
+    """The relation check on dense n x n products: the reference route."""
+    ts = [t.real.copy() if np.iscomplexobj(t) and not t.imag.any() else t
+          for t in gens.t]
+    ident = np.eye(ts[0].shape[0])
+    report = {"m": gens.m, "failures": []}
+
+    def collect(label, values):
+        if not values:
+            return None
+        if any(v is None for v in values):
+            report["failures"].append(f"{label} not scalar")
+            return None
+        s = values[0]
+        tol = 1e-12 * max(1.0, abs(s))
+        if any(not abs(v - s) <= tol for v in values):
+            report["failures"].append(f"{label} not constant across indices")
+            return None
+        rounded = complex(np.round(s.real) + 1j * np.round(s.imag))
+        return rounded if abs(s - rounded) <= tol else s
+
+    report["s1"] = collect("square", [_dense_ratio(t @ t, ident) for t in ts])
+    report["s2"] = collect("braid", [
+        _dense_ratio((p := a @ b) @ p @ p, ident) for a, b in zip(ts, ts[1:])])
+    report["s3"] = collect("far_commute", [
+        _dense_ratio(ts[k] @ ts[l], ts[l] @ ts[k])
+        for k in range(len(ts)) for l in range(k + 2, len(ts))])
+    report["ok"] = not report["failures"]
+    return report
+
+
+def _cover(m, scale=1, shift=None, zero=None):
+    ts = [scale * t for t in schur_transpositions(m).t]
+    if shift is not None:
+        ts[1] = ts[1] + shift * np.eye(len(ts[1]))
+    if zero is not None:
+        ts[zero] = np.zeros_like(ts[zero])
+    return SchurCoverGens(m, tuple(ts))
+
+
+class TestTnRelationsAgainstDenseProducts:
+    """The row-layer check against the dense products it replaced."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_schur_cover(self, m):
+        gens = schur_transpositions(m)
+        assert verify_tn_relations(gens) == _dense_tn_relations(gens)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @pytest.mark.parametrize("kind", [
+        {"scale": 1j}, {"scale": 10}, {"shift": 0.001}, {"zero": 0}, {"zero": 1}])
+    def test_integral_and_failing_covers_keep_their_reports(self, m, kind):
+        gens = _cover(m, **kind)
+        report = verify_tn_relations(gens)
+        assert report == _dense_tn_relations(gens)
+        if "shift" in kind:
+            assert "square not scalar" in report["failures"]
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("scale", [1.5, 0.1, 1000 * np.exp(0.3j), np.exp(0.7j)])
+    def test_raw_scalars_agree_to_rounding(self, m, scale):
+        # A scalar that is not a Gaussian integer is reported as summed,
+        # and its sums may round in another order.
+        gens = _cover(m, scale)
+        report, want = verify_tn_relations(gens), _dense_tn_relations(gens)
+        assert report["ok"] and want["ok"]
+        for key in ("s1", "s2", "s3"):
+            assert report[key] == pytest.approx(want[key], rel=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 6])
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_covers_still_fail_the_braid(self, m, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_tn_relations(_cover(m, scale))
+        assert not report["ok"]
+        assert report["s2"] is None
+        assert "braid not scalar" in report["failures"]
+
+
+class _Multiplied(Exception):
+    """Raised in place of a row-layer product."""
+
+
+class TestTnRelationsDomain:
+    """Refusals, checked with the layered product replaced, so no test
+    forms a product past the bound."""
+
+    @pytest.fixture(autouse=True)
+    def no_products(self, monkeypatch):
+        def refuse_to_multiply(a, b):
+            raise _Multiplied
+
+        monkeypatch.setattr(clifford, "_product", refuse_to_multiply)
+
+    @pytest.mark.parametrize("n", [32, 64, 1024])
+    def test_dense_cover_past_the_bound(self, n):
+        dense = np.ones((n, n))
+        message = (f"^transposition relations: t_1 with rows {n} entries wide "
+                   f"would form a product of {n ** 3} entries, past the bound "
+                   f"16 n\\^2 = {16 * n * n} \\(n = {n}\\)$")
+        with pytest.raises(ValueError, match=message):
+            verify_tn_relations(SchurCoverGens(2, (dense, dense)))
+
+    def test_braid_past_the_bound_names_both_generators(self):
+        # Rows 5 wide square to 25 n entries, within 16 n^2 at n = 64, but
+        # the braid's p = t_1 t_2 may be 25 wide, p^2 64 wide and p^2 p
+        # 64 * 25 n entries.
+        n = 64
+        t = sum(np.roll(np.eye(n), d, axis=1) for d in range(5))
+        message = ("^transposition relations: the braid of t_1 and t_2 with rows "
+                   f"5 and 5 entries wide would form a product of {64 * 25 * n} "
+                   f"entries, past the bound 16 n\\^2 = {16 * n * n} \\(n = {n}\\)$")
+        with pytest.raises(ValueError, match=message):
+            verify_tn_relations(SchurCoverGens(2, (t, t)))
+        with pytest.raises(_Multiplied):
+            verify_tn_relations(SchurCoverGens(1, (t,)))
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_dense_cover_up_to_16_wide_is_admitted(self, n):
+        dense = np.ones((n, n))
+        with pytest.raises(_Multiplied):
+            verify_tn_relations(SchurCoverGens(2, (dense, dense)))
+
+    @pytest.mark.parametrize("ts", [
+        (np.eye(4), np.eye(8)), (np.ones((4, 2)),), (np.ones(4),), (np.float64(1),),
+        (np.zeros((0, 0)),)])
+    def test_not_square_of_one_size(self, ts):
+        with pytest.raises(ValueError, match="square and of one size"):
+            verify_tn_relations(SchurCoverGens(len(ts), ts))
 
 
 class TestPermutationShadow:

@@ -23,9 +23,10 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
 - the clifford reports ``verify_clifford(brauer_weyl(n))`` for n = 1..10,
   ``odd_direct_sum(m)`` for m = 1..5 (its
   ``projection_homomorphism_residual``, an exact 0.0 or 1.0, included),
-  ``verify_tn_relations(schur_transpositions(m))`` for m = 2..9, the
-  same report of its covers ``1j * t`` and ``10 * t`` (whose scalars are
-  integral: -1, and 100 and 10^6), and
+  ``verify_tn_relations(schur_transpositions(m))`` for m = 2..10, the
+  same report for m = 2..9 of its covers ``1j * t`` and ``10 * t``
+  (whose scalars are integral: -1, and 100 and 10^6) and of the cover
+  with t_2 + 0.001 I (which fails its classes), and
   ``transposition_homomorphism_report(m)`` for m = 2..6, each saved as
   the text of its ``repr``, which spells every float in its shortest
   round-trip form (so exactly) and names numpy scalar types;
@@ -360,6 +361,11 @@ def _clifford_reports():
         for scale in (1j, 10):
             cover = SchurCoverGens(m, tuple(scale * t for t in gens.t))
             reports[f"verify_tn_relations {scale}*t m={m}"] = verify_tn_relations(cover)
+        perturbed = list(gens.t)
+        perturbed[1] = perturbed[1] + 0.001 * np.eye(2 ** m)
+        reports[f"verify_tn_relations t_2+0.001I m={m}"] = verify_tn_relations(
+            SchurCoverGens(m, tuple(perturbed)))
+    reports["verify_tn_relations m=10"] = verify_tn_relations(schur_transpositions(10))
     for m in range(2, 7):
         reports[f"transposition_homomorphism_report m={m}"] = (
             transposition_homomorphism_report(m))
