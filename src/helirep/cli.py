@@ -34,10 +34,12 @@ from . import __version__
 from .gelfand_yaglom import _SECTORS, dirac_system, system_from_config
 from .halfint import HalfInt
 from .hyperspherical import z_grid, z_series_grid
+from .kernels import _int_arg
 from .radial import _VARIANTS, assemble_rfs, bessel_probe, integrate, residual
 from .suites import CHAIN_SUITES, SUITES, run_suite
 
 TOL_ENV = "HELIREP_TOL"
+_MAX_GRID = 10 ** 5  # --grid N; a zfun sweep of 10^5 angles peaks near 110 MiB
 
 
 def _half(text, what):
@@ -66,8 +68,7 @@ def _parse_grid(text):
         count = int(parts[2])
     except ValueError:
         raise ValueError(f"grid must be START:STOP:N with an integer N, got {text!r}")
-    if count < 1:
-        raise ValueError("grid needs at least one point")
+    count = _int_arg("grid N", count, 1, _MAX_GRID)
     return _finite(parts[0], "grid START"), _finite(parts[1], "grid STOP"), count
 
 

@@ -51,9 +51,7 @@ _SIGMA = {
 
 _MAX_RANK = 20
 _COVER_M = (2, 10)  # the m of schur_transpositions, 2^m-wide: at most 1024
-# The work of transposition_homomorphism_report(8): a letter is one product,
-# width^3 multiply-adds plus numpy's call overhead, worth about 2^16 of them.
-_MAX_WORD_WORK = sum(n * 8 ** n for n in range(1, 5)) * (256 ** 3 + 2 ** 16)
+_WORD_LEN = 4  # the longest word of transposition_homomorphism_report
 _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
 _LAYER_ENTRIES = 16  # a relation product gathers at most 16 n^2 entries
 
@@ -591,34 +589,23 @@ def verify_tn_relations(gens: SchurCoverGens):
     return report
 
 
-def transposition_homomorphism_report(m, max_word_len=4):
+def transposition_homomorphism_report(m):
     """Sign-projective homomorphism check onto plain permutations.
 
-    Words in t_1..t_m of bounded length are mapped to products of the
+    Words in t_1..t_m of length 1 to 4 are mapped to products of the
     underlying transpositions (k, k+1) on m+1 points; all matrix words
     landing on the same permutation must agree up to an overall sign.
     The words are grouped by permutation first, as tuples; each group's
     first word is the reference the others are compared with, so at most
     two word matrices are held at once.
 
-    Domain: m from 2 to 10, max_word_len >= 1, and at most the work of
-    the default call at m = 8 (each letter costs width^3 + 2^16, width
-    2^m); past it a ValueError comes before any word or matrix is formed.
+    Domain: m from 2 to 8 (m = 8 forms 4680 words of 256-wide products,
+    about 9.5 s); a larger m is a ValueError before the cover is built.
     """
-    max_word_len = _int_arg("max_word_len", max_word_len, 1)
-    m = _int_arg("m", m, *_COVER_M)
-    width, work = 2 ** m, 0
-    for length in range(1, max_word_len + 1):
-        work += length * m ** length * (width ** 3 + 2 ** 16)
-        if work > _MAX_WORD_WORK:
-            raise ValueError(
-                f"transposition_homomorphism_report({m}, {max_word_len}): "
-                f"{(m ** (length + 1) - m) // (m - 1)} words up to length {length} of "
-                f"{width}-wide products exceed the work of the default call at m = 8 "
-                "(4680 words of 256-wide products)")
+    m = _int_arg("m", m, 2, 8)
     gens = schur_transpositions(m)
     words_of = {}
-    for length in range(1, max_word_len + 1):
+    for length in range(1, _WORD_LEN + 1):
         for word in itertools.product(range(m), repeat=length):
             perm = list(range(m + 1))
             for k in word:
@@ -641,7 +628,7 @@ def transposition_homomorphism_report(m, max_word_len=4):
                                    float(np.max(np.abs(mat + ref)))))
     return {
         "m": m,
-        "max_word_len": max_word_len,
+        "max_word_len": _WORD_LEN,
         "distinct_permutations": len(words_of),
         "max_sign_mismatch": worst,
         "ok": worst <= 1e-12,

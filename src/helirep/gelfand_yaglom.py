@@ -157,6 +157,7 @@ class CoeffTable:
 
 
 _SECTORS = ("plain", "conjugate")  # of the undotted, then the dotted table
+_ROTATION_TOL = 1e-10  # the rotation-table bound of lambda12_from_commutators
 
 
 def _sector_index(sector):
@@ -279,7 +280,7 @@ def _sectors(system):
     return (("A", plain, ""), ("B", plain, ""), ("At", conj, "c"), ("Bt", conj, "c"))
 
 
-def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
+def lambda12_from_commutators(lambda3: CMatrix, gens):
     """Transverse pair recovered from the longitudinal matrix.
 
     The first is the commutator with the second rotation generator,
@@ -291,7 +292,7 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
     Raises
     ------
     ValueError
-        If any rotation-table relation exceeds ``tol`` times
+        If any rotation-table relation exceeds ``_ROTATION_TOL`` times
         max(1, max|lambda3|) or is NaN — the matrix is then not assembled
         consistently with this generator set.
     """
@@ -301,7 +302,7 @@ def lambda12_from_commutators(lambda3: CMatrix, gens, tol=1e-10):
         _relations("A", {1: lambda1, 2: lambda2, 3: lambda3}, gens, ""))
     # A NaN row (an overflowed matrix) fails too, and is named first.
     worst = max(rows, key=lambda label: (math.isnan(rows[label]), rows[label]))
-    if not rows[worst] <= tol * max(1.0, lambda3.norm_inf()):
+    if not rows[worst] <= _ROTATION_TOL * max(1.0, lambda3.norm_inf()):
         raise ValueError(
             f"rotation table inconsistency: {worst} has residual "
             f"{rows[worst]:.3e}"

@@ -1,9 +1,8 @@
 """Terminating hypergeometric kernels, the shared input gates, the
 label blocks' read-only column builder and the one component finder.
 
-Everything here evaluates finite sums only: series that fail to
-terminate, or whose denominator parameters vanish before the last
-needed term, raise instead of guessing.
+Everything here evaluates finite sums only: a series whose denominator
+parameters vanish before the last needed term raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
-
-
-class NonTerminatingError(ValueError):
-    """No numerator parameter truncates the series."""
 
 
 class PoleError(ArithmeticError):
@@ -80,47 +75,33 @@ def ln_factorial(n):
     return math.lgamma(n + 1)
 
 
-def terminating_series(num_params, den_params, x):
-    """Exact sum of a generalized hypergeometric series that must terminate.
+def terminating_series(num_params, den_params):
+    """Exact sum of a generalized hypergeometric series at unit argument.
 
-    Parameters are ints or Fractions and x is exact.  Terms follow
-    t_{k+1} = t_k * prod(a+k) / (prod(b+k) * (k+1)) * x with t_0 = 1.
-    At least one numerator parameter must be a non-positive integer; a
-    vanishing denominator factor before the final term raises PoleError.
-    The sum is returned as a Fraction.
+    Parameters are ints, and at least one numerator parameter is not
+    positive: the series stops at the smallest |a| among those.  Terms
+    follow t_{k+1} = t_k * prod(a+k) / (prod(b+k) * (k+1)) with t_0 = 1;
+    a vanishing denominator factor before the final term raises
+    PoleError.  The sum is returned as a Fraction.
 
     The term steps as one integer numerator over one integer
-    denominator, each parameter p/q entering as p + k q, and the running
-    sum is kept over the term's denominator; the one Fraction, built at
-    the end, reduces it.
+    denominator, and the running sum is kept over the term's
+    denominator; the one Fraction, built at the end, reduces it.
     """
-    stops = [-int(a) for a in num_params if a <= 0 and a == int(a)]
-    if not stops:
-        raise NonTerminatingError(
-            f"no non-positive integer among numerator parameters {list(num_params)}"
-        )
-    last = min(stops)
-    nums = [(a.numerator, a.denominator) for a in num_params]
-    dens = [(b.numerator, b.denominator) for b in den_params]
-    # The constant part of each step: x and the parameters' denominators.
-    scale_num, scale_den = x.numerator, x.denominator
-    for _, q in dens:
-        scale_num *= q
-    for _, q in nums:
-        scale_den *= q
+    last = min(-a for a in num_params if a <= 0)
     term_num, term_den, total = 1, 1, 1  # the sum is total / term_den
     for t in range(last):
-        den = (t + 1) * scale_den
-        for p, q in dens:
-            den *= p + t * q
+        den = t + 1
+        for b in den_params:
+            den *= b + t
         if den == 0:
             raise PoleError(
                 f"denominator parameter hits zero at term {t + 1} "
                 f"before termination at {last}"
             )
-        num = scale_num
-        for p, q in nums:
-            num *= p + t * q
+        num = 1
+        for a in num_params:
+            num *= a + t
         term_num *= num
         term_den *= den
         total = total * den + term_num
@@ -160,11 +141,6 @@ class _Memo:
                 while self._bytes > self.budget and len(self._blocks) > 1:
                     self._bytes -= self._size(self._blocks.popitem(last=False)[1])
         return block
-
-    def cache_clear(self):
-        with self._lock:
-            self._blocks.clear()
-            self._bytes = 0
 
 
 def _stack(series):

@@ -174,6 +174,7 @@ _EXPONENT = -1 / 5
 _MIN_RTOL = 100 * np.finfo(float).eps
 STALL = "Required step size is less than spacing between numbers."
 _DONE = "The solver successfully reached the end of the integration interval."
+_MAX_VALUES = 10 ** 6  # integrate's samples times components: 16 MB complex
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,10 @@ def _dense_output(t_out, steps, n):
 
 
 def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
-    """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y) forward
-    over ``t_span``, with RK45's step control, error norm and dense output
-    at the ``t_eval`` points, which must increase strictly and lie in
-    ``t_span`` (ValueError otherwise, as RK45).
+    """Adaptive Dormand-Prince 5(4) integration of y' = fun(t, y), y0 not
+    empty, forward over ``t_span`` = (t0, t1 > t0), with RK45's step
+    control, error norm and dense output at the ``t_eval`` points, which
+    must increase strictly and lie in ``t_span`` (ValueError otherwise).
 
     The step loop keeps only what needs a step's stages: the step itself,
     its error norm, and, for a step that reaches a sample, Q = K^T P, t_old,
@@ -288,8 +289,6 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     way ends in a stall or non-finite samples, each reported by the
     caller, so numpy's warnings during the solve say nothing more."""
     t, t_bound = map(float, t_span)
-    if not t_bound > t:
-        raise ValueError("solve_ivp integrates forward only; need t1 > t0")
     y = np.asarray(y0, dtype=float)
     t_eval = _sample_points(t_eval, t, t_bound)
     if rtol < _MIN_RTOL:
@@ -302,10 +301,6 @@ def solve_ivp(fun, t_span, y0, t_eval, rtol=1e-3, atol=1e-6):
     y_abs = np.abs(y)
     with np.errstate(over="ignore", invalid="ignore"):
         f = fun(t, y)
-        if n == 0:
-            # As RK45: an empty system finishes in one step after its one
-            # evaluation, with every sample.
-            return IVPResult(t_eval.copy(), np.empty((0, t_eval.size)), 1, True, _DONE)
         h_abs = float(_initial_step(fun, t, y, f, t_bound - t, rtol, atol))
         nfev = 2
         status = None
@@ -388,9 +383,13 @@ def _prepare(system, r0, r1, init, sector):
 
 def integrate(system: RadialSystem, r0, r1, init, steps, sector="plain",
               rtol=1e-10, atol=1e-12):
-    """Adaptive 4th/5th-order integration on a uniform output grid."""
+    """Adaptive 4th/5th-order integration on a uniform output grid of
+    steps + 1 samples (steps >= 100), at most _MAX_VALUES values in all."""
     block, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
     steps = _int_arg("steps", steps, 100)
+    if (steps + 1) * block.dim > _MAX_VALUES:
+        raise ValueError(f"{steps + 1} samples of {block.dim} components exceed "
+                         f"the {_MAX_VALUES} values an integration returns")
     grid = np.linspace(r0, r1, steps + 1)
     result = solve_ivp(rhs, (r0, r1), start, t_eval=grid, rtol=rtol, atol=atol)
     if not result.success:

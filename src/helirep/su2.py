@@ -276,7 +276,6 @@ def cg_su2_hyp(l1, l2, l, m1, m2, m):
         series = terminating_series(
             ((t + u) // 2 + 1, (u - t) // 2, (u1 - t1) // 2),
             ((u - t1 - t2) // 2, (t2 - t1 + u) // 2 + 1),
-            Fraction(1),
         )
         value = sign * ratio * math.sqrt(sq) * float(series)
         # sq > 0, so a zero from a nonzero ratio and series is an underflow.

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helirep.cli import main
+from helirep.cli import _parse_grid, main
 from helirep.gelfand_yaglom import dirac_system, system_to_config
 from test_byte_contract import DEMOS, DIGESTS, child_env, run_demo
 
@@ -90,6 +90,19 @@ class TestZfun:
     def test_bad_grid(self, capsys):
         assert main(["zfun", "--l", "1", "--grid", "0:1"]) == 2
         assert main(["zfun", "--l", "1", "--grid", "0:1:0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["zfun", "--l", "1", "--grid", "0:1:1000000000"],
+        ["zfun", "--l", "1", "--grid", "0:1:100001"],
+        ["radial", "--chain", "dirac", "--grid", "0.5:60:1000000000"],
+    ])
+    def test_grid_count_past_the_bound_is_refused(self, capsys, argv):
+        # Refused before any point is allocated.
+        assert main(argv) == 2
+        assert "grid N must be an integer between 1 and 100000" in capsys.readouterr().err
+
+    def test_grid_count_bound_is_inclusive(self):
+        assert _parse_grid("0:1:100000") == (0.0, 1.0, 100000)
 
     def test_high_spin_sweep_to_pi_is_finite(self, capsys):
         code = main([

@@ -411,6 +411,18 @@ class TestSeriesNearPi:
         assert abs(got - want) <= 1e-12 * math.exp(40 * tau)
 
 
+def _fresh_memos(monkeypatch):
+    """Both routes' label-block memos replaced by empty ones over the same
+    builders for one test, so both routes rebuild their blocks under its
+    patches: a memoized block would hide a broken helper."""
+    import helirep.hyperspherical as hs
+    import helirep.su2 as su2
+
+    for module, name in ((su2, "_label_block"), (hs, "_series_block")):
+        memo = getattr(module, name)
+        monkeypatch.setattr(module, name, type(memo)(memo.__wrapped__))
+
+
 class TestRouteIndependence:
     """Each route still evaluates with the other route's helpers broken."""
 
@@ -427,12 +439,9 @@ class TestRouteIndependence:
         for module in (su2, hs):
             monkeypatch.setattr(module, "_sph_vec", self._broken)
             monkeypatch.setattr(module, "_jac_vec", self._broken)
-        # Both routes rebuild their label blocks under the patch: a
-        # memoized block would hide a broken helper.
         monkeypatch.setattr(su2, "_series_coeffs", self._broken)
         monkeypatch.setattr(su2, "_pair_norm", self._broken)
-        su2._label_block.cache_clear()
-        hs._series_block.cache_clear()
+        _fresh_memos(monkeypatch)
         thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
         want = _z_mpmath(5, 3, -1, 2.8, 0.7)
         assert z_series(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)
@@ -455,10 +464,7 @@ class TestRouteIndependence:
 
         monkeypatch.setattr(hs, "_gauss_float_coeffs", self._broken)
         monkeypatch.setattr(hs, "_ln_pref", self._broken)
-        # Both routes rebuild their label blocks under the patch: a
-        # memoized block would hide a broken helper.
-        hs._series_block.cache_clear()
-        su2._label_block.cache_clear()
+        _fresh_memos(monkeypatch)
         thetas, taus = np.array([0.3, 2.8]), np.array([-0.5, 0.7])
         want = _z_mpmath(5, 3, -1, 2.8, 0.7)
         assert z_factorized(*self.ARGS, 2.8, 0.7) == pytest.approx(want, abs=1e-12)

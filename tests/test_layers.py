@@ -182,16 +182,28 @@ AWAITING_CALLER = {
 }
 
 
+def _exported(trees):
+    """The names in the package's ``__all__``."""
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id",
+                                                    None) == "__all__":
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _sources(tree):
+    """Each name a module imports from a sibling module: (module, name)."""
+    return {a.asname or a.name: (node.module, a.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.level == 1 and node.module for a in node.names}
+
+
 def _unread_names(trees):
     """``module.name`` of each module-level function, class and constant
     that is outside ``__all__`` and that no other statement reads: a read
     is a name loaded in a module that defines it or imports it from the
     defining module.  ``__init__`` only re-exports, so it is exempt."""
-    exported = set()
-    for node in trees["__init__"].body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id",
-                                                    None) == "__all__":
-            exported = set(ast.literal_eval(node.value))
+    exported = _exported(trees)
     defined, read = {}, set()
     for module, tree in trees.items():
         if module == "__init__":
@@ -205,9 +217,7 @@ def _unread_names(trees):
                     if isinstance(target, ast.Name):
                         defined[module, target.id] = stmt
     for module, tree in trees.items():
-        source = {a.asname or a.name: (node.module, a.name)
-                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                  and node.level == 1 and node.module for a in node.names}
+        source = _sources(tree)
         for stmt in tree.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -242,6 +252,81 @@ def test_the_reader_rule_sees_each_binding():
     # g reads itself only; LIMIT is read in b, which neither defines nor
     # imports it; h has no reader at all.
     assert _unread_names(trees) == ["a.LIMIT", "a.g", "b.h"]
+
+
+# The console entry point: its ``argv`` default is passed from outside.
+ENTRY_POINTS = {"cli.main"}
+
+
+def _defaults(func):
+    """The parameters of a function definition that have a default."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]]
+    return names + [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None]
+
+
+def _uncalled_defaults(trees):
+    """``module.name(param)`` of each defaulted parameter of a module-level
+    function outside ``__all__`` that no call elsewhere in the library
+    passes, by position or by name.  A keyword passed to a callee that is
+    not a plain name (``SUITES[name](tol, system=system)``) counts for
+    every function with that parameter.  ``__init__``, the entry points
+    and the names awaiting a caller are exempt."""
+    exported, exempt = _exported(trees), ENTRY_POINTS | set(AWAITING_CALLER)
+    functions = {(module, stmt.name): stmt for module, tree in trees.items()
+                 if module != "__init__" for stmt in tree.body
+                 if isinstance(stmt, ast.FunctionDef)}
+    passed, any_callee = set(), set()
+    for module, tree in trees.items():
+        source = _sources(tree)
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                keywords = {k.arg for k in node.keywords}
+                if not isinstance(node.func, ast.Name):
+                    any_callee |= keywords
+                    continue
+                key = source.get(node.func.id, (module, node.func.id))
+                func = functions.get(key)
+                if func is None or func is stmt:
+                    continue
+                positional = func.args.posonlyargs + func.args.args
+                passed.update((key, a.arg) for a in positional[:len(node.args)])
+                passed.update((key, name) for name in keywords)
+    return sorted(f"{module}.{name}({param})"
+                  for (module, name), func in functions.items()
+                  if name not in exported and f"{module}.{name}" not in exempt
+                  for param in _defaults(func)
+                  if ((module, name), param) not in passed and param not in any_callee)
+
+
+def test_every_defaulted_parameter_has_a_library_caller():
+    """A default that no library call overrides is an option with one
+    value in use: it belongs in the function body as a constant."""
+    trees = {name: ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ORDER}
+    assert _uncalled_defaults(trees) == []
+
+
+def test_the_default_rule_sees_each_spelling():
+    trees = {
+        "__init__": ast.parse("from .a import f\n__all__ = ['f']\n"),
+        "a": ast.parse("def f(x, tol=1):\n    return g(x) + h(x, 2) + k(x)\n"
+                       "def g(x, y=1, *, z=2):\n    return g(x, y=0, z=1)\n"
+                       "def h(x, y=1, s=2):\n    return x\n"
+                       "def k(x, w=1):\n    return x\n"
+                       "def main(argv=None):\n    return argv\n"),
+        "b": ast.parse("from .a import k as kk\nT = {}\n"
+                       "def u(n=3):\n    return kk(1, 2), T['v'](0, s=1)\n"),
+    }
+    # f is exported; g passes its own y and z only; h gets y by position,
+    # and s from the subscript call, which passes s to every function with
+    # an s; k gets w under an alias; main is an entry point only in cli.
+    assert _uncalled_defaults(trees) == ["a.g(y)", "a.g(z)", "a.main(argv)",
+                                         "b.u(n)"]
 
 
 def _names_numpy_random(tree):

@@ -158,6 +158,10 @@ class TestAssembly:
             assemble_rfs(system, "3/2", "3/2")
 
 
+class _Solved(Exception):
+    """Raised in place of the solve."""
+
+
 class TestIntegrate:
     def test_zero_initial_data_stays_zero(self):
         rs = dirac_radial()
@@ -218,6 +222,20 @@ class TestIntegrate:
             integrate(rs, 0.5, 1.0, DIRAC_INIT, 50)
         with pytest.raises(ValueError, match="components"):
             integrate(rs, 0.5, 1.0, np.ones(3), 100)
+
+    def test_values_bound(self, monkeypatch):
+        # 250000 samples of 4 components are the 10^6 values an integration
+        # may return; one sample more is refused before the grid is made.
+        # The solver is replaced, so neither grid is integrated.
+        def unsolved(*args, **kwargs):
+            raise _Solved
+
+        monkeypatch.setattr(radial, "solve_ivp", unsolved)
+        with pytest.raises(ValueError, match="^250001 samples of 4 components "
+                                             "exceed the 1000000 values"):
+            integrate(dirac_radial(), 0.5, 60.0, DIRAC_INIT, 250000)
+        with pytest.raises(_Solved):
+            integrate(dirac_radial(), 0.5, 60.0, DIRAC_INIT, 249999)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
     def test_non_finite_initial_vector_rejected(self, bad):
@@ -534,13 +552,6 @@ class TestSolverMatchesScipy:
         grid = np.linspace(r0, 47.3, 700)
         ours = self.match(rhs, r0, r1, start, t_eval=grid, **self.DENSE_OPTIONS)
         assert ours.success and ours.t.tolist() == grid.tolist()
-
-    def test_empty_system(self):
-        # RK45 finishes an empty system at once after one evaluation and
-        # returns every sample.
-        ours = self.match(lambda t, y: np.zeros(0), 0.0, 1.0, np.empty(0),
-                          t_eval=np.linspace(0.0, 1.0, 5))
-        assert ours.success and ours.nfev == 1 and ours.y.shape == (0, 5)
 
     @pytest.mark.parametrize("dim", range(1, 13))
     def test_seeded_linear_systems(self, dim):
