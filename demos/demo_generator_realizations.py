@@ -6,8 +6,8 @@ the direct-coupling family with its printed basis change, then runs the
 commutator tables over each and shows they close identically.
 """
 
+from helirep.core import RepLabel
 from helirep.generators import (
-    GNRepLabel,
     ab_from_families,
     basis_change,
     commutator_report,
@@ -39,7 +39,8 @@ print(f"  ladder table max {lad['max_residual']:.2e}, "
 assert max(lad["max_residual"], lor["max_residual"]) <= 1e-12
 
 print("direct-coupling realization, base spin 1 with 3 levels:")
-mapped = basis_change(gn_ops(GNRepLabel(half(2), 3)))
+# The irrep (1, 2): Gel'fand-Naimark's l0 = 2 - 1 = 1, towers 1, 2, 3.
+mapped = basis_change(gn_ops(RepLabel(half(2), half(4))))
 rep = commutator_report(mapped, "lorentz")
 print(f"  after the printed basis change: max {rep['max_residual']:.2e}")
 assert rep["max_residual"] <= 1e-12

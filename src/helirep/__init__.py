@@ -7,7 +7,7 @@ from helirep.clifford import (
     verify_clifford,
     verify_tn_relations,
 )
-from helirep.core import CMatrix, GroupPoint
+from helirep.core import CMatrix, GroupPoint, RepLabel
 from helirep.gelfand_yaglom import (
     CoeffTable,
     RepChain,
@@ -20,7 +20,6 @@ from helirep.gelfand_yaglom import (
     verify_invariance,
 )
 from helirep.generators import (
-    GNRepLabel,
     basis_change,
     commutator_report,
     gn_ops,
@@ -48,7 +47,6 @@ from helirep.radial import (
 from helirep.su2 import cg_su2, cg_su2_hyp
 from helirep.suites import DEFAULT_TOLERANCES, SUITES, run_suite
 from helirep.tensordec import (
-    RepLabel,
     cg_series,
     coupled_vector,
     product_basis,
@@ -61,7 +59,6 @@ __all__ = [
     "CMatrix",
     "CoeffTable",
     "DEFAULT_TOLERANCES",
-    "GNRepLabel",
     "GroupPoint",
     "HalfInt",
     "RepChain",

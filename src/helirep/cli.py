@@ -255,8 +255,8 @@ def cmd_gy_build(args):
             "gy-build",
             {"chain": args.chain, "out": out_dir, "format": args.format},
             {"files": written, "dim": dim,
-             "spins": [str(l) for k in range(len(system.chain.reps))
-                       for l in system.chain.tower_spins(k)]},
+             "spins": [str(l) for rep in system.chain.reps
+                       for l in rep.tower_spins()]},
             {},
         ))
     _emit(args, text)

@@ -1,4 +1,4 @@
-"""Labeled matrices, weight bases, and group parameter tuples."""
+"""Labeled matrices, weight bases, Lorentz irrep labels and group points."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .halfint import HalfInt, mrange
+from .halfint import HalfInt, _weights, lrange, mrange
 from .kernels import _ANGLES, _finite
 
 
@@ -33,6 +33,43 @@ def enumerate_basis(l, ldot=0):
     return [
         BasisIndex(l, m, ldot, md) for m in mrange(l) for md in mrange(ldot)
     ]
+
+
+@dataclass(frozen=True)
+class RepLabel:
+    """The finite-dimensional Lorentz irrep with the spin pair (l1, l2).
+
+    Its two-spinor carrier is `enumerate_basis(l1, l2)`.  In
+    Gel'fand-Naimark's labels it is (l0, l1 + l2 + 1) with l0 = l2 - l1,
+    signed: its towers are the spins |l0|, ..., l1 + l2 of `tower_spins`.
+    """
+
+    l1: HalfInt
+    l2: HalfInt
+
+    def __post_init__(self):
+        object.__setattr__(self, "l1", _weights(self.l1)[0])
+        object.__setattr__(self, "l2", _weights(self.l2)[0])
+
+    @property
+    def dim(self):
+        return (self.l1.twice + 1) * (self.l2.twice + 1)
+
+    def basis(self):
+        return enumerate_basis(self.l1, self.l2)
+
+    def tower_spins(self):
+        """The spin towers |l1 - l2|, ..., l1 + l2, ascending."""
+        return lrange(abs(self.l1 - self.l2), self.l1 + self.l2)
+
+    def tower_slices(self):
+        """{l: slice} of each tower's rows: the one statement of the tower
+        layout (`gn_ops`, `RepChain`), m descending within a tower."""
+        out, start = {}, 0
+        for l in self.tower_spins():
+            out[l] = slice(start, start + l.twice + 1)
+            start += l.twice + 1
+        return out
 
 
 class Labels(tuple):

@@ -22,12 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .clifford import _SIGMA
-from .core import CMatrix, Labels
+from .core import CMatrix, Labels, RepLabel
 from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
                          relation_residuals)
-from .halfint import HalfInt, half, lrange, mrange
+from .halfint import HalfInt, half, mrange
 from .kernels import _components, _dense_rows, _finite, _int_arg
-from .tensordec import RepLabel
 
 
 class ChainIndex(NamedTuple):
@@ -76,28 +75,20 @@ class RepChain:
             if is_interlocking(self.reps[i], self.reps[j])
         )
 
-    def tower_spins(self, k):
-        """Spin towers |l1-l2| .. l1+l2 carried by rep k."""
-        rep = self.reps[k]
-        low = HalfInt.from_twice(abs(rep.l1.twice - rep.l2.twice))
-        return lrange(low, rep.l1 + rep.l2)
-
     @property
     def top_spin(self):
         """The largest tower spin over the chain."""
-        return max(l for k in range(len(self.reps)) for l in self.tower_spins(k))
+        return max(l for rep in self.reps for l in rep.tower_spins())
 
     def tower_slices(self):
-        """{(k, l): slice} of each tower's rows on the chain carrier.
-
-        The one statement of the chain layout: rep-major, towers
-        ascending, m descending within a tower.
-        """
+        """{(k, l): slice} of each tower's rows on the chain carrier:
+        rep-major, each rep's `RepLabel.tower_slices` shifted to its first
+        row."""
         out, start = {}, 0
-        for k in range(len(self.reps)):
-            for l in self.tower_spins(k):
-                out[k, l] = slice(start, start + l.twice + 1)
-                start += l.twice + 1
+        for k, rep in enumerate(self.reps):
+            for l, span in rep.tower_slices().items():
+                out[k, l] = slice(start + span.start, start + span.stop)
+            start += rep.dim
         return out
 
     def basis(self):

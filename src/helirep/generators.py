@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CMatrix, Labels, enumerate_basis
-from .halfint import HalfInt, _weights, lrange, mrange
-from .kernels import _dense_rows, _int_arg
+from .core import CMatrix, Labels, RepLabel, enumerate_basis
+from .halfint import _weights, mrange
+from .kernels import _dense_rows
 
 
 def _alpha(l, m):
@@ -97,40 +96,15 @@ def waerden_ops(l, ldot):
 # Block-tridiagonal operators on a spin tower
 
 
-@dataclass(frozen=True)
-class GNRepLabel:
-    """Finite-dimensional carrier spanning spins l0, l0+1, ..., l0+p-1."""
-
-    l0: HalfInt
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "l0", _weights(self.l0)[0])
-        object.__setattr__(self, "p", _int_arg("p", self.p, 1))
-
-    @property
-    def l1(self):
-        return self.l0 + self.p
-
-    @property
-    def lmax(self):
-        return self.l1 - 1
-
-    def basis(self):
-        return [
-            (l, m) for l in lrange(self.l0, self.lmax) for m in mrange(l)
-        ]
-
-
-def _gn_diag_coef(rep, l):
+def _gn_diag_coef(l0, l1, l):
     """i * l0 * l1 / (l (l+1)); only called for l > 0."""
     lf = float(l)
-    return 1j * float(rep.l0) * float(rep.l1) / (lf * (lf + 1.0))
+    return 1j * float(l0) * float(l1) / (lf * (lf + 1.0))
 
 
-def _gn_link_coef(rep, l):
-    """(i/l) sqrt((l^2-l0^2)(l^2-l1^2)/(4l^2-1)); real for l0 < l < l1."""
-    lf, l0f, l1f = float(l), float(rep.l0), float(rep.l1)
+def _gn_link_coef(l0, l1, l):
+    """(i/l) sqrt((l^2-l0^2)(l^2-l1^2)/(4l^2-1)); real for |l0| < l < l1."""
+    lf, l0f, l1f = float(l), float(l0), float(l1)
     rad = (lf * lf - l0f * l0f) * (lf * lf - l1f * l1f) / (4 * lf * lf - 1.0)
     return (1j / lf) * cmath.sqrt(rad)
 
@@ -139,37 +113,36 @@ def _gn_link_coef(rep, l):
 _GN_LINK_SIGNS = {-1: (1, -1, 1), 1: (1, -1, -1)}
 
 
-def gn_ops(rep: GNRepLabel):
+def gn_ops(rep: RepLabel):
     """The compact (H) and boost (F) generators on the spin-tower carrier
-    as a dict keyed H+, H-, H3, F+, F-, F3.
+    of ``rep`` as a dict keyed H+, H-, H3, F+, F-, F3.
 
-    A block-tridiagonal assembly over the towers, filled in one pass:
-    H+, H-, H3 are the ladder on each tower; F+, F-, F3 are -(diagonal
-    coefficient) times the ladder on each tower plus the signed link
-    coefficient times the `_tower_link` block to each neighbouring tower
-    of the carrier.  The diagonal coefficient is undefined at l = 0,
-    where the ladder vanishes.
+    The irrep (l1, l2) is Gel'fand-Naimark's (l0, l1 + l2 + 1) with
+    l0 = l2 - l1, signed; its towers, rows labeled (l, m), are laid out
+    as `RepLabel.tower_slices` states.  A block-tridiagonal assembly over
+    them, filled in one pass: H+, H-, H3 are the ladder on each tower;
+    F+, F-, F3 are -(diagonal coefficient) times the ladder on each tower
+    plus the signed link coefficient times the `_tower_link` block to
+    each neighbouring tower.  The diagonal coefficient is undefined at
+    l = 0, where the ladder vanishes.
     """
-
-    def span(l):  # towers l0 .. l-1 fill the first l^2 - l0^2 rows
-        start = (l.twice ** 2 - rep.l0.twice ** 2) // 4
-        return slice(start, start + l.twice + 1)
-
-    dim = _dense_rows(span(rep.l1).start)
+    dim = _dense_rows(rep.dim)
+    l0, l1 = rep.l2 - rep.l1, rep.l1 + rep.l2 + 1
+    rows = rep.tower_slices()
     data = np.zeros((6, dim, dim), dtype=complex)
     h, f = data[:3], data[3:]
-    for l in lrange(rep.l0, rep.lmax):
+    for l, span in rows.items():
         ladder = np.array(_ladder(l))
-        h[:, span(l), span(l)] = ladder
+        h[:, span, span] = ladder
         if l > 0:
-            f[:, span(l), span(l)] = -_gn_diag_coef(rep, l) * ladder
+            f[:, span, span] = -_gn_diag_coef(l0, l1, l) * ladder
         for step in (-1, 1):
-            if rep.l0 <= l + step <= rep.lmax:
-                link = _gn_link_coef(rep, max(l, l + step))
+            if l + step in rows:
+                link = _gn_link_coef(l0, l1, max(l, l + step))
                 for part, sign, block in zip(f, _GN_LINK_SIGNS[step],
                                              _tower_link(l, step)):
-                    part[span(l + step), span(l)] = (link if sign > 0 else -link) * block
-    basis = Labels(rep.basis())
+                    part[rows[l + step], span] = (link if sign > 0 else -link) * block
+    basis = Labels((l, m) for l in rows for m in mrange(l))
     return {kind: CMatrix(part, basis)
             for kind, part in zip(("H+", "H-", "H3", "F+", "F-", "F3"), data)}
 

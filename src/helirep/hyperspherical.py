@@ -32,7 +32,7 @@ import numpy as np
 from .core import BasisIndex, CMatrix, GroupPoint
 from .halfint import HalfInt, _weights, mrange
 from .kernels import (_ANGLES, _Memo, _column, _finite, _horner, _ksum,
-                      _powers, _squares, _stack, ipow, ln_factorial)
+                      _powers, _spin_cap, _squares, _stack, ipow, ln_factorial)
 from .su2 import _jac_vec, _sph_vec
 
 _CELLS = 1 << 14  # cells per block: labels x angles, and labels x thetas x taus
@@ -83,6 +83,7 @@ def _series_block(tl, tx):
 
     The rotation reads it with x = m and the boost with x = n.
     """
+    _spin_cap(tl)
     pairs = [(max(tx, tk), min(tx, tk)) for tk in range(tl, -tl - 1, -2)]
     series = [_gauss_float_coeffs(tl, ta, tb) for ta, tb in pairs]
     forward = _stack(series)

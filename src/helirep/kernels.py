@@ -48,6 +48,17 @@ def _dense_rows(rows):
     return _int_arg("dense carrier rows", rows, 1, _MAX_DENSE_ROWS)
 
 
+# Twice the largest spin of a Z^l_mn label block: the exact central-label
+# coefficients outgrow a float from 2l = 1034, the series prefactor from
+# about l = 810.
+_MAX_TWICE_SPIN = 1000
+
+
+def _spin_cap(tl):
+    """The label-block builders' one spin cap, before any coefficient."""
+    return _int_arg("twice the spin", tl, 0, _MAX_TWICE_SPIN)
+
+
 # What the finiteness gate names when an angle or rapidity is not finite:
 # the rotation tabulator would reflect a NaN angle forever, and a NaN
 # rapidity would come back as a NaN value.

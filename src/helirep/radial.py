@@ -175,6 +175,9 @@ _MIN_RTOL = 100 * np.finfo(float).eps
 STALL = "Required step size is less than spacing between numbers."
 _DONE = "The solver successfully reached the end of the integration interval."
 _MAX_VALUES = 10 ** 6  # integrate's samples times components: 16 MB complex
+# convergence_order's base_steps: its three runs take 7 * base_steps steps,
+# 3 to 5 s at the cap on the Dirac system over 0.5..2 (2-core Xeon VM).
+_MAX_BASE_STEPS = 20_000
 
 
 @dataclass(frozen=True)
@@ -437,8 +440,9 @@ def _dp5_steps(fun, t0, y0, h, n):
 def convergence_order(system: RadialSystem, r0, r1, init, sector="plain",
                       base_steps=400):
     """Richardson order estimate from three fixed-step Dormand-Prince runs
-    of base_steps, twice and four times as many steps."""
-    base_steps = _int_arg("base_steps", base_steps, 1)
+    of base_steps (at most _MAX_BASE_STEPS), twice and four times as many
+    steps."""
+    base_steps = _int_arg("base_steps", base_steps, 1, _MAX_BASE_STEPS)
     _, r0, r1, start, rhs = _prepare(system, r0, r1, init, sector)
     # Runs that overflow give infinite or NaN differences, and so a
     # non-finite order, which is the report; the runs need not warn.

@@ -18,6 +18,7 @@ from .kernels import (
     _finite,
     _horner,
     _powers,
+    _spin_cap,
     _squares,
     _stack,
     ipow,
@@ -79,6 +80,7 @@ def _label_block(tl, tx):
     The rotation reads it with x = m and the boost with x = n: the boost
     factor is symmetric in (k, n).
     """
+    _spin_cap(tl)
     ks = range(tl, -tl - 1, -2)
     pairs = [(max(tx, tk), min(tx, tk)) for tk in ks]
     dists = [(ta - tb) // 2 for ta, tb in pairs]

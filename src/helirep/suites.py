@@ -29,7 +29,6 @@ from .gelfand_yaglom import (
     weyl_gamma_triple,
 )
 from .generators import (
-    GNRepLabel,
     ab_from_families,
     basis_change,
     commutator_report,
@@ -37,14 +36,14 @@ from .generators import (
     helicity_ops,
     waerden_ops,
 )
-from .core import CMatrix
-from .halfint import lrange, mrange
+from .core import CMatrix, RepLabel
+from .halfint import half, lrange, mrange
 from .hyperspherical import (_factorized_table, _series_table, z_factorized,
                              z_matrix, z_series)
 from .radial import (_VARIANTS, assemble_rfs, bessel_probe, convergence_order,
                      integrate, residual)
 from .su2 import cg_su2
-from .tensordec import RepLabel, cg_series, coupled_vector, product_basis
+from .tensordec import cg_series, coupled_vector, product_basis
 
 DEFAULT_TOLERANCES = {
     "commutators": 1e-12,
@@ -107,8 +106,9 @@ def suite_commutators(tol):
                                   (ab_from_families(ladders), "lorentz")):
             report = commutator_report(ops, relation_set)
             _checks(rows, f"two-sided ({l},{ldot}) ", report["residuals"], tol)
+    # Gel'fand-Naimark's tower (l0, p) is the irrep ((p-1)/2, (p-1)/2 + l0).
     for l0, p in (("0", 2), ("1/2", 2), ("1", 2)):
-        mapped = basis_change(gn_ops(GNRepLabel(l0, p)))
+        mapped = basis_change(gn_ops(RepLabel(half(p - 1), half(p - 1) + l0)))
         report = commutator_report(mapped, "lorentz")
         _checks(rows, f"tower ({l0},p={p}) ", report["residuals"], tol)
         pair = commutator_report(mapped, "su2_pair")

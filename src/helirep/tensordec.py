@@ -15,30 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CMatrix, enumerate_basis
+from .core import CMatrix, RepLabel
 from .generators import _LADDER_KINDS, waerden_ops
 from .halfint import HalfInt, _weights, half, lrange
 from .kernels import _int_arg
 from .su2 import cg_su2
-
-
-@dataclass(frozen=True)
-class RepLabel:
-    """An irreducible carrier labeled by the spin pair (l1, l2)."""
-
-    l1: HalfInt
-    l2: HalfInt
-
-    def __post_init__(self):
-        object.__setattr__(self, "l1", _weights(self.l1)[0])
-        object.__setattr__(self, "l2", _weights(self.l2)[0])
-
-    @property
-    def dim(self):
-        return (self.l1.twice + 1) * (self.l2.twice + 1)
-
-    def basis(self):
-        return enumerate_basis(self.l1, self.l2)
 
 
 def cg_series(a: RepLabel, b: RepLabel):

@@ -19,7 +19,7 @@ from helirep.clifford import (
     verify_clifford,
     verify_tn_relations,
 )
-from helirep.core import CMatrix, GroupPoint
+from helirep.core import CMatrix, GroupPoint, RepLabel
 from helirep.gelfand_yaglom import (
     CoeffTable,
     RepChain,
@@ -35,7 +35,6 @@ from helirep.gelfand_yaglom import (
     weyl_gamma_triple,
 )
 from helirep.generators import (
-    GNRepLabel,
     ab_from_families,
     basis_change,
     commutator_report,
@@ -65,7 +64,6 @@ from helirep.radial import (
 )
 from helirep.su2 import cg_su2, cg_su2_hyp
 from helirep.tensordec import (
-    RepLabel,
     cg_series,
     coupled_vector,
     product_basis,
@@ -82,8 +80,8 @@ def random_coeff_table(chain, rng):
         for k in range(len(chain.reps)):
             if kp != k and not is_interlocking(chain.reps[kp], chain.reps[k]):
                 continue
-            for lp in chain.tower_spins(kp):
-                for l in chain.tower_spins(k):
+            for lp in chain.reps[kp].tower_spins():
+                for l in chain.reps[k].tower_spins():
                     if abs(lp.twice - l.twice) <= 2:
                         keys.append((kp, k, lp, l))
     return CoeffTable(
@@ -185,9 +183,9 @@ def test_criterion_4_commutator_tables_three_realizations():
                     ab_from_families(ladders), "lorentz"
                 )["max_residual"],
             )
-    for l0 in lrange("0", 2):
-        for p in (1, 2, 3):
-            mapped = basis_change(gn_ops(GNRepLabel(l0, p)))
+    for l1 in lrange("0", 2):
+        for l2 in lrange("0", 3):
+            mapped = basis_change(gn_ops(RepLabel(l1, l2)))
             worst = max(
                 worst, commutator_report(mapped, "lorentz")["max_residual"]
             )

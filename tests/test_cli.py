@@ -101,6 +101,18 @@ class TestZfun:
         assert main(argv) == 2
         assert "grid N must be an integer between 1 and 100000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spin, twice", [("517", 1034), ("100000", 200000)])
+    def test_spin_past_the_cap_is_refused(self, capsys, spin, twice):
+        # 2l = 1034 used to end in an OverflowError traceback, and
+        # l = 100000 to build for minutes.
+        start = time.perf_counter()
+        assert main(["zfun", "--l", spin, "--m", "0", "--n", "0",
+                     "--theta", "1", "--tau", "0.1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == ("helirep: twice the spin must be an integer between 0 "
+                       f"and 1000, got {twice}\n")
+
     def test_grid_count_bound_is_inclusive(self):
         assert _parse_grid("0:1:100000") == (0.0, 1.0, 100000)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helirep.core import CMatrix
+from helirep.core import CMatrix, RepLabel
 from helirep.gelfand_yaglom import (
     ChainIndex,
     CoeffTable,
@@ -33,7 +33,6 @@ from helirep.gelfand_yaglom import (
 from helirep.generators import split_families
 from helirep.halfint import half, mrange
 from helirep.radial import assemble_rfs
-from helirep.tensordec import RepLabel
 from test_generators import spin_matrix
 
 SEED = 20260822
@@ -74,8 +73,8 @@ def random_table(chain, rng):
         for k in range(nreps):
             if kp != k and not is_interlocking(chain.reps[kp], chain.reps[k]):
                 continue
-            for lp in chain.tower_spins(kp):
-                for l in chain.tower_spins(k):
+            for lp in chain.reps[kp].tower_spins():
+                for l in chain.reps[k].tower_spins():
                     if abs(lp.twice - l.twice) <= 2:
                         keys.append((kp, k, lp, l))
     return CoeffTable(
@@ -294,7 +293,7 @@ class TestChainGenerators:
             rest = gens[kind].data.copy()
             start = 0
             for k in range(len(chain.reps)):
-                for l in chain.tower_spins(k):
+                for l in chain.reps[k].tower_spins():
                     stop = start + l.twice + 1
                     assert basis[start:stop] == [ChainIndex(k, l, m) for m in mrange(l)]
                     block = factor * spin_matrix(i, l.twice)

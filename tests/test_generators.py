@@ -6,11 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from helirep.core import CMatrix, enumerate_basis
+from helirep.core import CMatrix, RepLabel, enumerate_basis
 from helirep.gelfand_yaglom import (CoeffTable, RepChain, build_system, chain_generators,
                                     dirac_system)
 from helirep.generators import (
-    GNRepLabel,
     _cartesianize,
     _tower_link,
     ab_from_families,
@@ -22,7 +21,7 @@ from helirep.generators import (
     split_families,
     waerden_ops,
 )
-from helirep.halfint import half
+from helirep.halfint import half, mrange
 from helirep.su2 import cg_su2
 
 SPINS = [half(k) for k in range(1, 7)]  # 1/2 .. 3
@@ -95,7 +94,7 @@ class TestSharedLabels:
     uses that one object for both axes."""
 
     @pytest.mark.parametrize("ops", [
-        lambda: gn_ops(GNRepLabel(half(1), 3)),
+        lambda: gn_ops(RepLabel(1, half(3))),
         lambda: waerden_ops(half(2), half(1)),
     ], ids=["gn_ops", "waerden_ops"])
     def test_one_row_labels_object(self, ops):
@@ -209,8 +208,9 @@ class TestDenseSizeGate:
 
     @pytest.mark.parametrize("build", [lambda: helicity_ops(10**4),
                                        lambda: waerden_ops(100, 100),
-                                       lambda: gn_ops(GNRepLabel(0, 100))],
-                             ids=["helicity_ops", "waerden_ops", "gn_ops"])
+                                       lambda: gn_ops(RepLabel(half(99), half(99))),
+                                       lambda: gn_ops(RepLabel(10**9, 10**9))],
+                             ids=["helicity_ops", "waerden_ops", "gn_ops", "gn_ops_huge"])
     def test_refused_up_front(self, build):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="dense carrier rows"):
@@ -218,57 +218,71 @@ class TestDenseSizeGate:
         assert time.perf_counter() - start < 1.0
 
 
-class TestGNRepLabel:
-    def test_derived_quantities(self):
-        rep = GNRepLabel(half(1), 2)
-        assert rep.l1 == half(5)
-        assert rep.lmax == half(3)
-        assert len(rep.basis()) == 6  # (2*1/2+1) + (2*3/2+1)
+# The irreps (l1, l2) with 2l1, 2l2 <= 6, l1 > l2 (l0 = l2 - l1 < 0) included.
+TOWERS = [RepLabel(half(t1), half(t2)) for t1 in range(7) for t2 in range(7)]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GNRepLabel(half(-1), 1)
-        with pytest.raises(ValueError):
-            GNRepLabel(half(1), 0)
+
+class TestTowerLayout:
+    def test_tower_spins(self):
+        # Gel'fand-Naimark's (l0, p) = (1/2, 2) and its sign flip.
+        for rep in (RepLabel(half(1), 1), RepLabel(1, half(1))):
+            assert rep.tower_spins() == [half(1), half(3)]
+            assert rep.dim == 6  # (2*1/2+1) + (2*3/2+1)
+
+    @pytest.mark.parametrize("rep", TOWERS, ids=lambda rep: f"({rep.l1},{rep.l2})")
+    def test_carrier_rows_follow_the_tower_spins(self, rep):
+        labels = gn_ops(rep)["H3"].row_labels
+        assert list(labels) == [(l, m) for l in rep.tower_spins() for m in mrange(l)]
+
+    def test_sign_of_l0_flips_only_the_diagonal_coefficient(self):
+        # The mirror irrep (l2, l1) is Gel'fand-Naimark's (-l0, l1): the
+        # same towers and links, and F's diagonal coefficient
+        # i l0 l1 / (l (l+1)) changes sign.
+        a, b = gn_ops(RepLabel(half(1), half(4))), gn_ops(RepLabel(half(4), half(1)))
+        assert a["F3"].row_labels == b["F3"].row_labels
+        for kind in ("H+", "H-", "H3"):
+            assert np.array_equal(a[kind].data, b[kind].data)
+        diag = np.diag(np.diag(a["F3"].data))
+        assert np.allclose(b["F3"].data, a["F3"].data - 2 * diag, rtol=0, atol=1e-15)
+        assert np.abs(diag).max() > 0.1
 
 
 class TestGNOps:
     def test_h3_smallest_tower(self):
-        h3 = gn_ops(GNRepLabel(half(1), 1))["H3"]
+        h3 = gn_ops(RepLabel(0, half(1)))["H3"]
         np.testing.assert_allclose(np.diag(h3.data), [0.5, -0.5])
 
     def test_f3_smallest_tower_diagonal_coefficient(self):
         # Single-block tower: only the diagonal term survives, and the
         # diagonal coefficient evaluates to i there, so F3 = diag(-i m).
-        f3 = gn_ops(GNRepLabel(half(1), 1))["F3"]
+        f3 = gn_ops(RepLabel(0, half(1)))["F3"]
         np.testing.assert_allclose(f3.data, [[-0.5j, 0], [0, 0.5j]])
 
     def test_compact_family_closes(self):
-        for twice_l0 in range(0, 5):
-            for p in (1, 2, 3):
-                g = gn_ops(GNRepLabel(half(twice_l0), p))
-                r1 = g["H+"].commutator(g["H-"]).residual_vs(2 * g["H3"])
-                r2 = g["H3"].commutator(g["H+"]).residual_vs(g["H+"])
-                r3 = g["H3"].commutator(g["H-"]).residual_vs(-1 * g["H-"])
-                assert max(r1, r2, r3) <= 1e-12
+        for rep in TOWERS:
+            g = gn_ops(rep)
+            r1 = g["H+"].commutator(g["H-"]).residual_vs(2 * g["H3"])
+            r2 = g["H3"].commutator(g["H+"]).residual_vs(g["H+"])
+            r3 = g["H3"].commutator(g["H-"]).residual_vs(-1 * g["H-"])
+            assert max(r1, r2, r3) <= 1e-12
 
     def test_scalar_tower_has_no_ladder_or_diagonal_action(self):
         # l = 0 block: every H entry and the F diagonal term vanish by
         # the explicit skip; only block-coupling entries may appear.
-        g = gn_ops(GNRepLabel(half(0), 1))
+        g = gn_ops(RepLabel(0, 0))
         for k, op in g.items():
             assert op.norm_inf() == 0.0, k
 
 
 class TestBasisChange:
     def test_x3_plus_y3_is_minus_i_h3(self):
-        g = gn_ops(GNRepLabel(half(0), 2))
+        g = gn_ops(RepLabel(half(1), half(1)))
         xy = basis_change(g)
         assert (xy["X3"] + xy["Y3"]).residual_vs(-1j * g["H3"]) == 0.0
         assert xy["A3"].residual_vs(-1j * g["H3"]) == 0.0
 
     def test_zero_input_gives_zero_output(self):
-        basis = GNRepLabel(half(1), 1).basis()
+        basis = gn_ops(RepLabel(0, half(1)))["H3"].row_labels
         z = CMatrix.zeros(basis, basis)
         xy = basis_change({k: z for k in ("H+", "H-", "H3", "F+", "F-", "F3")})
         assert all(m.norm_inf() == 0.0 for m in xy.values())
@@ -277,38 +291,36 @@ class TestBasisChange:
         # The map is exactly invertible; numerically each entry where
         # the two input families overlap picks up one float-add
         # rounding per direction, so "exact" means one ulp here.
-        for twice_l0 in range(0, 5):
-            for p in (1, 2, 3):
-                g = gn_ops(GNRepLabel(half(twice_l0), p))
-                xy = basis_change(g)
-                for a in ("+", "-", "3"):
-                    x, y = xy[f"X{a}"], xy[f"Y{a}"]
-                    assert (x - y).residual_vs(g[f"F{a}"]) <= 1e-15, a
-                    assert (1j * (x + y)).residual_vs(g[f"H{a}"]) <= 1e-15, a
+        for rep in TOWERS:
+            g = gn_ops(rep)
+            xy = basis_change(g)
+            for a in ("+", "-", "3"):
+                x, y = xy[f"X{a}"], xy[f"Y{a}"]
+                assert (x - y).residual_vs(g[f"F{a}"]) <= 1e-15, a
+                assert (1j * (x + y)).residual_vs(g[f"H{a}"]) <= 1e-15, a
 
     def test_missing_operator_named(self):
         with pytest.raises(KeyError, match="H3"):
             basis_change({"H+": None, "H-": None})
 
     def test_mapped_towers_satisfy_both_relation_sets(self):
-        for twice_l0 in range(0, 5):
-            for p in (1, 2, 3):
-                xy = basis_change(gn_ops(GNRepLabel(half(twice_l0), p)))
-                assert commutator_report(xy, "lorentz")["max_residual"] <= 1e-12
-                assert commutator_report(xy, "su2_pair")["max_residual"] <= 1e-12
+        for rep in TOWERS:
+            xy = basis_change(gn_ops(rep))
+            assert commutator_report(xy, "lorentz")["max_residual"] <= 1e-12
+            assert commutator_report(xy, "su2_pair")["max_residual"] <= 1e-12
 
     def test_smallest_nontrivial_tower_example(self):
-        xy = basis_change(gn_ops(GNRepLabel(half(0), 1)))
+        xy = basis_change(gn_ops(RepLabel(0, 0)))
         assert commutator_report(xy, "lorentz")["max_residual"] <= 1e-12
 
     def test_two_dim_tower_families_commute(self):
-        xy = basis_change(gn_ops(GNRepLabel(half(1), 1)))
+        xy = basis_change(gn_ops(RepLabel(0, half(1))))
         for k in "123":
             for j in "123":
                 assert xy[f"X{k}"].commutator(xy[f"Y{j}"]).norm_inf() == 0.0
 
     def test_mapped_ladders_are_antihermitian_flavored(self):
-        xy = basis_change(gn_ops(GNRepLabel(half(1), 1)))
+        xy = basis_change(gn_ops(RepLabel(0, half(1))))
         ladders = {k: xy[k] for k in ("X+", "X-", "X3", "Y+", "Y-", "Y3")}
         report = commutator_report(ladders, "ladder")
         assert report["flavor"]["X"] == "antihermitian"
@@ -316,25 +328,23 @@ class TestBasisChange:
 
 
 class TestTwoSpinorAgainstTower:
-    """The two-spinor builder against the Gel'fand–Naimark tower.  The
-    two share only the spin ladder and the Cartesian map; the tower's
-    diagonal and link coefficients have no two-spinor counterpart.
-    Couple the (l, ldot) weight basis to |j, m'> with Clebsch–Gordan
-    columns U and put the tower phase D = diag((-i)^(j - l0)) on it: with
-    l0 = ldot - l and p = 2l + 1, D U^T W_k U D^-1 is the tower's mapped
-    generator."""
+    """The two-spinor builder against the Gel'fand–Naimark tower of the
+    same irrep (l, ldot).  The two share only the spin ladder and the
+    Cartesian map; the tower's diagonal and link coefficients have no
+    two-spinor counterpart.  Couple the (l, ldot) weight basis to |j, m'>
+    with Clebsch–Gordan columns U and put the tower phase
+    D = diag((-i)^(j - l0)) on it: with l0 = ldot - l, signed,
+    D U^T W_k U D^-1 is the tower's mapped generator."""
 
-    @pytest.mark.parametrize("tl, tld", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 2),
-                                         (2, 3), (1, 4), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("tl, tld", [(tl, tld) for tl in range(7) for tld in range(7)])
     def test_coupled_two_spinor_is_the_tower(self, tl, tld):
         l, ldot = half(tl), half(tld)
-        rep = GNRepLabel(ldot - l, tl + 1)
         two_spinor = ab_from_families(waerden_ops(l, ldot))
-        tower = basis_change(gn_ops(rep))
-        cols = rep.basis()
+        tower = basis_change(gn_ops(RepLabel(l, ldot)))
+        cols = tower["A1"].row_labels
         u = np.array([[cg_su2(l, ldot, j, b.m, b.mdot, mp) for j, mp in cols]
                       for b in two_spinor["A1"].row_labels])
-        phase = np.array([(-1j) ** int(j - rep.l0) for j, _ in cols])
+        phase = np.array([(-1j) ** int(j - (ldot - l)) for j, _ in cols])
         for k in ("A1", "A2", "A3", "B1", "B2", "B3"):
             got = phase[:, None] * (u.T @ two_spinor[k].data @ u) / phase
             assert np.max(np.abs(got - tower[k].data)) <= 1e-14, k
@@ -343,10 +353,9 @@ class TestTwoSpinorAgainstTower:
 class TestCasimirReadback:
     """Both Casimir operators read back as scalars on both realizations:
     C1 = sum_k (A_k^2 - B_k^2) = -(l0^2 + l1^2 - 1) and
-    C2 = sum_k A_k B_k = i l0 l1.  On the tower (l0, p), l1 = l0 + p; on
-    the (l, ldot) carrier, l0 = ldot - l (signed) and l1 = l + ldot + 1,
-    so the l > ldot carriers, which no tower reaches, are covered too.
-    C2 is the one that sees the sign of the tower's diagonal coefficient."""
+    C2 = sum_k A_k B_k = i l0 l1.  On both realizations of the irrep
+    (l, ldot), l0 = ldot - l (signed) and l1 = l + ldot + 1.  C2 is the
+    one that sees the sign of the tower's diagonal coefficient."""
 
     @staticmethod
     def assert_casimirs(ab, l0, l1):
@@ -357,11 +366,13 @@ class TestCasimirReadback:
         for got, want in ((c1, -(l0 * l0 + l1 * l1 - 1)), (c2, 1j * l0 * l1)):
             assert got.residual_vs(want * one) <= 1e-14 * max(1.0, abs(want)), want
 
-    @pytest.mark.parametrize("tl0", range(7))
-    def test_tower(self, tl0):
-        for p in range(1, 6):
-            rep = GNRepLabel(half(tl0), p)
-            self.assert_casimirs(basis_change(gn_ops(rep)), float(rep.l0), float(rep.l1))
+    @pytest.mark.parametrize("tl", range(7))
+    def test_tower(self, tl):
+        # 2l1 <= 6 and 2l2 <= 10: every signed irrep up to 2l1, 2l2 <= 6,
+        # and the towers (l0 >= 0, p <= 5) out to 2l2 = 10.
+        for tld in range(11):
+            ab = basis_change(gn_ops(RepLabel(half(tl), half(tld))))
+            self.assert_casimirs(ab, (tld - tl) / 2, (tl + tld) / 2 + 1)
 
     @pytest.mark.parametrize("tl", range(7))
     def test_two_spinor(self, tl):

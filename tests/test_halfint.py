@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helirep.generators import GNRepLabel, helicity_ops, waerden_ops
+from helirep.core import RepLabel
+from helirep.generators import helicity_ops, waerden_ops
 from helirep.halfint import HalfInt, _weights, half, lrange, mrange
 from helirep.hyperspherical import z_grid, z_matrix
 from helirep.su2 import cg_su2, cg_su2_hyp, sph_p
-from helirep.tensordec import RepLabel
 
 
 class TestConstruction:
@@ -151,7 +151,6 @@ class TestSpinLabelGate:
         "mrange": lambda l: mrange(l),
         "RepLabel l1": lambda l: RepLabel(l, 0),
         "RepLabel l2": lambda l: RepLabel(0, l),
-        "GNRepLabel l0": lambda l: GNRepLabel(l, 1),
         "helicity_ops": lambda l: helicity_ops(l),
         "waerden_ops l": lambda l: waerden_ops(l, 0),
         "waerden_ops ldot": lambda l: waerden_ops(0, l),

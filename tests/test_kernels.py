@@ -16,7 +16,6 @@ from helirep.clifford import (
 )
 from helirep.cli import _parse_grid
 from helirep.gelfand_yaglom import dirac_system
-from helirep.generators import GNRepLabel
 from helirep.halfint import HalfInt
 from helirep.kernels import (
     PoleError,
@@ -347,7 +346,6 @@ DIRAC_INIT = [1.0, 0.0, 1j, 0.0]
 
 # Every integer argument behind `kernels._int_arg`: (call, a valid count).
 INT_ARGS = {
-    "GNRepLabel p": (lambda n: GNRepLabel("0", n), 2),
     "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), 2),
     "bilinear_form r": (lambda n: bilinear_form(0, n, 1.0), 2),
     "symmetrizer_one_row m": (symmetrizer_one_row, 2),
@@ -370,7 +368,6 @@ def test_integer_arguments_are_never_truncated(name):
 
 # A count outside its range at each entry point, and the gate's wording.
 OUT_OF_RANGE = {
-    "GNRepLabel p": (lambda n: GNRepLabel("0", n), 0, "p must be an integer >= 1"),
     "bilinear_form k": (lambda n: bilinear_form(n, 0, 1.0), -2,
                         "k must be an integer >= 0"),
     "symmetrizer_one_row m": (symmetrizer_one_row, 11,
@@ -390,7 +387,7 @@ OUT_OF_RANGE = {
     "convergence_order base_steps": (
         lambda n: convergence_order(_dirac_radial(), 0.5, 1.0, DIRAC_INIT,
                                     base_steps=n), 0,
-        "base_steps must be an integer >= 1"),
+        "base_steps must be an integer between 1 and 20000"),
 }
 
 
@@ -399,6 +396,33 @@ def test_counts_out_of_range_share_one_wording(name):
     call, bad, message = OUT_OF_RANGE[name]
     with pytest.raises(ValueError, match=f"^{message}, got {bad}$"):
         call(bad)
+
+
+# Every public function that reads a Z^l_mn label block, at 2l = 1001.
+SPIN_CAPPED = {
+    "sph_p": lambda l: su2.sph_p(l, "1/2", "1/2", 0.5),
+    "jac_p": lambda l: su2.jac_p(l, "1/2", "1/2", 0.5),
+    "wigner_d": lambda l: su2.wigner_d(l, "1/2", "1/2", 0.5),
+    "z_series": lambda l: hs.z_series(l, "1/2", "1/2", 0.5, 0.5),
+    "z_factorized": lambda l: hs.z_factorized(l, "1/2", "1/2", 0.5, 0.5),
+    "z_grid": lambda l: hs.z_grid(l, "1/2", "1/2", [0.5], [0.5]),
+    "z_series_grid": lambda l: hs.z_series_grid(l, "1/2", "1/2", [0.5], [0.5]),
+    "z_matrix": lambda l: hs.z_matrix(l, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPIN_CAPPED))
+def test_spin_past_the_cap_is_refused_before_any_coefficient(monkeypatch, name):
+    """2l = 1001, the first spin past the cap, is refused in both
+    label-block builders before any series coefficient is formed."""
+    def formed(*args):
+        raise AssertionError("a coefficient was formed")
+
+    monkeypatch.setattr(su2, "_series_coeffs", formed)
+    monkeypatch.setattr(hs, "_gauss_float_coeffs", formed)
+    with pytest.raises(ValueError, match="^twice the spin must be an integer "
+                                         "between 0 and 1000, got 1001$"):
+        SPIN_CAPPED[name]("1001/2")
 
 
 class TestCountGate:

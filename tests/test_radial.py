@@ -107,8 +107,8 @@ class TestAssembly:
         keys = {}
         for kp in range(2):
             for k in range(2):
-                for lp in chain.tower_spins(kp):
-                    for l in chain.tower_spins(k):
+                for lp in chain.reps[kp].tower_spins():
+                    for l in chain.reps[k].tower_spins():
                         if abs(lp.twice - l.twice) <= 2:
                             keys[(kp, k, lp, l)] = complex(*rng.normal(size=2))
         system = build_system(chain, CoeffTable(keys, keys))
@@ -299,6 +299,17 @@ class TestConvergenceOrder:
         for steps in (0, -5, 2.5):
             with pytest.raises(ValueError, match="base_steps"):
                 convergence_order(alt, 0.5, 10.0, DIRAC_INIT, base_steps=steps)
+
+    def test_base_steps_past_the_cap_refused_before_any_step(self, monkeypatch):
+        # 10**9 would step for about 40 hours; 20 000 is the largest run.
+        steps = []
+        monkeypatch.setattr(radial, "_dp5_steps", lambda *args: steps.append(args))
+        rs = dirac_radial()
+        for bad in (20_001, 10**9):
+            with pytest.raises(ValueError, match="^base_steps must be an integer "
+                                                 f"between 1 and 20000, got {bad}$"):
+                convergence_order(rs, 0.5, 2.0, DIRAC_INIT, base_steps=bad)
+        assert steps == []
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_initial_vector_rejected(self, bad):

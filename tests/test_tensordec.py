@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from helirep.core import RepLabel
 from helirep.halfint import half, mrange
 from helirep.su2 import cg_su2
 from helirep.tensordec import (
-    RepLabel,
     _binary_basis,
     _transposition_matrix,
     bilinear_form,

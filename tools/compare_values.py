@@ -55,7 +55,9 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   ``m = -top``; ``deriv`` and ``inv_r`` of both sectors and the ``str`` of
   each block's labels;
 - the generators, one array per operator: ``gn_ops`` and
-  ``basis_change(gn_ops(...))`` for 2l0 <= 6 and p <= 5, ``waerden_ops``
+  ``basis_change(gn_ops(...))`` on Gel'fand-Naimark's towers (l0, p) for
+  2l0 <= 6 and p <= 5 (the irrep ((p-1)/2, (p-1)/2 + l0), built as
+  ``GNRepLabel(l0, p)`` on a tree that still has it), ``waerden_ops``
   and ``ab_from_families(waerden_ops(...))`` for 2l, 2ldot <= 8 and
   ``helicity_ops`` for 2l <= 8; on Dirac and on each chain config of
   ``tools/compare_outputs.py``, ``chain_generators``, the six matrices of
@@ -89,7 +91,7 @@ TABLE_EDGE = 240
 SWEEP_SPINS = (3, 10, 20, 40)   # 2l of the theta sweeps
 SWEEP_ANGLES = 10_000
 MAX_CG_TWICE_L = 8
-MAX_GN_TWICE_L0, MAX_GN_P = 6, 5    # the spin-tower carriers GNRepLabel(l0, p)
+MAX_GN_TWICE_L0, MAX_GN_P = 6, 5    # the spin-tower carriers (l0, p)
 MAX_GEN_TWICE_L = 8                 # 2l and 2ldot of the two-spin carriers
 # (l1, l2, l, m1) of TestCouplingAtHighSpin, with m2 = -m1 if l == 0 else 0
 # and m = 0: squared norms past 2^1000, refused by the gamma-ratio route.
@@ -312,14 +314,24 @@ def _generator_values(half):
     matrices of each chain system (as `system_from_config` and
     `dirac_system` build them) with their labels, and its invariance
     report, each named ``generators ...``."""
+    from helirep import generators
     from helirep.gelfand_yaglom import chain_generators, verify_invariance
-    from helirep.generators import (GNRepLabel, ab_from_families, basis_change, gn_ops,
+    from helirep.generators import (ab_from_families, basis_change, gn_ops,
                                     helicity_ops, waerden_ops)
+
+    def tower(tl0, p):
+        """Gel'fand-Naimark's tower (l0, p) as the irrep
+        ((p-1)/2, (p-1)/2 + l0), or as ``GNRepLabel(l0, p)`` on a tree
+        that still has that label."""
+        if hasattr(generators, "GNRepLabel"):
+            return generators.GNRepLabel(half(tl0), p)
+        from helirep.core import RepLabel
+        return RepLabel(half(p - 1), half(p - 1 + tl0))
 
     families = {}
     for tl0 in range(MAX_GN_TWICE_L0 + 1):
         for p in range(1, MAX_GN_P + 1):
-            gn = gn_ops(GNRepLabel(half(tl0), p))
+            gn = gn_ops(tower(tl0, p))
             families[f"gn_ops 2l0={tl0} p={p}"] = gn
             families[f"basis_change 2l0={tl0} p={p}"] = basis_change(gn)
     for tl in range(MAX_GEN_TWICE_L + 1):
