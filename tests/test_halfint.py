@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helirep.core import RepLabel
@@ -28,6 +29,18 @@ class TestConstruction:
     def test_from_inexact_float_rejected(self):
         with pytest.raises(ValueError):
             HalfInt(0.3)
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"),
+                                     np.float64("inf"), np.float32("-inf")],
+                             ids=["inf", "-inf", "nan", "np-inf", "np32--inf"])
+    def test_non_finite_float_rejected(self, bad):
+        with pytest.raises(ValueError, match="not a finite half-integer"):
+            HalfInt(bad)
+
+    def test_float_past_half_the_float_range(self):
+        # Exact, though twice the value does not fit a float.
+        assert HalfInt(2.0 ** 1023).twice == 2 ** 1024
+        assert HalfInt(-1.5 * 2.0 ** 1023).twice == -3 * 2 ** 1023
 
     def test_from_thirds_rejected(self):
         with pytest.raises(ValueError):
@@ -165,3 +178,9 @@ class TestSpinLabelGate:
     def test_negative_label_refused_in_one_wording(self, name):
         with pytest.raises(ValueError, match="^spin label -1/2 must be non-negative$"):
             self.ENTRY_POINTS[name]("-1/2")
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf")], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_infinite_label_is_a_value_error(self, name, bad):
+        with pytest.raises(ValueError, match="not a finite half-integer"):
+            self.ENTRY_POINTS[name](bad)

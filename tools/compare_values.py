@@ -34,6 +34,8 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   ``schur_transpositions(m)``, m = 2..9.  It is the real part of a
   complex matrix and the matrix itself of a float one, so equal bytes
   prove equal values, signs of zero included, across either dtype;
+- the Clifford generators themselves: every E_k of ``brauer_weyl(n)``,
+  n = 1..10;
 - ``cg_su2`` and ``cg_su2_hyp`` on every key (l1, l2, l, m1, m2, m) with
   2l1, 2l2 <= 8 that the selection rules allow, and on the high-spin keys
   of ``tests/test_su2.py::TestCouplingAtHighSpin``; a key each route
@@ -56,8 +58,7 @@ which evaluates a fixed list of arrays and saves them to a ``.npz`` file:
   each block's labels;
 - the generators, one array per operator: ``gn_ops`` and
   ``basis_change(gn_ops(...))`` on Gel'fand-Naimark's towers (l0, p) for
-  2l0 <= 6 and p <= 5 (the irrep ((p-1)/2, (p-1)/2 + l0), built as
-  ``GNRepLabel(l0, p)`` on a tree that still has it), ``waerden_ops``
+  2l0 <= 6 and p <= 5 (the irrep ((p-1)/2, (p-1)/2 + l0)), ``waerden_ops``
   and ``ab_from_families(waerden_ops(...))`` for 2l, 2ldot <= 8 and
   ``helicity_ops`` for 2l <= 8; on Dirac and on each chain config of
   ``tools/compare_outputs.py``, ``chain_generators``, the six matrices of
@@ -314,18 +315,14 @@ def _generator_values(half):
     matrices of each chain system (as `system_from_config` and
     `dirac_system` build them) with their labels, and its invariance
     report, each named ``generators ...``."""
-    from helirep import generators
+    from helirep.core import RepLabel
     from helirep.gelfand_yaglom import chain_generators, verify_invariance
     from helirep.generators import (ab_from_families, basis_change, gn_ops,
                                     helicity_ops, waerden_ops)
 
     def tower(tl0, p):
         """Gel'fand-Naimark's tower (l0, p) as the irrep
-        ((p-1)/2, (p-1)/2 + l0), or as ``GNRepLabel(l0, p)`` on a tree
-        that still has that label."""
-        if hasattr(generators, "GNRepLabel"):
-            return generators.GNRepLabel(half(tl0), p)
-        from helirep.core import RepLabel
+        ((p-1)/2, (p-1)/2 + l0)."""
         return RepLabel(half(p - 1), half(p - 1 + tl0))
 
     families = {}
@@ -357,7 +354,8 @@ def _generator_values(half):
 
 
 def _clifford_reports():
-    """Each clifford report as a 0-d string array of its ``repr``."""
+    """Each clifford report as a 0-d string array of its ``repr``, then the
+    transposition matrices and the generators."""
     from helirep.clifford import (SchurCoverGens, brauer_weyl, odd_direct_sum,
                                   schur_transpositions, transposition_homomorphism_report,
                                   verify_clifford, verify_tn_relations)
@@ -385,6 +383,9 @@ def _clifford_reports():
     for m in range(2, 10):
         for k, t in enumerate(schur_transpositions(m).t, start=1):
             out[f"clifford schur_transpositions m={m} t_{k}"] = np.real(t)
+    for n in range(1, 11):
+        for k, e in enumerate(brauer_weyl(n).generators, start=1):
+            out[f"clifford brauer_weyl n={n} E_{k}"] = e
     return out
 
 
